@@ -47,7 +47,7 @@ int main(int argc, char **argv) {
   Opts.parse(argc, argv);
   DequeKind DQ;
   if (!parseDequeKind(Deque, DQ))
-    reportFatalError("unknown deque kind '" + Deque + "'");
+    reportFatalError(unknownDequeKindError(Deque));
 
   // Figure 6 uses these three benchmarks.
   const char *Wanted[] = {"Nqueen-array", "Nqueen-compute", "Fib"};

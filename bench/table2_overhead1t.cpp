@@ -49,7 +49,7 @@ int main(int argc, char **argv) {
   Opts.parse(argc, argv);
   DequeKind DQ;
   if (!parseDequeKind(Deque, DQ))
-    reportFatalError("unknown deque kind '" + Deque + "'");
+    reportFatalError(unknownDequeKindError(Deque));
 
   const SchedulerKind Systems[] = {
       SchedulerKind::Tascell, SchedulerKind::Cilk,

@@ -56,7 +56,7 @@ int main(int argc, char **argv) {
   StealPolicy SP;
   VictimPolicy VP;
   if (!parseDequeKind(Deque, DQ))
-    reportFatalError("unknown deque kind '" + Deque + "'");
+    reportFatalError(unknownDequeKindError(Deque));
   if (!parseStealPolicy(StealPol, SP))
     reportFatalError("unknown steal policy '" + StealPol + "'");
   if (!parseVictimPolicy(Victim, VP))

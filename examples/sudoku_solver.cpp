@@ -67,7 +67,7 @@ int main(int argc, char **argv) {
   if (!parseSchedulerKind(Scheduler, Cfg.Kind))
     reportFatalError("unknown scheduler '" + Scheduler + "'");
   if (!parseDequeKind(Deque, Cfg.Deque))
-    reportFatalError("unknown deque kind '" + Deque + "'");
+    reportFatalError(unknownDequeKindError(Deque));
   if (!parseStealPolicy(StealPol, Cfg.Steal))
     reportFatalError("unknown steal policy '" + StealPol + "'");
   if (!parseVictimPolicy(Victim, Cfg.Victim))

@@ -111,6 +111,10 @@ bool atc::parseDequeKind(const std::string &Name, DequeKind &Out) {
   return false;
 }
 
+std::string atc::unknownDequeKindError(const std::string &Name) {
+  return "unknown deque kind '" + Name + "' (expected the|atomic|chaselev)";
+}
+
 const char *atc::stealPolicyName(StealPolicy Policy) {
   switch (Policy) {
   case StealPolicy::One:

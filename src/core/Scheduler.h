@@ -73,6 +73,9 @@ const char *dequeKindName(DequeKind Kind);
 /// Parses a deque kind name (case-insensitive). Returns true on success.
 bool parseDequeKind(const std::string &Name, DequeKind &Out);
 
+/// Error text for a name parseDequeKind rejected; names the valid kinds.
+std::string unknownDequeKindError(const std::string &Name);
+
 /// How much work one successful steal transfers (deque-based engines).
 ///
 ///  * One  - the classic continuation steal: one frame per acquire (the

@@ -79,6 +79,7 @@
 #include "core/SchedulerStats.h"
 #include "core/TaskFrame.h"
 #include "core/WorkerContext.h"
+#include "core/kernel/StealDecisions.h"
 #include "core/kernel/TaskCreationPolicy.h"
 #include "core/kernel/WorkerRuntime.h"
 #include "support/Arena.h"
@@ -209,13 +210,10 @@ public:
   /// part that is expensive — while the claim cost stays one CAS (or one
   /// mutex round with TheDeque) per frame.
   void stealExtra(Worker &W, Worker &Victim) {
-    int Extra = static_cast<int>(Victim.Deque.size()) / 2;
     // The batch bound caps how much *this thief* carries off, so a tuned
     // thief's live knob (not the victim's) replaces the run constant.
-    const int MaxStolen = liveMaxStolen(W.Tune, Cfg.MaxStolenNum);
-    const int Cap = (MaxStolen > 1 ? MaxStolen : 1) - 1;
-    if (Extra > Cap)
-      Extra = Cap;
+    const int Extra = stealHalfWidth(
+        Victim.Deque.size(), liveMaxStolen(W.Tune, Cfg.MaxStolenNum));
     for (int I = 0; I < Extra; ++I) {
       StealResult SR = Victim.Deque.steal(&FramePolicy::onSteal, nullptr);
       if (SR.Status != StealResult::Status::Success)

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The scheduler kernel every SchedulerKind runs on: worker threads, the
-/// steal loop (pluggable victim ordering — see VictimPolicy — plus the
+/// steal loop (pluggable victim ordering — see StealDecisions.h — plus the
 /// steal-half stash drain, truncated-exponential backoff, and the paper's
 /// stolen_num / need_task signalling), termination detection, result
 /// publication and statistics aggregation live here — once. What differs
@@ -60,6 +60,7 @@
 #include "core/Scheduler.h"
 #include "core/SchedulerStats.h"
 #include "core/kernel/KernelWorker.h"
+#include "core/kernel/StealDecisions.h"
 #include "core/tuning/TuningController.h"
 #include "metrics/MetricsRegistry.h"
 #include "support/Compiler.h"
@@ -329,57 +330,8 @@ private:
     W.Stats.StealWaitNs += nowNanos() - IdleBegin;
   }
 
-  /// Uniform-random victim, excluding the thief itself.
-  int randomVictim(Worker &W) {
-    int V = static_cast<int>(
-        W.Rng.nextBelow(static_cast<std::uint64_t>(Cfg.NumWorkers - 1)));
-    if (V >= W.Id)
-      ++V;
-    return V;
-  }
-
-  /// Victim selection per Cfg.Victim (see VictimPolicy). Sets \p Affine
-  /// when the choice is a last-victim retry (feeds AffinityHits).
-  ///
-  ///  * Affinity    - the last victim work came from is the most likely
-  ///                  to still have more; random otherwise.
-  ///  * Random      - uniform random every attempt.
-  ///  * Partitioned - random within the thief's VictimGroupSize group of
-  ///                  consecutive ids until the caller's failure streak
-  ///                  covers two sweeps of the group (it has run dry, or
-  ///                  its work is all below steal depth), then global.
-  int pickVictim(Worker &W, int FailStreak, bool &Affine) {
-    switch (Cfg.Victim) {
-    case VictimPolicy::Affinity: {
-      int V = W.LastVictim;
-      if (V >= 0 && V != W.Id) {
-        Affine = true;
-        return V;
-      }
-      return randomVictim(W);
-    }
-    case VictimPolicy::Random:
-      return randomVictim(W);
-    case VictimPolicy::Partitioned: {
-      const int G = Cfg.VictimGroupSize > 1 ? Cfg.VictimGroupSize : 1;
-      const int Lo = (W.Id / G) * G;
-      const int Span =
-          Lo + G <= Cfg.NumWorkers ? G : Cfg.NumWorkers - Lo;
-      if (Span >= 2 && FailStreak < 2 * Span) {
-        int V = Lo + static_cast<int>(W.Rng.nextBelow(
-                         static_cast<std::uint64_t>(Span - 1)));
-        if (V >= W.Id)
-          ++V;
-        return V;
-      }
-      return randomVictim(W);
-    }
-    }
-    ATC_UNREACHABLE("unhandled victim policy");
-  }
-
   /// One acquire attempt: drain any steal-half surplus the thief already
-  /// holds, else pick a victim (pickVictim above), let the policy try to
+  /// holds, else pick a victim (chooseVictim), let the policy try to
   /// take work from it, then do the kernel-side bookkeeping — steal
   /// counters, affinity update, and the paper's stolen_num / need_task
   /// signalling. A failed attempt (including a policy-side emptiness
@@ -404,8 +356,9 @@ private:
       return AcquireOutcome::Acquired;
     }
 
-    bool Affine = false;
-    int V = pickVictim(W, FailStreak, Affine);
+    const auto [V, Affine] =
+        chooseVictim(Cfg.Victim, Cfg.VictimGroupSize, Cfg.NumWorkers, W.Id,
+                     W.LastVictim, FailStreak, W.Rng);
     Worker &Victim = *Workers[static_cast<std::size_t>(V)];
 
     ++W.Stats.StealAttempts;

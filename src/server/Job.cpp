@@ -123,7 +123,7 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
   }
   S = Doc["deque"].stringOr("the");
   if (!parseDequeKind(S, Spec.Deque)) {
-    Error = "unknown deque kind '" + S + "'";
+    Error = unknownDequeKindError(S);
     return false;
   }
   S = Doc["steal"].stringOr("one");

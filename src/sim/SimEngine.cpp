@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/SimEngine.h"
+#include "core/kernel/StealDecisions.h"
 #include "core/kernel/TaskCreationPolicy.h"
 #include "core/tuning/TuningController.h"
 #include "metrics/MetricsRegistry.h"
@@ -184,8 +185,15 @@ private:
     return true;
   }
   void chargeSpawn(SimWorker &W, bool IsSpecial);
-  int randomVictim(SimWorker &W, int Self);
-  int pickVictim(SimWorker &W, int Self, bool &Affine);
+
+  /// Worker \p Wi's next victim, chosen by the runtime kernel's own
+  /// function (core/kernel/StealDecisions.h) from the worker's PRNG, last
+  /// victim and failure streak.
+  VictimChoice nextVictim(int Wi) {
+    SimWorker &W = Workers[static_cast<std::size_t>(Wi)];
+    return chooseVictim(Opts.Victim, Opts.VictimGroupSize, Opts.NumWorkers,
+                        Wi, W.LastVictim, W.FailStreak, W.Rng);
+  }
 
   /// Thief-side cost of a successful claim for the configured deque kind
   /// (THE lock round trip vs lock-free CAS).
@@ -258,47 +266,6 @@ private:
   long long Processed = 0;
   SimReport R;
 };
-
-int Simulator::randomVictim(SimWorker &W, int Self) {
-  int V = static_cast<int>(
-      W.Rng.nextBelow(static_cast<std::uint64_t>(Opts.NumWorkers - 1)));
-  if (V >= Self)
-    ++V;
-  return V;
-}
-
-/// Same policy ladder as the runtime kernel's pickVictim
-/// (core/kernel/WorkerRuntime.h): Affinity retries the last successful
-/// victim, Partitioned confines the search to the worker's group until a
-/// failure streak of twice the group span escalates it globally.
-int Simulator::pickVictim(SimWorker &W, int Self, bool &Affine) {
-  switch (Opts.Victim) {
-  case VictimPolicy::Affinity: {
-    int V = W.LastVictim;
-    if (V >= 0 && V != Self) {
-      Affine = true;
-      return V;
-    }
-    return randomVictim(W, Self);
-  }
-  case VictimPolicy::Random:
-    return randomVictim(W, Self);
-  case VictimPolicy::Partitioned: {
-    const int G = Opts.VictimGroupSize > 1 ? Opts.VictimGroupSize : 1;
-    const int Lo = (Self / G) * G;
-    const int Span = Lo + G <= Opts.NumWorkers ? G : Opts.NumWorkers - Lo;
-    if (Span >= 2 && W.FailStreak < 2 * Span) {
-      int V = Lo + static_cast<int>(W.Rng.nextBelow(
-                       static_cast<std::uint64_t>(Span - 1)));
-      if (V >= Self)
-        ++V;
-      return V;
-    }
-    return randomVictim(W, Self);
-  }
-  }
-  ATC_UNREACHABLE("unhandled victim policy");
-}
 
 void Simulator::chargeSpawn(SimWorker &W, bool IsSpecial) {
   double Ns = C.TaskCreateNs + C.DequeOpNs +
@@ -614,8 +581,7 @@ void Simulator::dequeStealAttempt(int Wi) {
     W.Now += C.StealFailNs;
     return;
   }
-  bool Affine = false;
-  int Vi = pickVictim(W, Wi, Affine);
+  const auto [Vi, Affine] = nextVictim(Wi);
   SimWorker &V = Workers[static_cast<std::size_t>(Vi)];
   ++W.Stats.StealAttempts;
   emit(W, TraceEventKind::StealAttempt, static_cast<std::uint32_t>(Vi));
@@ -733,12 +699,10 @@ void Simulator::dequeStealAttempt(int Wi) {
       if (F.Stealable && F.Next + (IsTop ? 1 : 0) < F.End)
         Later.push_back(I);
     }
-    int Extra = static_cast<int>(Later.size()) / 2;
     // Thief's live knob bounds its own batch, as in stealExtra.
-    const int MaxStolen = liveMaxStolen(W.Tune, Opts.MaxStolenNum);
-    const int Cap = (MaxStolen > 1 ? MaxStolen : 1) - 1;
-    if (Extra > Cap)
-      Extra = Cap;
+    const int Extra =
+        stealHalfWidth(static_cast<int>(Later.size()),
+                       liveMaxStolen(W.Tune, Opts.MaxStolenNum));
     // Youngest extras first so older continuations sit higher on the
     // thief's stack (it drains oldest-first).
     for (int I = 0; I < Extra; ++I) {
@@ -775,8 +739,7 @@ void Simulator::tascellIdle(int Wi) {
 
   if (W.WaitingOn < 0) {
     // Post a request to a victim chosen by the configured policy.
-    bool Affine = false;
-    int Vi = pickVictim(W, Wi, Affine);
+    const auto [Vi, Affine] = nextVictim(Wi);
     Workers[static_cast<std::size_t>(Vi)].Mailbox.push_back(Wi);
     W.WaitingOn = Vi;
     W.PendingAffine = Affine;

@@ -381,6 +381,42 @@ TEST(ChaseLev, NeverTakesALock) {
   EXPECT_EQ(D.lockAcquireCount(), 0u);
 }
 
+TEST(ChaseLev, CircularBufferRecyclesSlots) {
+  // Unlike TheDeque's absolute indices, the ChaseLevDeque maps monotonic
+  // indices onto a small circular buffer: steady-state churn far beyond
+  // the capacity needs no reset, and — the depth never exceeding the
+  // ring — no growth either.
+  ChaseLevDeque D(4);
+  for (std::uintptr_t I = 1; I <= 100; ++I) {
+    ASSERT_TRUE(D.tryPush(ptr(I), /*Special=*/I % 5 == 0));
+    ASSERT_TRUE(D.tryPush(ptr(1000 + I)));
+    if (I % 2 == 0) {
+      StealResult R = D.steal();
+      ASSERT_EQ(R.Status, StealResult::Status::Success);
+      // The head entry, or — every tenth round — the special's child.
+      ASSERT_EQ(R.Frame, I % 5 == 0 ? ptr(1000 + I) : ptr(I));
+      ASSERT_EQ(D.pop(), I % 5 == 0 ? PopResult::Failure
+                                    : PopResult::Success);
+      if (I % 5 == 0) {
+        ASSERT_EQ(D.popSpecial(), PopResult::Failure);
+      }
+    } else {
+      // Popping the child jump-claims the special when one sits below it
+      // and re-publishes it; popSpecial then retires the re-published
+      // entry instead of a second pop.
+      ASSERT_EQ(D.pop(), PopResult::Success);
+      if (I % 5 == 0) {
+        ASSERT_EQ(D.popSpecial(), PopResult::Success);
+      } else {
+        ASSERT_EQ(D.pop(), PopResult::Success);
+      }
+    }
+    ASSERT_TRUE(D.empty()) << "round " << I;
+  }
+  EXPECT_EQ(D.growCount(), 0u);
+  EXPECT_EQ(D.capacity(), 4);
+}
+
 TEST(ChaseLev, CapacityRoundsUpToPowerOfTwo) {
   ChaseLevDeque D(5);
   EXPECT_EQ(D.capacity(), 8);

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
+#include "core/kernel/StealDecisions.h"
 #include "problems/FibComp.h"
 #include "problems/KnightsTour.h"
 #include "problems/NQueens.h"
@@ -553,6 +554,84 @@ TEST(PolicyMatrix, VictimPoliciesAreResultInvisible) {
             << "affinity retries must be exclusive to the Affinity policy";
       }
     }
+}
+
+//===----------------------------------------------------------------------===//
+// Steal decisions (core/kernel/StealDecisions.h), shared with the simulator
+//===----------------------------------------------------------------------===//
+
+TEST(StealDecisions, ChoiceNeverReturnsSelf) {
+  SplitMix64 Rng(42);
+  for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Random,
+                          VictimPolicy::Partitioned})
+    for (int N : {2, 3, 5, 8})
+      for (int Self = 0; Self < N; ++Self)
+        for (int Last : {-1, Self, (Self + 1) % N})
+          for (int Streak = 0; Streak < 20; ++Streak) {
+            VictimChoice C = chooseVictim(VP, /*GroupSize=*/4, N, Self, Last,
+                                          Streak, Rng);
+            ASSERT_NE(C.Victim, Self) << victimPolicyName(VP) << " N=" << N;
+            ASSERT_GE(C.Victim, 0);
+            ASSERT_LT(C.Victim, N);
+          }
+}
+
+TEST(StealDecisions, PartitionedStaysInGroupUntilTwoSweeps) {
+  SplitMix64 Rng(7);
+  // Worker 5 of 8 in groups of 4: group [4, 8), span 4, so the first
+  // 2 * 4 failures stay local and the ninth attempt may go anywhere.
+  for (int Streak = 0; Streak < 8; ++Streak)
+    for (int I = 0; I < 64; ++I) {
+      int V = chooseVictim(VictimPolicy::Partitioned, 4, 8, 5, -1, Streak, Rng)
+                  .Victim;
+      ASSERT_GE(V, 4) << "streak " << Streak;
+      ASSERT_LT(V, 8) << "streak " << Streak;
+    }
+  bool LeftGroup = false;
+  for (int I = 0; I < 64; ++I)
+    LeftGroup |=
+        chooseVictim(VictimPolicy::Partitioned, 4, 8, 5, -1, 8, Rng).Victim < 4;
+  EXPECT_TRUE(LeftGroup) << "a dry group must escalate to global stealing";
+  // A ragged tail group (workers 4..5 of 6) has span 2: its one peer
+  // until the streak reaches 4.
+  for (int Streak = 0; Streak < 4; ++Streak)
+    EXPECT_EQ(
+        chooseVictim(VictimPolicy::Partitioned, 4, 6, 5, -1, Streak, Rng)
+            .Victim,
+        4);
+}
+
+TEST(StealDecisions, AffineOnlyOnLastVictimRetry) {
+  SplitMix64 Rng(9);
+  VictimChoice C = chooseVictim(VictimPolicy::Affinity, 4, 8, 2, 6, 0, Rng);
+  EXPECT_EQ(C.Victim, 6);
+  EXPECT_TRUE(C.Affine);
+  for (int I = 0; I < 32; ++I) {
+    // No last victim, or a stale self-reference: a random draw.
+    EXPECT_FALSE(
+        chooseVictim(VictimPolicy::Affinity, 4, 8, 2, -1, 0, Rng).Affine);
+    EXPECT_FALSE(
+        chooseVictim(VictimPolicy::Affinity, 4, 8, 2, 2, 0, Rng).Affine);
+    // The other policies never retry, last victim or not.
+    EXPECT_FALSE(
+        chooseVictim(VictimPolicy::Random, 4, 8, 2, 6, 0, Rng).Affine);
+    EXPECT_FALSE(
+        chooseVictim(VictimPolicy::Partitioned, 4, 8, 2, 6, 0, Rng).Affine);
+  }
+}
+
+TEST(StealDecisions, StealHalfWidthNeverExceedsMaxStolenMinusOne) {
+  for (int MaxStolen : {-1, 0, 1, 2, 3, 20})
+    for (int Remaining = 0; Remaining <= 64; ++Remaining) {
+      const int W = stealHalfWidth(Remaining, MaxStolen);
+      EXPECT_GE(W, 0);
+      EXPECT_LE(W, Remaining / 2);
+      EXPECT_LE(W, std::max(MaxStolen, 1) - 1)
+          << "remaining " << Remaining << ", max_stolen " << MaxStolen;
+    }
+  EXPECT_EQ(stealHalfWidth(10, 20), 5);
+  EXPECT_EQ(stealHalfWidth(10, 3), 2);
+  EXPECT_EQ(stealHalfWidth(10, 1), 0);
 }
 
 // Before the kernel refactor Tascell never reported steal-path counters;

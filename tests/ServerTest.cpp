@@ -163,6 +163,12 @@ TEST(JobSpecJson, RejectsBadSpecs) {
       << "non-integer size";
   EXPECT_FALSE(
       parseJobSpec(R"({"problem": "fib", "scheduler": "magic"})", S, Err));
+  // An unknown deque kind's error (the server's 400 body) names the
+  // valid ones.
+  EXPECT_FALSE(
+      parseJobSpec(R"({"problem": "fib", "deque": "lockless"})", S, Err));
+  EXPECT_EQ(Err,
+            "unknown deque kind 'lockless' (expected the|atomic|chaselev)");
   EXPECT_FALSE(parseJobSpec("not json at all", S, Err));
   EXPECT_FALSE(Err.empty());
 }

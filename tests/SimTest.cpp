@@ -4,10 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "metrics/MetricsRegistry.h"
 #include "sim/SimEngine.h"
 #include "sim/TreeGen.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace atc;
 
@@ -191,6 +194,73 @@ TEST(SimPolicies, PolicyRunsAreDeterministic) {
                                  DequeKind::ChaseLev, StealPolicy::Half, VP);
     EXPECT_DOUBLE_EQ(A.MakespanNs, B.MakespanNs);
     EXPECT_EQ(A.Steals, B.Steals);
+  }
+}
+
+TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
+  // Pinned fig8 results at 8 workers. The simulator draws its victims
+  // and steal-half widths through the kernel's own functions
+  // (core/kernel/StealDecisions.h), so any change to those decisions —
+  // or to the cost model — moves these numbers. Re-record them only for
+  // a deliberate model change. Tascell ignores the steal policy (its
+  // donations are always half-splits), hence the repeated rows.
+  struct Golden {
+    SchedulerKind Kind;
+    VictimPolicy VP;
+    StealPolicy SP;
+    double MakespanNs;
+    std::uint64_t Steals, StealFails, AffinityHits, BatchSteals;
+  };
+  using SK = SchedulerKind;
+  using VP = VictimPolicy;
+  using SP = StealPolicy;
+  const Golden Cases[] = {
+      {SK::AdaptiveTC, VP::Affinity, SP::One, 0x1.7e8ba00000052p+20, 136,
+       3751, 34, 0},
+      {SK::AdaptiveTC, VP::Affinity, SP::Half, 0x1.7e713851eb893p+20, 158,
+       3430, 33, 28},
+      {SK::AdaptiveTC, VP::Random, SP::One, 0x1.c6f80f5c28f86p+20, 122, 4505,
+       0, 0},
+      {SK::AdaptiveTC, VP::Random, SP::Half, 0x1.67765999999bap+20, 242, 2695,
+       0, 69},
+      {SK::AdaptiveTC, VP::Partitioned, SP::One, 0x1.c3e4c666666bdp+20, 162,
+       5090, 0, 0},
+      {SK::AdaptiveTC, VP::Partitioned, SP::Half, 0x1.8aa9570a3d731p+20, 281,
+       3856, 0, 60},
+      {SK::Tascell, VP::Affinity, SP::One, 0x1.f3034147ae148p+20, 32, 36, 15,
+       0},
+      {SK::Tascell, VP::Affinity, SP::Half, 0x1.f3034147ae148p+20, 32, 36, 15,
+       0},
+      {SK::Tascell, VP::Random, SP::One, 0x1.f8dc7851eb852p+20, 40, 32, 0, 0},
+      {SK::Tascell, VP::Random, SP::Half, 0x1.f8dc7851eb852p+20, 40, 32, 0, 0},
+      {SK::Tascell, VP::Partitioned, SP::One, 0x1.63131c28f5c29p+21, 41, 114,
+       0, 0},
+      {SK::Tascell, VP::Partitioned, SP::Half, 0x1.63131c28f5c29p+21, 41, 114,
+       0, 0},
+  };
+  SimTree Tree(SimTree::preset("fig8", TestScale));
+  CostModel Costs;
+  for (const Golden &G : Cases) {
+    SimOptions Opts;
+    Opts.Kind = G.Kind;
+    Opts.NumWorkers = 8;
+    Opts.Victim = G.VP;
+    Opts.Steal = G.SP;
+    MetricsRegistry Reg;
+    SimReport R = simulate(Tree, Opts, Costs, nullptr, &Reg);
+    const std::string What = std::string(schedulerKindName(G.Kind)) + "/" +
+                             victimPolicyName(G.VP) + "/" +
+                             stealPolicyName(G.SP);
+    EXPECT_EQ(R.MakespanNs, G.MakespanNs) << What;
+    EXPECT_EQ(R.Steals, G.Steals) << What;
+    EXPECT_EQ(R.StealFails, G.StealFails) << What;
+#if ATC_METRICS_ENABLED
+    // The per-worker affinity and batch counters live in the cells only.
+    MetricsSnapshot Snap =
+        Reg.sample(static_cast<std::uint64_t>(R.MakespanNs));
+    EXPECT_EQ(Snap.total(StatField::AffinityHits), G.AffinityHits) << What;
+    EXPECT_EQ(Snap.total(StatField::BatchSteals), G.BatchSteals) << What;
+#endif
   }
 }
 

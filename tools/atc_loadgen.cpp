@@ -198,8 +198,13 @@ int main(int argc, char **argv) {
   }
   SchedulerKind Kind;
   DequeKind DQ;
-  if (!parseSchedulerKind(Scheduler, Kind) || !parseDequeKind(Deque, DQ)) {
-    std::fprintf(stderr, "atc_loadgen: bad --scheduler/--deque\n");
+  if (!parseSchedulerKind(Scheduler, Kind)) {
+    std::fprintf(stderr, "atc_loadgen: bad --scheduler\n");
+    return 2;
+  }
+  if (!parseDequeKind(Deque, DQ)) {
+    std::fprintf(stderr, "atc_loadgen: %s\n",
+                 unknownDequeKindError(Deque).c_str());
     return 2;
   }
 

@@ -60,11 +60,15 @@ SKIP_PREFIXES = (
 )
 
 
+# BM_DrainSteal<Kind>/ benchmark name -> drain.<kind> baseline key.
+DRAIN_KINDS = {"The": "the", "Atomic": "atomic", "ChaseLev": "chaselev"}
+
+
 def drain_kind(name):
-    """Deque kind key for a BM_DrainSteal* benchmark name."""
-    if "ChaseLev" in name:
-        return "chaselev"
-    return "the" if "The" in name else "atomic"
+    """Deque kind key for a BM_DrainSteal* benchmark name, or None for a
+    kind the baseline does not know."""
+    kind = name[len("BM_DrainSteal"):].split("/")[0]
+    return DRAIN_KINDS.get(kind)
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
