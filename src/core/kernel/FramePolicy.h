@@ -29,10 +29,15 @@
 ///                 it calls checkBody. Its sync point is a no-op (owner-
 ///                 path invariant: never-stolen frames are fully joined).
 ///  * check     -> checkBody: a fake task (no frame, in-place workspace
-///                 with undo) that polls need_task; when set, it creates a
-///                 special task, pushes it, and runs the child via
-///                 taskBody(Cur = Fast2, depth 0); pop_specialtask /
-///                 sync_specialtask complete the protocol.
+///                 with undo). checkBody opens the Check mode spans, emits
+///                 spawn-fake and flushes the batched counters once per
+///                 subtree; the per-node recursion checkBodyImpl is the
+///                 sequence version's loop plus one need_task poll per
+///                 applied child. When need_task is set, the out-of-line
+///                 publishSpecial creates a special task, pushes it, runs
+///                 the child via taskBody(Cur = Fast2, depth 0) and does
+///                 pop_specialtask; the out-of-line syncSpecial is
+///                 sync_specialtask.
 ///  * fast_2    -> taskBody(Cur = Fast2): like fast with twice the
 ///                 cut-off, falling back to seqBody (not checkBody).
 ///  * sequence  -> seqBody: a plain recursive function.
@@ -58,11 +63,11 @@
 ///    by the thief.
 ///  * A special task is never stolen, so it gets no steal-time increment;
 ///    instead the *owner* increments the special's JoinCount at each
-///    popSpecial failure in checkBody (1:1 with steals of the special's
-///    children). Keeping this owner-side avoids the thief dereferencing a
-///    special frame the owner may already have freed — with a lock-free
-///    deque nothing orders the thief's access against the owner's exit
-///    from checkBody.
+///    popSpecial failure in publishSpecial (1:1 with steals of the
+///    special's children). Keeping this owner-side avoids the thief
+///    dereferencing a special frame the owner may already have freed —
+///    with a lock-free deque nothing orders the thief's access against
+///    the owner's exit from syncSpecial.
 ///  * The victim's first failed pop deposits the just-returned child value
 ///    into the stolen frame, then the whole spawn chain unwinds (every
 ///    enclosing frame was stolen head-first before this one).
@@ -266,7 +271,7 @@ private:
     F->JoinCount.fetch_add(1, std::memory_order_acq_rel);
     F->Detached = true;
     // Note: the special-parent JoinCount increment happens owner-side, at
-    // the popSpecial() failure in checkBody — NOT here. With the
+    // the popSpecial() failure in publishSpecial — NOT here. With the
     // lock-free deque this callback runs with no happens-before edge to
     // the owner's pop failure, so touching F->Parent (a frame the owner
     // may already have freed) would be a use-after-free; the owner
@@ -290,10 +295,37 @@ private:
     return Tc.child(Cur, Dp, NeedTask);
   }
 
+  /// Check-version counters of one fake-task subtree, batched in
+  /// checkBody's local and flushed into Stats once per subtree (and by
+  /// publishSpecial before a mid-run metrics mirror).
+  struct CheckCounts {
+    std::uint64_t FakeTasks = 0;
+    std::uint64_t Polls = 0;
+
+    void flushInto(SchedulerStats &Stats) {
+      Stats.FakeTasks += FakeTasks;
+      Stats.Polls += Polls;
+      *this = CheckCounts{};
+    }
+  };
+
+  /// A check-version node's special task, created by publishSpecial on
+  /// the node's first need_task response and completed by syncSpecial.
+  /// Until then the hot recursion carries only this null pointer and flag.
+  struct SpecialTask {
+    Frame *SF = nullptr;
+    bool ChildStolen = false; ///< Some popSpecial failed: sync must wait.
+  };
+
   ExecResult<Result> taskBody(Worker &W, State &S, int Depth, Frame *Parent,
                               int Dp, CodeVersion Cur, bool OwnsState);
   Result checkBody(Worker &W, State &S, int Depth);
-  Result checkBodyImpl(Worker &W, State &S, int Depth);
+  Result checkBodyImpl(Worker &W, State &S, int Depth, CheckCounts &C);
+  ATC_NOINLINE Result publishSpecial(Worker &W, State &S, int Depth,
+                                     FsmTransition T, SpecialTask &ST,
+                                     CheckCounts &C);
+  ATC_NOINLINE Result syncSpecial(Worker &W, const SpecialTask &ST,
+                                  int Depth);
   Result seqBody(Worker &W, State &S, int Depth);
   void runContinuation(Worker &W, Frame *F);
 
@@ -528,38 +560,43 @@ FramePolicy<P, DequeT, TcPol>::taskBody(Worker &W, State &S, int Depth,
 template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
 typename P::Result
 FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
-  // Metrics mirror of the spawn-fake trace dedup below: the Check mode
-  // span is opened once per fake-task *subtree* (this entry point is
-  // only reached from non-check callers), never per node. A per-node
-  // RAII scope would put two out-of-line calls (ctor + dtor) on the
-  // hottest recursion in the scheduler even with metrics disarmed;
-  // hoisting it here keeps checkBodyImpl's per-node metrics cost at
-  // zero. setMode de-dupes, so nested taskBody spans restore correctly.
+  // Everything per fake-task *subtree* lives here, never per node: this
+  // entry point is only reached from non-check callers, so the Check mode
+  // spans, the spawn-fake event and the counter flush happen once per
+  // subtree. A per-node RAII scope would put out-of-line calls on the
+  // hottest recursion in the scheduler even with tracing and metrics
+  // disarmed. setMode de-dupes, so nested taskBody spans restore to Check.
   MetricsModeScope MetricsSpan(W.Metrics, TraceMode::Check);
-  return checkBodyImpl(W, S, Depth);
-}
-
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-typename P::Result
-FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth) {
-  ++W.Stats.FakeTasks;
 #if ATC_TRACE_ENABLED
-  // One spawn-fake per fake-task *subtree* (entry from a non-check
-  // mode), not per node — per-node volume would drown the ring in
+  // One spawn-fake per subtree: per-node volume would drown the ring in
   // events carrying no extra information (SchedulerStats::FakeTasks has
-  // the exact count). The mode scope then spans the whole subtree.
+  // the exact count).
   if (ATC_UNLIKELY(W.Trace != nullptr) &&
       W.Trace->mode() != TraceMode::Check)
     W.Trace->emit(TraceEventKind::SpawnFake, 0,
                   static_cast<std::uint16_t>(Depth));
 #endif
   TraceModeScope TraceSpan(W.Trace, TraceMode::Check);
+  CheckCounts C;
+  Result Acc = checkBodyImpl(W, S, Depth, C);
+  C.flushInto(W.Stats);
+  return Acc;
+}
+
+/// The check version's per-node recursion: the sequence version's loop
+/// plus one relaxed need_task load per applied child. Everything a
+/// starving thief triggers (special-task publication and its sync) is out
+/// of line, so the per-node frame holds only the loop's state and an
+/// empty special-task slot.
+template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+typename P::Result
+FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
+                                             CheckCounts &C) {
+  ++C.FakeTasks;
   if (Prob.isLeaf(S, Depth))
     return Prob.leafResult(S, Depth);
 
-  Frame *SF = nullptr; // special task frame, created on demand
-  bool StolenFlag = false;
-  std::uint64_t NPolls = 0; // batched; flushed after the loop
+  SpecialTask ST;
   Result Acc{};
   const int N = Prob.numChoices(S, Depth);
   for (int K = 0; K < N; ++K) {
@@ -567,111 +604,125 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth) {
       continue;
 
     // The check version's edge of Figure 2: one need_task poll per child.
-    ++NPolls;
+    ++C.Polls;
     const FsmTransition T =
         Tc.child(CodeVersion::Check, /*Dp=*/0,
                  W.NeedTask.load(std::memory_order_relaxed));
-    if (ATC_LIKELY(!T.SpawnTask)) {
+    if (ATC_LIKELY(!T.SpawnTask))
       // No idle thread waiting: stay a fake task (in-place workspace).
-      Acc += checkBodyImpl(W, S, Depth + 1);
-      Prob.undoChoice(S, Depth, K);
-      continue;
-    }
-
-    // Some thread is starving: create a special task marking the
-    // transition point and publish stealable children through fast_2 with
-    // the spawn depth reset to 0 (T.ChildDp — the FSM's depth reset).
-    // (This whole branch is cold — counters here write straight to
-    // Stats.)
-    assert(T.SpecialPush && T.Child == CodeVersion::Fast2 &&
-           T.ChildDp == 0 && "check must publish through fast_2");
-    if (!SF) {
-      // The observation record: this check body saw its own need_task
-      // flag and is about to publish (one event per responding body, not
-      // one per poll — the flag stays set until a steal clears it).
-      ATC_TRACE_EVENT(W.Trace, TraceEventKind::NeedTaskObserve, 0,
-                      static_cast<std::uint16_t>(Depth));
-      SF = allocFrame(W);
-      SF->Special = true;
-      SF->Depth = Depth;
-      SF->StatePtr = &S;
-      SF->OwnsState = false;
-      ++W.Stats.SpecialTasks;
-    }
-    State *CB = allocState(W);
-    const std::size_t Live = copyLiveState(Prob, CB, S, Depth + 1);
-    ++W.Stats.WorkspaceCopies;
-    W.Stats.CopiedBytes += Live;
-    if (ATC_UNLIKELY(!W.Deque.tryPush(SF, /*Special=*/true))) {
-      freeState(W, CB);
-      Acc += seqBody(W, S, Depth + 1);
-      Prob.undoChoice(S, Depth, K);
-      continue;
-    }
-    ++W.Stats.Spawns;
-    // Reseed cadence (interval between special-task publishes) and a
-    // mirror flush — this branch is the busy owner's cold publication
-    // point, so its cell stays fresh for live dashboards without the hot
-    // fake-task loop ever touching the cell.
-    ATC_METRIC(W.Metrics, recordReseed(nowNanos()));
-    ATC_METRIC(W.Metrics, publishStats(W.Stats));
-    // Owner-side tune opportunity: the reseed it just recorded is exactly
-    // the signal the cut-off rule feeds on, and the cell is fresh.
-    ATC_TUNE(W.Tune, maybeTune(nowNanos(), *W.Metrics));
-    ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialPush, 0,
-                    static_cast<std::uint16_t>(Depth));
-    ATC_TRACE_EVENT(W.Trace, TraceEventKind::FsmTransition,
-                    static_cast<std::uint32_t>(CodeVersion::Check),
-                    static_cast<std::uint16_t>(CodeVersion::Fast2));
-
-    ExecResult<Result> R = taskBody(W, *CB, Depth + 1, SF, T.ChildDp,
-                                    T.Child, /*OwnsState=*/true);
-    if (W.Deque.popSpecial() == PopResult::Failure) {
-      // The special's child chain was stolen. A special is never stolen
-      // itself, so it gets no steal-time JoinCount increment; the owner
-      // accounts for the detached chain's eventual completion deposit
-      // here, exactly once per stolen child. (Thief-side accounting would
-      // race with SF's free with the lock-free deque.)
-      StolenFlag = true;
-      SF->JoinCount.fetch_add(1, std::memory_order_acq_rel);
-      // The owner-side record of "a special task's work was stolen" —
-      // 1:1 with such steals, and the only safe side to record them on
-      // (the thief must never dereference a special frame).
-      ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialChildStolen, 0,
-                      static_cast<std::uint16_t>(Depth));
-    } else {
-      ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialPop, 0,
-                      static_cast<std::uint16_t>(Depth));
-    }
-    if (!R.Stolen)
-      Acc += R.Value; // else: arrives through SF->Deposits
+      Acc += checkBodyImpl(W, S, Depth + 1, C);
+    else
+      Acc += publishSpecial(W, S, Depth, T, ST, C);
     Prob.undoChoice(S, Depth, K);
   }
-  W.Stats.Polls += NPolls;
-
-  if (SF) {
-    if (StolenFlag) {
-      // sync_specialtask: a special task cannot be suspended, so the
-      // owner must stay here until its detached children complete. The
-      // kernel's help-first wait steals and runs other tasks meanwhile
-      // (see WorkerRuntime::helpWhile).
-      std::uint64_t T0 = nowNanos();
-      ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialSyncBegin, 0,
-                      static_cast<std::uint16_t>(Depth));
-      Rt->helpWhile(W, [&] {
-        return SF->JoinCount.load(std::memory_order_acquire) != 0;
-      });
-      ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialSyncEnd, 0,
-                      static_cast<std::uint16_t>(Depth));
-      W.Stats.WaitChildrenNs += nowNanos() - T0;
-    }
-    {
-      std::lock_guard<std::mutex> Guard(SF->Lock);
-      Acc += SF->Deposits;
-    }
-    freeFrame(W, SF);
-  }
+  if (ATC_UNLIKELY(ST.SF != nullptr))
+    Acc += syncSpecial(W, ST, Depth);
   return Acc;
+}
+
+/// Some thread is starving: create (once per node) the special task
+/// marking the transition point and publish this child as a stealable
+/// task through fast_2, with the spawn depth reset to 0 (T.ChildDp — the
+/// FSM's depth reset). Returns the child's contribution to the node's
+/// result; a stolen child's value arrives later through ST.SF->Deposits.
+/// The caller undoes the choice.
+template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+typename P::Result FramePolicy<P, DequeT, TcPol>::publishSpecial(
+    Worker &W, State &S, int Depth, FsmTransition T, SpecialTask &ST,
+    CheckCounts &C) {
+  assert(T.SpecialPush && T.Child == CodeVersion::Fast2 &&
+         T.ChildDp == 0 && "check must publish through fast_2");
+  if (!ST.SF) {
+    // The observation record: this check body saw its own need_task
+    // flag and is about to publish (one event per responding body, not
+    // one per poll — the flag stays set until a steal clears it).
+    ATC_TRACE_EVENT(W.Trace, TraceEventKind::NeedTaskObserve, 0,
+                    static_cast<std::uint16_t>(Depth));
+    ST.SF = allocFrame(W);
+    ST.SF->Special = true;
+    ST.SF->Depth = Depth;
+    ST.SF->StatePtr = &S;
+    ST.SF->OwnsState = false;
+    ++W.Stats.SpecialTasks;
+  }
+  Frame *SF = ST.SF;
+  State *CB = allocState(W);
+  const std::size_t Live = copyLiveState(Prob, CB, S, Depth + 1);
+  ++W.Stats.WorkspaceCopies;
+  W.Stats.CopiedBytes += Live;
+  if (ATC_UNLIKELY(!W.Deque.tryPush(SF, /*Special=*/true))) {
+    freeState(W, CB);
+    return seqBody(W, S, Depth + 1);
+  }
+  ++W.Stats.Spawns;
+  // Hand the subtree's batched counters to Stats so the mirror flush
+  // below is as fresh as the rest of the worker's counters.
+  C.flushInto(W.Stats);
+  // Reseed cadence (interval between special-task publishes) and a
+  // mirror flush — this is the busy owner's cold publication point, so
+  // its cell stays fresh for live dashboards without the hot fake-task
+  // loop ever touching the cell.
+  ATC_METRIC(W.Metrics, recordReseed(nowNanos()));
+  ATC_METRIC(W.Metrics, publishStats(W.Stats));
+  // Owner-side tune opportunity: the reseed it just recorded is exactly
+  // the signal the cut-off rule feeds on, and the cell is fresh.
+  ATC_TUNE(W.Tune, maybeTune(nowNanos(), *W.Metrics));
+  ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialPush, 0,
+                  static_cast<std::uint16_t>(Depth));
+  ATC_TRACE_EVENT(W.Trace, TraceEventKind::FsmTransition,
+                  static_cast<std::uint32_t>(CodeVersion::Check),
+                  static_cast<std::uint16_t>(CodeVersion::Fast2));
+
+  ExecResult<Result> R = taskBody(W, *CB, Depth + 1, SF, T.ChildDp, T.Child,
+                                  /*OwnsState=*/true);
+  if (W.Deque.popSpecial() == PopResult::Failure) {
+    // The special's child chain was stolen. A special is never stolen
+    // itself, so it gets no steal-time JoinCount increment; the owner
+    // accounts for the detached chain's eventual completion deposit
+    // here, exactly once per stolen child. (Thief-side accounting would
+    // race with SF's free with the lock-free deque.)
+    ST.ChildStolen = true;
+    SF->JoinCount.fetch_add(1, std::memory_order_acq_rel);
+    // The owner-side record of "a special task's work was stolen" —
+    // 1:1 with such steals, and the only safe side to record them on
+    // (the thief must never dereference a special frame).
+    ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialChildStolen, 0,
+                    static_cast<std::uint16_t>(Depth));
+  } else {
+    ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialPop, 0,
+                    static_cast<std::uint16_t>(Depth));
+  }
+  return R.Stolen ? Result{} : R.Value;
+}
+
+/// sync_specialtask: a special task cannot be suspended, so when a child
+/// was stolen the owner stays here until the detached children complete;
+/// the kernel's help-first wait steals and runs other tasks meanwhile
+/// (see WorkerRuntime::helpWhile). Returns the stolen children's
+/// deposits and frees the special frame.
+template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+typename P::Result
+FramePolicy<P, DequeT, TcPol>::syncSpecial(Worker &W, const SpecialTask &ST,
+                                           [[maybe_unused]] int Depth) {
+  Frame *SF = ST.SF;
+  if (ST.ChildStolen) {
+    std::uint64_t T0 = nowNanos();
+    ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialSyncBegin, 0,
+                    static_cast<std::uint16_t>(Depth));
+    Rt->helpWhile(W, [&] {
+      return SF->JoinCount.load(std::memory_order_acquire) != 0;
+    });
+    ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialSyncEnd, 0,
+                    static_cast<std::uint16_t>(Depth));
+    W.Stats.WaitChildrenNs += nowNanos() - T0;
+  }
+  Result Deposits{};
+  {
+    std::lock_guard<std::mutex> Guard(SF->Lock);
+    Deposits = SF->Deposits;
+  }
+  freeFrame(W, SF);
+  return Deposits;
 }
 
 namespace detail {

@@ -19,6 +19,7 @@
 #include "problems/KnightsTour.h"
 #include "problems/NQueens.h"
 #include "problems/Pentomino.h"
+#include "problems/ProblemRegistry.h"
 #include "problems/Strimko.h"
 #include "problems/Sudoku.h"
 
@@ -479,6 +480,97 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
                   RS.Stats.Steals + RS.Stats.StealFails)
             << What;
       }
+}
+
+/// Tree size and the root's applied-children count of one problem
+/// instance: what the check version's exact accounting is checked against.
+struct CheckShape {
+  long long Nodes = 0;
+  long long RootChildren = 0;
+};
+
+template <typename ProbT>
+CheckShape checkShapeOf(ProbT &Prob, typename ProbT::State Root) {
+  CheckShape Shape;
+  TreeProfile Profile;
+  auto S = Root;
+  profileTree(Prob, S, Profile);
+  Shape.Nodes = Profile.Nodes;
+  if (!Prob.isLeaf(Root, 0))
+    for (int K = 0, N = Prob.numChoices(Root, 0); K < N; ++K)
+      if (Prob.applyChoice(Root, 0, K)) {
+        ++Shape.RootChildren;
+        Prob.undoChoice(Root, 0, K);
+      }
+  return Shape;
+}
+
+/// The same instance makeProblemRunner builds for \p Kind at \p Size,
+/// typed, so its tree can be profiled. Returns false for a kind this
+/// table does not know (a registry kind added without a row here).
+bool registryCheckShape(const std::string &Kind, int Size, CheckShape &Out) {
+  if (Kind == "nqueens-array") {
+    NQueensArray P;
+    Out = checkShapeOf(P, NQueensArray::makeRoot(Size));
+  } else if (Kind == "nqueens-compute") {
+    NQueensCompute P;
+    Out = checkShapeOf(P, NQueensCompute::makeRoot(Size));
+  } else if (Kind == "fib") {
+    FibProblem P;
+    Out = checkShapeOf(P, FibProblem::makeRoot(Size));
+  } else if (Kind == "comp") {
+    CompProblem P(Size);
+    Out = checkShapeOf(P, P.makeRoot());
+  } else if (Kind == "knights") {
+    KnightsTour P;
+    Out = checkShapeOf(P, KnightsTour::makeRoot(Size, 0, 0));
+  } else if (Kind == "strimko") {
+    Strimko P;
+    Out = checkShapeOf(P, Strimko::makeRoot(Size));
+  } else if (Kind == "sudoku") {
+    Sudoku P;
+    Out = checkShapeOf(P, Sudoku::makeInstance(Size == 1   ? "input1"
+                                               : Size == 2 ? "input2"
+                                                           : "balance"));
+  } else if (Kind == "pentomino") {
+    Pentomino P(Size, 5, Size);
+    Out = checkShapeOf(P, P.makeRoot());
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// The check version's counters are batched per fake-task subtree, so
+// their totals must stay exact, not merely positive. At one worker with
+// cut-off 0 need_task never fires and every child of the root enters a
+// fake-task subtree: the root is the only real task, every other node is
+// a fake task, and every fake node polls once per applied child — i.e.
+// every fake node but the subtree entries is one poll.
+TEST(CheckPath, ExactAccountingForEveryRegistryProblem) {
+  for (const std::string &Kind : problemRegistryKinds()) {
+    const int Size = problemDefaultSize(Kind);
+    CheckShape Shape;
+    ASSERT_TRUE(registryCheckShape(Kind, Size, Shape))
+        << "registry kind '" << Kind << "' has no typed instance here";
+    ProblemRunner Runner;
+    std::string Err;
+    ASSERT_TRUE(makeProblemRunner(Kind, Size, Runner, Err)) << Err;
+
+    SchedulerConfig Cfg;
+    Cfg.Kind = SchedulerKind::AdaptiveTC;
+    Cfg.NumWorkers = 1;
+    Cfg.Cutoff = 0;
+    auto R = Runner.Run(Cfg);
+    EXPECT_EQ(R.Value, Runner.RunSequential()) << Kind;
+    EXPECT_EQ(R.Stats.TasksCreated, 1u) << Kind;
+    EXPECT_EQ(R.Stats.SpecialTasks, 0u) << Kind;
+    EXPECT_EQ(R.Stats.FakeTasks, static_cast<std::uint64_t>(Shape.Nodes - 1))
+        << Kind;
+    EXPECT_EQ(R.Stats.Polls, R.Stats.FakeTasks - static_cast<std::uint64_t>(
+                                                     Shape.RootChildren))
+        << Kind;
+  }
 }
 
 // Online tuning moves the cut-off, max_stolen_num and backoff knobs

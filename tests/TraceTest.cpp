@@ -299,6 +299,67 @@ TEST(TraceRuntime, AdaptiveTcRunProducesCoherentTrace) {
 #endif
 }
 
+// The check version does its trace work once per fake-task subtree, not
+// per node: one spawn-fake per subtree entry (docs/TRACING.md) and one
+// Check mode span per subtree, each nested inside the root task's fast
+// span. At one worker with cut-off 0 every child of the root is such an
+// entry, and 9-queens' first row has 9 safe columns.
+TEST(TraceRuntime, CheckSubtreeSpansNestInRootFastSpan) {
+  NQueensArray Prob;
+  SchedulerConfig Cfg;
+  Cfg.Kind = SchedulerKind::AdaptiveTC;
+  Cfg.NumWorkers = 1;
+  Cfg.Cutoff = 0;
+  Cfg.Trace = true;
+  RunResult<long long> R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
+  EXPECT_EQ(R.Value, 352);
+#if ATC_TRACE_ENABLED
+  const std::size_t RootChildren = 9;
+  ASSERT_NE(R.Trace, nullptr);
+  const TraceBuffer &TB = R.Trace->buffer(0);
+  ASSERT_EQ(TB.dropped(), 0u);
+
+  // Walk the modes: the root's fast span opens once, then every Check
+  // span opens right after a spawn-fake emitted in Fast and closes back
+  // into Fast, and the root's span closes into neither. Anything else
+  // is counted as misplaced.
+  std::size_t SpawnFakes = 0, CheckSpans = 0, FastSpans = 0, Misplaced = 0;
+  bool InRoot = false, AfterSpawnFake = false;
+  TraceMode Mode = TraceMode::Idle;
+  for (std::size_t I = 0; I < TB.size(); ++I) {
+    const TraceEvent &E = TB.at(I);
+    if (E.kind() == TraceEventKind::SpawnFake) {
+      Misplaced += !(InRoot && Mode == TraceMode::Fast);
+      ++SpawnFakes;
+      AfterSpawnFake = true;
+      continue;
+    }
+    if (E.kind() != TraceEventKind::ModeBegin)
+      continue;
+    const auto Next = static_cast<TraceMode>(E.A);
+    if (Next == TraceMode::Check) {
+      Misplaced += !(AfterSpawnFake && InRoot && Mode == TraceMode::Fast);
+      ++CheckSpans;
+    } else if (Next == TraceMode::Fast) {
+      Misplaced += InRoot && Mode != TraceMode::Check;
+      FastSpans += !InRoot;
+      InRoot = true;
+    } else if (InRoot) {
+      Misplaced += Mode != TraceMode::Fast;
+      InRoot = false;
+    }
+    AfterSpawnFake = false;
+    Mode = Next;
+  }
+  EXPECT_EQ(Misplaced, 0u);
+  EXPECT_EQ(FastSpans, 1u) << "the root's fast span must open exactly once";
+  EXPECT_FALSE(InRoot) << "the root's fast span never closed";
+  EXPECT_EQ(SpawnFakes, RootChildren);
+  EXPECT_EQ(CheckSpans, RootChildren);
+  EXPECT_EQ(R.Stats.TasksCreated, 1u);
+#endif
+}
+
 TEST(TraceRuntime, DisabledByDefault) {
   NQueensArray Prob;
   auto Root = NQueensArray::makeRoot(8);
