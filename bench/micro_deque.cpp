@@ -6,10 +6,11 @@
 ///
 /// \file
 /// google-benchmark micro-benchmarks of the deque implementations: the
-/// fixed-array THE-protocol deque (Cilk 5.4.6 / AdaptiveTC), the
-/// lock-free special-task AtomicDeque (SchedulerConfig::Deque = atomic),
-/// and the growable lock-free ChaseLevDeque (SchedulerConfig::Deque =
-/// chaselev — same protocol, overflow-free). The single-thread benches
+/// fixed-array THE-protocol deque (Cilk 5.4.6 / AdaptiveTC) and the
+/// lock-free special-task ChaseLevDeque in both ring modes — growth off
+/// for the *Atomic rows (SchedulerConfig::Deque = atomic) and growth on
+/// for the *ChaseLev rows (SchedulerConfig::Deque = chaselev,
+/// overflow-free). The single-thread benches
 /// are the unit costs the simulator's CostModel is calibrated against;
 /// the Contended* benches measure steal throughput with 1/2/4/8 thief
 /// threads hammering one owner — the scenario the lock-free steal path
@@ -18,7 +19,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "deque/AtomicDeque.h"
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 
@@ -31,6 +31,12 @@
 #include <vector>
 
 using namespace atc;
+
+/// The atomic kind's deque: a ChaseLevDeque whose ring does not grow.
+struct FixedChaseLevDeque : ChaseLevDeque {
+  explicit FixedChaseLevDeque(int Capacity)
+      : ChaseLevDeque(Capacity, /*Growable=*/false) {}
+};
 
 static void BM_TheDequePushPop(benchmark::State &State) {
   TheDeque D(1024);
@@ -73,7 +79,7 @@ static void BM_TheDequeSpecialRoundTrip(benchmark::State &State) {
 BENCHMARK(BM_TheDequeSpecialRoundTrip);
 
 static void BM_AtomicDequePushPop(benchmark::State &State) {
-  AtomicDeque D(1024);
+  FixedChaseLevDeque D(1024);
   int Dummy = 0;
   for (auto _ : State) {
     D.tryPush(&Dummy);
@@ -83,7 +89,7 @@ static void BM_AtomicDequePushPop(benchmark::State &State) {
 BENCHMARK(BM_AtomicDequePushPop);
 
 static void BM_AtomicDequePushStealBatch(benchmark::State &State) {
-  AtomicDeque D(1024);
+  FixedChaseLevDeque D(1024);
   int Dummy = 0;
   for (auto _ : State) {
     for (int I = 0; I < 64; ++I)
@@ -99,7 +105,7 @@ static void BM_AtomicDequeSpecialRoundTrip(benchmark::State &State) {
   // Same protocol round-trip as BM_TheDequeSpecialRoundTrip: push special,
   // push child, steal child via the Head += 2 jump, fail the child pop,
   // fail the special pop (Tail restored to Head).
-  AtomicDeque D(1024);
+  FixedChaseLevDeque D(1024);
   int Special = 0, Child = 0;
   for (auto _ : State) {
     D.tryPush(&Special, /*Special=*/true);
@@ -167,7 +173,7 @@ BENCHMARK(BM_ContendedStealThe)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 static void BM_ContendedStealAtomic(benchmark::State &State) {
-  contendedSteal<AtomicDeque>(State);
+  contendedSteal<FixedChaseLevDeque>(State);
 }
 BENCHMARK(BM_ContendedStealAtomic)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
@@ -214,7 +220,7 @@ BENCHMARK(BM_DrainStealThe)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseManualTime()->Unit(benchmark::kMillisecond);
 
 static void BM_DrainStealAtomic(benchmark::State &State) {
-  drainSteal<AtomicDeque>(State);
+  drainSteal<FixedChaseLevDeque>(State);
 }
 BENCHMARK(BM_DrainStealAtomic)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseManualTime()->Unit(benchmark::kMillisecond);
@@ -236,7 +242,7 @@ static void BM_EmptyProbeThe(benchmark::State &State) {
 BENCHMARK(BM_EmptyProbeThe);
 
 static void BM_EmptyProbeAtomic(benchmark::State &State) {
-  emptyProbe<AtomicDeque>(State);
+  emptyProbe<FixedChaseLevDeque>(State);
 }
 BENCHMARK(BM_EmptyProbeAtomic);
 
@@ -338,7 +344,7 @@ static void BM_BatchStealThe(benchmark::State &State) {
 BENCHMARK(BM_BatchStealThe);
 
 static void BM_BatchStealAtomic(benchmark::State &State) {
-  batchSteal<AtomicDeque>(State);
+  batchSteal<FixedChaseLevDeque>(State);
 }
 BENCHMARK(BM_BatchStealAtomic);
 

@@ -56,11 +56,13 @@ bool parseSchedulerKind(const std::string &Name, SchedulerKind &Out);
 ///  * The      - the paper's simplified Cilk THE-protocol deque (Fig. 3):
 ///               thieves serialize on the victim's mutex. The
 ///               paper-fidelity baseline and the default.
-///  * Atomic   - lock-free Chase-Lev-style deque with CAS-on-Head steals,
-///               extended with the special-task protocol (AtomicDeque.h).
-///  * ChaseLev - the same lock-free protocol over a growable ring
-///               (ChaseLevDeque.h): never overflows, DequeCapacity is
-///               only the initial size. The fastest steal path.
+///  * Atomic   - lock-free Chase-Lev deque with CAS-on-Head steals,
+///               extended with the special-task protocol
+///               (ChaseLevDeque.h), growth off: DequeCapacity is a hard
+///               bound, as with The.
+///  * ChaseLev - the same deque with a growable ring: never overflows,
+///               DequeCapacity is only the initial size. The fastest
+///               steal path.
 enum class DequeKind {
   The,
   Atomic,

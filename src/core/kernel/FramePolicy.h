@@ -8,7 +8,7 @@
 /// The deque-based scheduling systems of the paper — Cilk, Cilk-SYNCHED,
 /// Cutoff, and AdaptiveTC — as one WorkerRuntime policy over the
 /// SearchProblem task model, parameterized by the ready-deque
-/// implementation \p DequeT (TheDeque, AtomicDeque or ChaseLevDeque) and a
+/// implementation \p DequeT (TheDeque or ChaseLevDeque) and a
 /// TaskCreationPolicy \p TcPol that supplies the Figure 2 dispatch. The
 /// kernel (WorkerRuntime.h) owns the threads, steal loop, backoff and
 /// need_task signalling; this policy owns what is specific to
@@ -54,7 +54,7 @@
 /// Join protocol (who assembles the result of a stolen task):
 ///  * At steal time the thief increments the stolen frame's JoinCount:
 ///    the victim's in-flight child chain owes it exactly one deposit.
-///    With TheDeque this runs under the deque lock; with AtomicDeque it
+///    With TheDeque this runs under the deque lock; with ChaseLevDeque it
 ///    runs after the claiming CAS with no happens-before edge to the
 ///    owner's pop failure — which is safe, because the only party that
 ///    reads JoinCount before the join completes is the thief itself (at
@@ -122,7 +122,8 @@ public:
 
   std::unique_ptr<Worker> makeWorker(int Id) {
     return std::make_unique<Worker>(
-        Id, Cfg.DequeCapacity, Cfg.Seed + static_cast<std::uint64_t>(Id));
+        Id, Cfg.DequeCapacity, Cfg.Deque,
+        Cfg.Seed + static_cast<std::uint64_t>(Id));
   }
 
   void beginRun(Runtime &R) {
@@ -263,7 +264,7 @@ public:
 
 private:
   /// Invoked by the thief for every successful steal — under the victim
-  /// deque's lock with TheDeque, after the claiming CAS with AtomicDeque
+  /// deque's lock with TheDeque, after the claiming CAS with ChaseLevDeque
   /// (no happens-before edge to the owner's pop failure; see the join
   /// protocol notes in the file comment).
   static void onSteal(void *FrameV, void *) {

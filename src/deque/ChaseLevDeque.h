@@ -1,50 +1,100 @@
-//===- deque/ChaseLevDeque.h - Growable special-task WS deque ---*- C++ -*-===//
+//===- deque/ChaseLevDeque.h - Lock-free special-task WS deque --*- C++ -*-===//
 //
 // Part of the AdaptiveTC project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Chase & Lev's dynamic circular work-stealing deque (SPAA'05) promoted
-/// to a first-class scheduler deque: the same interface and the same
-/// AdaptiveTC special-task semantics as TheDeque / AtomicDeque
-/// (SchedulerConfig::Deque = chaselev), with the growable ring that the
-/// paper cites as the related-work answer to deque overflow ("a
-/// work-stealing d-e-que using a buffer pool that does not have the
-/// overflow problem").
+/// The lock-free alternative to the THE-protocol deque (TheDeque), with
+/// the same interface and the same AdaptiveTC special-task semantics.
+/// Thieves claim entries with a CAS on Head (Chase & Lev, SPAA'05; C11
+/// formulation after Le, Pop, Cohen, Zappa Nardelli, PPoPP'13) instead of
+/// taking the victim's mutex, so steal attempts — and in particular the
+/// very common probe of an *empty* deque — never serialize on a lock.
 ///
-/// Relationship to AtomicDeque: the index protocol is identical —
-/// monotonic 64-bit Head/Tail, CAS-on-Head steals, the special-task
-/// H += 2 child jump, owner-side arbitration with special re-publication
-/// (see AtomicDeque.h for the full protocol argument; every owner-side
-/// race case carries over unchanged because growth is owner-only and
-/// never moves live entries to new indices). What differs:
+/// One protocol, two ring modes (chosen at construction):
 ///
-///  * The ring grows geometrically instead of rejecting pushes: tryPush
+///  * Growable (SchedulerConfig::Deque = chaselev): the ring grows
+///    geometrically instead of rejecting pushes, the related-work answer
+///    to deque overflow the paper cites ("a work-stealing d-e-que using a
+///    buffer pool that does not have the overflow problem"). tryPush
 ///    never fails, overflowCount() is always 0, and growCount() reports
 ///    how many times a fixed array of the initial capacity would have
-///    overflowed. SchedulerConfig::DequeCapacity is therefore an
-///    *initial* capacity here (rounded up to a power of two), not a
-///    limit.
-///  * Ring-buffer reclamation: a grown-out buffer may still be read by
-///    in-flight thieves (they loaded the buffer pointer before the
-///    owner swapped it), so old buffers are *retired* to a list owned by
-///    the deque and freed only at destruction — safe memory reclamation
-///    without an epoch/hazard scheme. Entries in [Head, Tail) are copied
-///    to the new buffer at the same indices, so a thief holding the old
-///    buffer still reads the correct entry for any index its CAS can
-///    certify; total retired memory is bounded by twice the final
-///    capacity (geometric growth).
+///    overflowed. DequeCapacity is an *initial* capacity here (rounded up
+///    to a power of two), not a limit.
+///  * Fixed (SchedulerConfig::Deque = atomic): growth is off. tryPush
+///    rejects a push once Tail - Head reaches the requested capacity and
+///    counts it in overflowCount(), so the schedulers see overflow
+///    pressure — and degrade to a plain call — exactly as with the fixed
+///    THE array. capacity() is that exact bound even when the ring
+///    underneath is rounded up to a power of two; growCount() stays 0.
 ///
-/// Memory-ordering discipline: seq_cst *operations* on Head/Tail (and an
-/// acquire/release handoff on the buffer pointer), exactly like
-/// AtomicDeque and unlike the textbook formulation's standalone fences —
-/// ThreadSanitizer models operations precisely while its fence support
-/// is incomplete, so this deque is TSan-clean by construction.
+/// Differences from the textbook Chase-Lev deque:
+///
+///  * Entries carry a Special marker. A special task is never stolen: a
+///    thief that finds a special at the head claims the special's *child*
+///    (the next entry) with a single CAS Head -> Head+2, the lock-free
+///    equivalent of the paper's "H += 2" protocol (Fig. 3e).
+///  * popSpecial() reports whether the special's child was stolen, the
+///    lock-free equivalent of Fig. 3b (the THE deque resets H = T there;
+///    with monotonic indices the same state is reached by restoring Tail
+///    to the observed Head).
+///
+/// Index discipline: Head and Tail are monotonically increasing 64-bit
+/// counters over a power-of-two circular buffer (slot = index & mask).
+/// They are never reset mid-run, which is what makes the CAS on Head
+/// ABA-free — the THE deque's H = T / Tail-restore resets would re-issue
+/// old index values and let a stale thief claim a recycled slot.
+///
+/// Owner-side races. A thief can only claim the owner's bottom entry
+/// (index T-1) in two states, and only there must pop() arbitrate with a
+/// CAS of its own:
+///
+///  * H == T-1: the classic single-entry race (Chase-Lev pop).
+///  * H == T-2 with a special at H: a thief's H += 2 jump claims H+1 ==
+///    T-1 without Head ever pointing at it. The owner claims by executing
+///    the same jump itself (CAS Head -> Head+2), which consumes the
+///    special entry as a side effect — so the owner immediately
+///    re-publishes the special at the new head. The deque must keep
+///    reading [special] after a successful child pop (exactly TheDeque's
+///    state there): later pushes stay under the special's protection and
+///    popSpecial() still finds the entry. A flag-based shortcut instead of
+///    re-publication is wrong — the child's spawn loop keeps pushing
+///    after the pop, and those entries would be stealable as *plain*
+///    entries while popSpecial() later reported "nothing stolen".
+///
+/// For H < T-2 (or H == T-2 with a non-special head entry) the plain
+/// fenced take is safe by the standard Chase-Lev argument extended to
+/// jumps: claiming the bottom entry requires a thief to observe Head at
+/// T-1 (plain claim) or T-2-with-special (jump), and the monotonicity of
+/// Head makes either observation contradict the owner's fenced read.
+/// Every case carries over to the growable ring unchanged, because
+/// growth is owner-only and never moves a live entry to a new index.
+///
+/// Ring-buffer reclamation (growable mode): a grown-out buffer may still
+/// be read by in-flight thieves (they loaded the buffer pointer before
+/// the owner swapped it), so old buffers are *retired* to a list owned by
+/// the deque and freed only at destruction — safe memory reclamation
+/// without an epoch/hazard scheme. Entries in [Head, Tail) are copied to
+/// the new buffer at the same indices, so a thief holding the old buffer
+/// still reads the correct entry for any index its CAS can certify; total
+/// retired memory is bounded by twice the final capacity (geometric
+/// growth).
+///
+/// Memory-ordering discipline: every protocol-critical access to Head and
+/// Tail is a seq_cst *operation* (and the buffer pointer is an
+/// acquire/release handoff), mirroring the fence placement of the C11
+/// formulation without standalone fences — ThreadSanitizer models
+/// operations precisely while its fence support is incomplete, so this
+/// deque is TSan-clean by construction. The correctness argument leans on
+/// the single-total-order guarantee: once the owner's Tail store + Head
+/// load pair completes, any thief whose Head read postdates a conflicting
+/// CAS is guaranteed to read the owner's new Tail, so stale-index claims
+/// are impossible. Slot contents are relaxed atomics published by the
+/// Tail store and validated by the claiming CAS.
 ///
 /// Thread-safety contract: one owner thread calls tryPush/pop/popSpecial/
-/// reset; any number of thief threads call steal. Identical to TheDeque
-/// and AtomicDeque.
+/// reset; any number of thief threads call steal. Identical to TheDeque.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,19 +111,21 @@
 
 namespace atc {
 
-/// Growable lock-free work-stealing deque with AdaptiveTC special-task
-/// support. Drop-in replacement for TheDeque / AtomicDeque that never
-/// overflows.
+/// Lock-free work-stealing deque with AdaptiveTC special-task support.
+/// Drop-in replacement for TheDeque; growable or fixed (file comment).
 class ChaseLevDeque {
 public:
-  /// Creates a deque with an *initial* capacity of \p Capacity entries,
-  /// rounded up to a power of two. The ring grows on demand.
-  explicit ChaseLevDeque(int Capacity = 8192) {
+  /// Creates a deque of \p Capacity entries over a ring rounded up to a
+  /// power of two. When \p Growable, the capacity is only the initial
+  /// size and the ring grows on demand; otherwise it is a hard bound.
+  explicit ChaseLevDeque(int Capacity = 8192, bool Growable = true)
+      : Growable(Growable) {
     assert(Capacity > 0 && "deque capacity must be positive");
     std::int64_t N = 2;
     while (N < Capacity)
       N *= 2;
-    Buffer.store(new RingBuffer(N), std::memory_order_relaxed);
+    Buffer.store(new RingBuffer(N, Growable ? N : Capacity),
+                 std::memory_order_relaxed);
   }
 
   ~ChaseLevDeque() {
@@ -85,14 +137,18 @@ public:
   ChaseLevDeque(const ChaseLevDeque &) = delete;
   ChaseLevDeque &operator=(const ChaseLevDeque &) = delete;
 
-  /// Owner: pushes \p Frame at the tail, growing the ring when full.
-  /// Always succeeds (returns true; the bool return keeps the signature
-  /// interchangeable with the fixed-array deques).
+  /// Owner: pushes \p Frame at the tail. A full growable ring grows (the
+  /// push always succeeds); a full fixed ring rejects the push (returns
+  /// false and counts an overflow).
   bool tryPush(void *Frame, bool Special = false) {
     std::int64_t T = Tail.load(std::memory_order_relaxed);
     std::int64_t H = Head.load(std::memory_order_acquire);
     RingBuffer *RB = Buffer.load(std::memory_order_relaxed);
-    if (ATC_UNLIKELY(T - H >= RB->Capacity)) {
+    if (ATC_UNLIKELY(T - H >= RB->Limit)) {
+      if (!Growable) {
+        Overflows.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
       RB = grow(RB, H, T);
       Buffer.store(RB, std::memory_order_release);
     }
@@ -113,7 +169,8 @@ public:
 
   /// Owner: pops the tail entry. Failure means the entry was stolen (or
   /// claimed by a thief's special-child jump); the indices are restored
-  /// so the deque reads as empty. Protocol identical to AtomicDeque::pop.
+  /// so the deque reads as empty. See the file comment's owner-side race
+  /// cases.
   PopResult pop() {
     std::int64_t T = Tail.load(std::memory_order_relaxed) - 1; // our entry
     RingBuffer *RB = Buffer.load(std::memory_order_relaxed);
@@ -126,7 +183,7 @@ public:
         // H += 2 jump can claim our entry even though Head never points
         // at it. Arbitrate by executing the jump ourselves; that consumes
         // the special entry too, so on success re-publish it at the new
-        // head (see AtomicDeque.h for why a flag shortcut is wrong).
+        // head (see the file comment for why a flag shortcut is wrong).
         void *SpecialFrame = RB->slot(H).Frame.load(std::memory_order_relaxed);
         if (Head.compare_exchange_strong(H, H + 2, std::memory_order_seq_cst,
                                          std::memory_order_relaxed)) {
@@ -144,7 +201,7 @@ public:
         return PopResult::Failure;
       }
       // At least one non-jumpable entry below ours: plain take (standard
-      // Chase-Lev argument, see AtomicDeque::pop).
+      // Chase-Lev argument, see the file comment).
       publishDepth();
       return PopResult::Success;
     }
@@ -189,8 +246,11 @@ public:
   /// special's child via a single CAS Head -> Head+2.
   ///
   /// \p OnSteal, when non-null, runs with the stolen frame immediately
-  /// after the claiming CAS — no lock, so no happens-before edge to the
-  /// owner's pop/popSpecial failure (same contract as AtomicDeque).
+  /// after the claiming CAS. Unlike TheDeque there is no lock, so there
+  /// is NO happens-before edge to the owner's pop/popSpecial failure:
+  /// callers must tolerate the callback's effects racing with the
+  /// owner's failure handling (FramePolicy's join protocol does — see
+  /// DESIGN.md "Lock-free steal path").
   StealResult steal(void (*OnSteal)(void *Frame, void *Ctx) = nullptr,
                     void *Ctx = nullptr) {
     std::int64_t H = Head.load(std::memory_order_seq_cst);
@@ -250,19 +310,20 @@ public:
     return T > H ? static_cast<int>(T - H) : 0;
   }
 
-  /// Current ring capacity (grows over the deque's lifetime).
+  /// Push bound: the exact requested capacity of a fixed ring, the
+  /// current ring size (growing over the deque's lifetime) otherwise.
   int capacity() const {
-    return static_cast<int>(
-        Buffer.load(std::memory_order_relaxed)->Capacity);
+    return static_cast<int>(Buffer.load(std::memory_order_relaxed)->Limit);
   }
 
-  /// tryPush rejections — always 0 (the ring grows instead); present so
-  /// the engines report the same overflow-pressure observability for
-  /// every deque kind. See growCount() for the growth events.
-  std::uint64_t overflowCount() const { return 0; }
+  /// Number of tryPush calls rejected by a full fixed ring (always 0 when
+  /// growable — the ring grows instead; see growCount()).
+  std::uint64_t overflowCount() const {
+    return Overflows.load(std::memory_order_relaxed);
+  }
 
   /// Number of ring growths performed (each one is an overflow a fixed
-  /// array of the initial capacity would have hit).
+  /// array of the initial capacity would have hit; always 0 when fixed).
   std::uint64_t growCount() const {
     return Grows.load(std::memory_order_relaxed);
   }
@@ -315,10 +376,13 @@ private:
   };
 
   /// Circular array with power-of-two capacity; slot(I) = Slots[I & Mask]
-  /// keeps indices monotonic across growths.
+  /// keeps indices monotonic across growths. A push at depth Limit finds
+  /// the ring full: Limit == Capacity except for a fixed ring, whose
+  /// bound is the requested (possibly non-power-of-two) capacity.
   struct RingBuffer {
-    explicit RingBuffer(std::int64_t N)
-        : Capacity(N), Mask(N - 1), Slots(new Slot[static_cast<std::size_t>(N)]) {}
+    RingBuffer(std::int64_t N, std::int64_t Limit)
+        : Capacity(N), Mask(N - 1), Limit(Limit),
+          Slots(new Slot[static_cast<std::size_t>(N)]) {}
     ~RingBuffer() { delete[] Slots; }
 
     RingBuffer(const RingBuffer &) = delete;
@@ -328,6 +392,7 @@ private:
 
     const std::int64_t Capacity;
     const std::int64_t Mask;
+    const std::int64_t Limit;
     Slot *Slots;
   };
 
@@ -336,7 +401,7 @@ private:
   /// buffer (in-flight thieves may still be reading it; see the file
   /// comment on reclamation).
   RingBuffer *grow(RingBuffer *Old, std::int64_t H, std::int64_t T) {
-    auto *New = new RingBuffer(Old->Capacity * 2);
+    auto *New = new RingBuffer(Old->Capacity * 2, Old->Capacity * 2);
     for (std::int64_t I = H; I < T; ++I) {
       New->slot(I).Frame.store(
           Old->slot(I).Frame.load(std::memory_order_relaxed),
@@ -354,9 +419,11 @@ private:
   alignas(ATC_CACHE_LINE_SIZE) std::atomic<std::int64_t> Head{0};
   alignas(ATC_CACHE_LINE_SIZE) std::atomic<std::int64_t> Tail{0};
 
+  const bool Growable;
   std::atomic<RingBuffer *> Buffer{nullptr};
   std::vector<RingBuffer *> Retired; ///< Owner-only; freed at destruction.
 
+  std::atomic<std::uint64_t> Overflows{0};
   std::atomic<std::uint64_t> Grows{0};
   std::atomic<std::uint64_t> CasRetries{0};
   std::atomic<int> HighWater{0};

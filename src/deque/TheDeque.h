@@ -26,10 +26,10 @@
 /// any number of thief threads call steal. Thieves always take the lock;
 /// the owner takes it only on conflict (the THE fast path).
 ///
-/// Header-only (like AtomicDeque and ChaseLevDeque): the deque layer has
-/// no translation units, so atcc-generated code — which compiles with
-/// just -I <repo>/src and links no libraries — can instantiate any deque
-/// kind, and the push/pop/steal fast path inlines into the engines.
+/// Header-only (like ChaseLevDeque): the deque layer has no translation
+/// units, so atcc-generated code — which compiles with just -I <repo>/src
+/// and links no libraries — can instantiate any deque kind, and the
+/// push/pop/steal fast path inlines into the engines.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -33,14 +33,17 @@
 ///
 /// Deque knob: ATCGEN_DEQUE=the|atomic|chaselev mirrors every protocol
 /// operation (push, pop, pushSpecial, popSpecial) into a real scheduler
-/// deque of that kind, running alongside the shadow vector and asserted
+/// deque of that kind (atomic is a ChaseLevDeque with growth off, as in
+/// the core runtime), running alongside the shadow vector and asserted
 /// to agree after every step — the single-worker executor becomes a
 /// protocol-conformance harness for the deque layer, driving the exact
 /// operation sequences atcc emits (including the special-task pushes the
 /// forced-need_task mode provokes) through the same header-only deques
 /// the core runtime schedules with. ATCGEN_DEQUE_CAP overrides the
 /// (initial) capacity — with chaselev a tiny cap forces ring growth in
-/// the middle of the run. Unset means shadow-only, unchanged behaviour.
+/// the middle of the run; it must be a decimal integer in [1, INT_MAX],
+/// and anything else exits with status 2, as an unknown kind does. Unset
+/// means shadow-only, unchanged behaviour.
 ///
 /// Metrics knob: ATCGEN_METRICS=<path> writes a Prometheus text
 /// exposition (0.0.4) of the run's protocol counters to <path> when the
@@ -63,13 +66,15 @@
 // Event tracing (header-only exporter included too: generated binaries
 // write their own trace.json — see the ATCGEN_TRACE knob below).
 #include "trace/TraceJson.h"
-// The three scheduler deques (all header-only so generated code, which
-// links nothing, can instantiate them — see the ATCGEN_DEQUE knob).
-#include "deque/AtomicDeque.h"
+// The scheduler deques (header-only so generated code, which links
+// nothing, can instantiate them — see the ATCGEN_DEQUE knob).
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 
 #include <cassert>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -119,7 +124,7 @@ struct GenStats {
   std::uint64_t WorkspaceReuses = 0;      ///< Allocs served by the freelist.
 };
 
-/// Type-erased adapter over the three scheduler deques for the
+/// Type-erased adapter over the scheduler deques for the
 /// ATCGEN_DEQUE conformance mirror (see the file comment). Virtual
 /// dispatch is fine here: the mirror is a validation knob, never the
 /// measured path.
@@ -136,7 +141,8 @@ public:
 
 template <class DequeT> class DequeMirrorOf final : public DequeMirror {
 public:
-  DequeMirrorOf(const char *Kind, int Capacity) : Kind(Kind), D(Capacity) {}
+  template <class... DequeArgs>
+  DequeMirrorOf(const char *Kind, DequeArgs... Args) : Kind(Kind), D(Args...) {}
   const char *kind() const override { return Kind; }
   void push(void *Frame, bool Special) override {
     bool Ok = D.tryPush(Frame, Special);
@@ -157,6 +163,23 @@ private:
   const char *Kind;
   DequeT D;
 };
+
+/// Parses ATCGEN_DEQUE_CAP: a decimal integer in [1, INT_MAX]. Anything
+/// else is a usage error and exits with status 2.
+inline int parseDequeCap(const char *Str) {
+  char *End = nullptr;
+  errno = 0;
+  long long V = std::strtoll(Str, &End, 10);
+  if (!std::isdigit(static_cast<unsigned char>(Str[0])) || *End != '\0' ||
+      errno == ERANGE || V < 1 || V > INT_MAX) {
+    std::fprintf(stderr,
+                 "atcgen: bad ATCGEN_DEQUE_CAP '%s' "
+                 "(expected a decimal integer in [1, %d])\n",
+                 Str, INT_MAX);
+    std::exit(2);
+  }
+  return static_cast<int>(V);
+}
 
 /// Single-worker executor implementing the generated-code ABI.
 struct Worker {
@@ -181,14 +204,13 @@ struct Worker {
     if (const char *Kind = std::getenv("ATCGEN_DEQUE")) {
       int Cap = 8192;
       if (const char *CapStr = std::getenv("ATCGEN_DEQUE_CAP"))
-        if (long V = std::atol(CapStr); V > 0)
-          Cap = static_cast<int>(V);
+        Cap = parseDequeCap(CapStr);
       std::string K(Kind);
       if (K == "the")
         Mirror = std::make_unique<DequeMirrorOf<atc::TheDeque>>("the", Cap);
       else if (K == "atomic")
-        Mirror =
-            std::make_unique<DequeMirrorOf<atc::AtomicDeque>>("atomic", Cap);
+        Mirror = std::make_unique<DequeMirrorOf<atc::ChaseLevDeque>>(
+            "atomic", Cap, /*Growable=*/false);
       else if (K == "chaselev")
         Mirror = std::make_unique<DequeMirrorOf<atc::ChaseLevDeque>>(
             "chaselev", Cap);

@@ -5,20 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Protocol tests shared by all three ready-deque implementations (the
-/// mutex THE deque, the lock-free AtomicDeque, and the growable lock-free
-/// ChaseLevDeque) run as a typed suite: the kinds must be behaviourally
-/// indistinguishable to the engine, including the special-task H += 2 /
-/// pop_specialtask reset protocol and exactly-once consumption under
-/// owner-vs-many-thieves contention. The one sanctioned divergence is a
-/// full deque: the fixed-array kinds reject the push while ChaseLev
-/// grows, so that test branches on which counter the kind exposes.
-/// Implementation-specific behaviour (locks, slot recycling, ring
-/// growth) keeps its own tests at the bottom.
+/// Protocol tests shared by all three deque kinds (the mutex THE deque,
+/// and the lock-free ChaseLevDeque with growth off — the atomic kind — and
+/// on — the chaselev kind) run as a typed suite: the kinds must be
+/// behaviourally indistinguishable to the engine, including the
+/// special-task H += 2 / pop_specialtask reset protocol and exactly-once
+/// consumption under owner-vs-many-thieves contention. The one sanctioned
+/// divergence is a full deque: the fixed kinds reject the push while the
+/// growable ring grows, so that test branches on the kind.
+/// Implementation-specific behaviour (locks, slot recycling, the fixed
+/// bound, ring growth) keeps its own tests at the bottom.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "deque/AtomicDeque.h"
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 
@@ -28,7 +27,18 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+namespace atc {
+/// The atomic kind's deque (SchedulerConfig::Deque = atomic): a
+/// ChaseLevDeque whose ring does not grow. Test-local, and named after
+/// the kind so the typed-suite rows keep their names.
+struct AtomicDeque : ChaseLevDeque {
+  explicit AtomicDeque(int Capacity = 8192)
+      : ChaseLevDeque(Capacity, /*Growable=*/false) {}
+};
+} // namespace atc
 
 using namespace atc;
 
@@ -100,7 +110,7 @@ TYPED_TEST(WsDeque, PopSpecialSuccessWhenChildNotStolen) {
 
 TYPED_TEST(WsDeque, PopOwnChildThenPopSpecial) {
   // The no-steal round trip of the check version: the owner pops its own
-  // child back and then retires the special. On the AtomicDeque the child
+  // child back and then retires the special. On the ChaseLevDeque the child
   // pop is the jump-claim arbitration path (CAS Head -> Head + 2, with
   // the special entry re-published at the new head).
   TypeParam D(16);
@@ -115,7 +125,7 @@ TYPED_TEST(WsDeque, SpecialGuardsPushesAfterChildPop) {
   // Regression test: after the owner pops its own child back, the special
   // must still sit at the head guarding whatever the spawn loop pushes
   // next — a later child must be stolen through the H += 2 jump and show
-  // up in popSpecial, not be taken as a plain entry. (An AtomicDeque
+  // up in popSpecial, not be taken as a plain entry. (A lock-free
   // owner-pop that consumed the special without re-publishing it broke
   // exactly this, silently downgrading later steals to unaccounted
   // plain steals.)
@@ -161,7 +171,7 @@ TYPED_TEST(WsDeque, FullDequeOverflowsOrGrows) {
   TypeParam D(2);
   EXPECT_TRUE(D.tryPush(ptr(1)));
   EXPECT_TRUE(D.tryPush(ptr(2)));
-  if constexpr (requires { D.growCount(); }) {
+  if constexpr (std::is_same_v<TypeParam, ChaseLevDeque>) {
     // Growable kind: the push past capacity succeeds by doubling the
     // ring; nothing is ever rejected.
     EXPECT_TRUE(D.tryPush(ptr(3)));
@@ -341,7 +351,7 @@ TEST(AtomicDeque, NeverTakesALock) {
 }
 
 TEST(AtomicDeque, CircularBufferRecyclesSlots) {
-  // Unlike TheDeque's absolute indices, the AtomicDeque maps monotonic
+  // Unlike TheDeque's absolute indices, the fixed ring maps monotonic
   // indices onto a small circular buffer: steady-state churn far beyond
   // the capacity needs no reset.
   AtomicDeque D(4);
@@ -372,6 +382,19 @@ TEST(AtomicDeque, CircularBufferRecyclesSlots) {
     ASSERT_TRUE(D.empty()) << "round " << I;
   }
   EXPECT_EQ(D.overflowCount(), 0u);
+}
+
+TEST(AtomicDeque, BoundIsExactOverPowerOfTwoRing) {
+  // The fixed ring is rounded up to a power of two (8 slots here), but
+  // the push bound stays the requested capacity.
+  AtomicDeque D(5);
+  for (std::uintptr_t I = 1; I <= 5; ++I)
+    ASSERT_TRUE(D.tryPush(ptr(I))) << "push " << I;
+  EXPECT_FALSE(D.tryPush(ptr(6)));
+  EXPECT_EQ(D.capacity(), 5);
+  EXPECT_EQ(D.overflowCount(), 1u);
+  EXPECT_EQ(D.growCount(), 0u);
+  EXPECT_EQ(D.size(), 5);
 }
 
 TEST(ChaseLev, NeverTakesALock) {

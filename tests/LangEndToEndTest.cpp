@@ -22,6 +22,8 @@
 #include <fstream>
 #include <string>
 
+#include <sys/wait.h>
+
 #ifndef ATC_SOURCE_DIR
 #error "ATC_SOURCE_DIR must be defined by the build"
 #endif
@@ -31,11 +33,9 @@ using namespace atc::lang;
 
 namespace {
 
-/// Compiles ATC source, builds it with the host compiler, runs it with
-/// \p Env prefixes, and returns captured stdout. Fails the test on any
-/// pipeline error.
-std::string compileAndRun(const std::string &AtcSource,
-                          const std::string &Env = "") {
+/// Compiles ATC source and builds it with the host compiler. Returns the
+/// binary's path, or "" after failing the test on any pipeline error.
+std::string buildBinary(const std::string &AtcSource) {
   CompileResult R = compileAtc(AtcSource);
   EXPECT_TRUE(R.Success) << (R.Errors.empty() ? "" : R.Errors[0]);
   if (!R.Success)
@@ -66,17 +66,36 @@ std::string compileAndRun(const std::string &AtcSource,
     if (Status != 0)
       return "";
   }
+  std::remove(CppPath.c_str());
+  return BinPath;
+}
 
-  std::string Run = Env + " " + BinPath;
+/// Runs \p BinPath with \p Env prefixes and returns its captured stdout
+/// (plus stderr when \p WithStderr); \p Status receives the wait status.
+std::string runBinary(const std::string &BinPath, const std::string &Env,
+                      int &Status, bool WithStderr = false) {
+  std::string Run = Env + " " + BinPath + (WithStderr ? " 2>&1" : "");
   std::FILE *P = ::popen(Run.c_str(), "r");
   EXPECT_NE(P, nullptr);
   std::string Output;
   char Buf[512];
   while (std::fgets(Buf, sizeof(Buf), P))
     Output += Buf;
-  int Status = ::pclose(P);
+  Status = ::pclose(P);
+  return Output;
+}
+
+/// Compiles ATC source, builds it with the host compiler, runs it with
+/// \p Env prefixes, and returns captured stdout. Fails the test on any
+/// pipeline error.
+std::string compileAndRun(const std::string &AtcSource,
+                          const std::string &Env = "") {
+  std::string BinPath = buildBinary(AtcSource);
+  if (BinPath.empty())
+    return "";
+  int Status = 0;
+  std::string Output = runBinary(BinPath, Env, Status);
   EXPECT_EQ(Status, 0) << "generated binary failed";
-  std::remove(CppPath.c_str());
   std::remove(BinPath.c_str());
   return Output;
 }
@@ -152,6 +171,33 @@ TEST(LangEndToEnd, DequeMirrorComposesWithForcedSpecialTasks) {
   EXPECT_EQ(compileAndRun(NQueensSrc,
                           "ATCGEN_DEQUE=the ATCGEN_FORCE_NEEDTASK=3"),
             "92\n");
+}
+
+TEST(LangEndToEnd, BadDequeCapIsRejected) {
+  // ATCGEN_DEQUE_CAP takes a decimal integer in [1, INT_MAX]. A value
+  // that would wrap, go negative, or is no number at all is a usage
+  // error (exit 2, like an unknown ATCGEN_DEQUE kind), never a silently
+  // truncated or ignored capacity.
+  std::string BinPath = buildBinary(NQueensSrc);
+  ASSERT_FALSE(BinPath.empty());
+  for (const char *Cap :
+       {"4294967297", "2147483648", "abc", "0", "-4", "12x", " 8", ""}) {
+    int Status = 0;
+    std::string Out = runBinary(
+        BinPath,
+        std::string("ATCGEN_DEQUE=atomic ATCGEN_DEQUE_CAP='") + Cap + "'",
+        Status, /*WithStderr=*/true);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
+        << "cap '" << Cap << "' status " << Status;
+    EXPECT_NE(Out.find("bad ATCGEN_DEQUE_CAP"), std::string::npos)
+        << "cap '" << Cap << "': " << Out;
+  }
+  int Status = 0;
+  EXPECT_EQ(runBinary(BinPath, "ATCGEN_DEQUE=atomic ATCGEN_DEQUE_CAP=64",
+                      Status),
+            "92\n");
+  EXPECT_EQ(Status, 0);
+  std::remove(BinPath.c_str());
 }
 
 TEST(LangEndToEnd, FibComputesCorrectly) {

@@ -31,7 +31,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 using namespace atc;
 
@@ -246,12 +248,18 @@ TEST(LiveBytes, HintsAreMeaningfullySmallerThanTheState) {
 // Result invariance across scheduler parameters
 //===----------------------------------------------------------------------===//
 
+/// gtest prints a parameter without a printer as its raw bytes, and the
+/// ctest names carry that print: a case must hold no padding (whose bytes
+/// are indeterminate) and no pointers (which move with ASLR), or its name
+/// changes from build to build. Workers sits where padding would be.
 struct ParamCase {
   std::uint64_t Seed;
   int Cutoff;
   int MaxStolenNum;
   int DequeCapacity;
+  int Workers;
 };
+static_assert(std::has_unique_object_representations_v<ParamCase>);
 
 class ParamSweep : public ::testing::TestWithParam<ParamCase> {};
 
@@ -259,7 +267,7 @@ TEST_P(ParamSweep, AdaptiveTCResultInvariant) {
   NQueensArray Prob;
   SchedulerConfig Cfg;
   Cfg.Kind = SchedulerKind::AdaptiveTC;
-  Cfg.NumWorkers = 4;
+  Cfg.NumWorkers = GetParam().Workers;
   Cfg.Seed = GetParam().Seed;
   Cfg.Cutoff = GetParam().Cutoff;
   Cfg.MaxStolenNum = GetParam().MaxStolenNum;
@@ -272,7 +280,7 @@ TEST_P(ParamSweep, CilkResultInvariant) {
   CompProblem Prob(400, /*ValueRange=*/8);
   SchedulerConfig Cfg;
   Cfg.Kind = SchedulerKind::Cilk;
-  Cfg.NumWorkers = 4;
+  Cfg.NumWorkers = GetParam().Workers;
   Cfg.Seed = GetParam().Seed;
   Cfg.DequeCapacity = GetParam().DequeCapacity;
   auto R = runProblem(Prob, Prob.makeRoot(), Cfg);
@@ -281,14 +289,14 @@ TEST_P(ParamSweep, CilkResultInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParamSweep,
-    ::testing::Values(ParamCase{1, -1, 20, 8192},   // paper defaults
-                      ParamCase{2, 0, 20, 8192},    // no initial tasks
-                      ParamCase{3, 6, 20, 8192},    // deep cut-off
-                      ParamCase{4, -1, 1, 8192},    // hyper-eager publish
-                      ParamCase{5, -1, 500, 8192},  // reluctant publish
-                      ParamCase{6, -1, 20, 64},     // small deque
-                      ParamCase{7, 10, 20, 32},     // deep + tiny deque
-                      ParamCase{8, -1, 20, 8192}),
+    ::testing::Values(ParamCase{1, -1, 20, 8192, 4},  // paper defaults
+                      ParamCase{2, 0, 20, 8192, 4},   // no initial tasks
+                      ParamCase{3, 6, 20, 8192, 4},   // deep cut-off
+                      ParamCase{4, -1, 1, 8192, 4},   // hyper-eager publish
+                      ParamCase{5, -1, 500, 8192, 4}, // reluctant publish
+                      ParamCase{6, -1, 20, 64, 4},    // small deque
+                      ParamCase{7, 10, 20, 32, 4},    // deep + tiny deque
+                      ParamCase{8, -1, 20, 8192, 4}),
     [](const ::testing::TestParamInfo<ParamCase> &Info) {
       const ParamCase &C = Info.param;
       return "seed" + std::to_string(C.Seed) + "_cut" +
@@ -301,16 +309,32 @@ INSTANTIATE_TEST_SUITE_P(
 // Real runtime on the paper's unbalanced trees
 //===----------------------------------------------------------------------===//
 
+/// SimTree presets by index: TreeRunCase names its tree by index rather
+/// than by string pointer, and is 8-byte aligned with no padding, so its
+/// printed bytes are stable (see ParamCase).
+enum TreePreset : std::uint64_t {
+  Tree1l, Tree1r, Tree2l, Tree2r, Tree3l, Tree3r, Fig8, Balanced
+};
+
+const char *presetName(TreePreset P) {
+  static constexpr const char *Names[] = {"tree1l", "tree1r", "tree2l",
+                                          "tree2r", "tree3l", "tree3r",
+                                          "fig8",   "balanced"};
+  return Names[P];
+}
+
 struct TreeRunCase {
-  const char *Preset;
+  TreePreset Preset;
   SchedulerKind Kind;
   int Threads;
 };
+static_assert(std::has_unique_object_representations_v<TreeRunCase>);
 
 class UnbalancedTreeRuns : public ::testing::TestWithParam<TreeRunCase> {};
 
 TEST_P(UnbalancedTreeRuns, LeafCountMatchesOracle) {
-  SyntheticTreeProblem Prob(SimTree::preset(GetParam().Preset, 30'000));
+  SyntheticTreeProblem Prob(
+      SimTree::preset(presetName(GetParam().Preset), 30'000));
   long long Expected = Prob.expectedLeaves();
   SchedulerConfig Cfg;
   Cfg.Kind = GetParam().Kind;
@@ -322,23 +346,23 @@ TEST_P(UnbalancedTreeRuns, LeafCountMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(
     TreesBySystem, UnbalancedTreeRuns,
     ::testing::Values(
-        TreeRunCase{"tree1l", SchedulerKind::AdaptiveTC, 4},
-        TreeRunCase{"tree1r", SchedulerKind::AdaptiveTC, 4},
-        TreeRunCase{"tree3l", SchedulerKind::AdaptiveTC, 8},
-        TreeRunCase{"tree3r", SchedulerKind::AdaptiveTC, 8},
-        TreeRunCase{"fig8", SchedulerKind::AdaptiveTC, 4},
-        TreeRunCase{"tree2l", SchedulerKind::Cilk, 4},
-        TreeRunCase{"tree2r", SchedulerKind::CilkSynched, 4},
-        TreeRunCase{"tree3l", SchedulerKind::Tascell, 4},
-        TreeRunCase{"tree3r", SchedulerKind::Tascell, 4},
-        TreeRunCase{"balanced", SchedulerKind::Cutoff, 4},
-        TreeRunCase{"fig8", SchedulerKind::Sequential, 1}),
+        TreeRunCase{Tree1l, SchedulerKind::AdaptiveTC, 4},
+        TreeRunCase{Tree1r, SchedulerKind::AdaptiveTC, 4},
+        TreeRunCase{Tree3l, SchedulerKind::AdaptiveTC, 8},
+        TreeRunCase{Tree3r, SchedulerKind::AdaptiveTC, 8},
+        TreeRunCase{Fig8, SchedulerKind::AdaptiveTC, 4},
+        TreeRunCase{Tree2l, SchedulerKind::Cilk, 4},
+        TreeRunCase{Tree2r, SchedulerKind::CilkSynched, 4},
+        TreeRunCase{Tree3l, SchedulerKind::Tascell, 4},
+        TreeRunCase{Tree3r, SchedulerKind::Tascell, 4},
+        TreeRunCase{Balanced, SchedulerKind::Cutoff, 4},
+        TreeRunCase{Fig8, SchedulerKind::Sequential, 1}),
     [](const ::testing::TestParamInfo<TreeRunCase> &Info) {
       std::string Name = schedulerKindName(Info.param.Kind);
       for (char &C : Name)
         if (C == '-')
           C = '_';
-      return std::string(Info.param.Preset) + "_" + Name + "_t" +
+      return std::string(presetName(Info.param.Preset)) + "_" + Name + "_t" +
              std::to_string(Info.param.Threads);
     });
 
@@ -405,15 +429,19 @@ TEST(Overflow, TinyDequeStillProducesCorrectResults) {
   // With a 4-entry deque, Cilk's every-spawn pushing overflows
   // constantly; the engine degrades those spawns to plain calls and must
   // still be correct. The overflow count is reported (the paper: fixed
-  // arrays are "prone to overflow").
+  // arrays are "prone to overflow"). Both fixed kinds: the THE array and
+  // the lock-free ring with growth off.
   FibProblem Prob;
   SchedulerConfig Cfg;
   Cfg.Kind = SchedulerKind::Cilk;
   Cfg.NumWorkers = 4;
   Cfg.DequeCapacity = 4;
-  auto R = runProblem(Prob, FibProblem::makeRoot(20), Cfg);
-  EXPECT_EQ(R.Value, FibProblem::fibValue(20));
-  EXPECT_GT(R.Stats.DequeOverflows, 0u);
+  for (DequeKind Deque : {DequeKind::The, DequeKind::Atomic}) {
+    Cfg.Deque = Deque;
+    auto R = runProblem(Prob, FibProblem::makeRoot(20), Cfg);
+    EXPECT_EQ(R.Value, FibProblem::fibValue(20)) << dequeKindName(Deque);
+    EXPECT_GT(R.Stats.DequeOverflows, 0u) << dequeKindName(Deque);
+  }
 }
 
 TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {

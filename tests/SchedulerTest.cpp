@@ -77,8 +77,9 @@ const MatrixCase AllCases[] = {
     {SchedulerKind::AdaptiveTC, 4},  {SchedulerKind::AdaptiveTC, 8},
     {SchedulerKind::Tascell, 1},     {SchedulerKind::Tascell, 2},
     {SchedulerKind::Tascell, 4},     {SchedulerKind::Tascell, 8},
-    // The same deque-backed engine kinds over the lock-free AtomicDeque:
-    // the deque choice must be invisible to the results.
+    // The same deque-backed engine kinds over the lock-free deque with
+    // growth off (the atomic kind): the deque choice must be invisible
+    // to the results.
     {SchedulerKind::Cilk, 1, AtomicDQ},
     {SchedulerKind::Cilk, 4, AtomicDQ},
     {SchedulerKind::Cilk, 8, AtomicDQ},
