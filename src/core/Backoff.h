@@ -21,21 +21,34 @@
 
 namespace atc {
 
+/// The idle ladder as a pure decision: microseconds to sleep after \p
+/// FailStreak consecutive failed steal attempts, 0 meaning a plain yield.
+/// Every streak up to \p SpinBudget yields (idleSpinBudget in
+/// core/kernel/StealDecisions.h: enough failures to push any busy victim
+/// past max_stolen_num on this thief's attempts alone); past it, sleeps
+/// double from 1us up to a (1us << MaxShift) cap. \p MaxShift is the
+/// online tuning layer's backoff knob (liveBackoffShift in
+/// core/tuning/TuningController.h), so it caps only the sleep phase.
+inline int backoffSleepUs(int FailStreak, int SpinBudget, int MaxShift) {
+  if (FailStreak <= SpinBudget)
+    return 0;
+  return 1 << std::min(FailStreak - SpinBudget - 1, MaxShift);
+}
+
 /// Truncated-exponential backoff after \p FailStreak consecutive failed
-/// steal attempts: a few plain yields, then sleeps doubling from 1us up to
-/// a (1us << MaxShift) cap — 128us at the default. Compared to a fixed
-/// yield/linear-sleep ladder this backs off contended deque lines faster
-/// under heavy contention while still reaching freshly published work
-/// quickly after short droughts. \p MaxShift is the online tuning layer's
-/// backoff knob (liveBackoffShift in core/tuning/TuningController.h);
-/// untuned callers get the historical 128us cap.
-inline void stealBackoff(int FailStreak, int MaxShift = 7) {
-  if (FailStreak <= 4) {
+/// steal attempts (backoffSleepUs). The yield phase exists because the
+/// need_task handshake counts *attempts*: a yield costs ~0.3us, but
+/// sleep_for(1us) measures ~59us and sleep_for(128us) ~184us median on a
+/// 4-CPU Linux host (timer slack plus a reschedule), so a thief sleeping
+/// between attempts would take milliseconds to make a busy victim
+/// publish. Once the budget is spent the victim has either responded or
+/// has nothing to publish, and sleeping backs off contended deque lines.
+inline void stealBackoff(int FailStreak, int SpinBudget, int MaxShift) {
+  const int Us = backoffSleepUs(FailStreak, SpinBudget, MaxShift);
+  if (Us == 0)
     std::this_thread::yield();
-    return;
-  }
-  int Shift = std::min(FailStreak - 5, MaxShift); // 1us << {0..MaxShift}
-  std::this_thread::sleep_for(std::chrono::microseconds(1 << Shift));
+  else
+    std::this_thread::sleep_for(std::chrono::microseconds(Us));
 }
 
 /// Poll interval while a Tascell requester waits for a mailbox response

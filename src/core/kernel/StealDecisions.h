@@ -5,14 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two decisions a thief makes on every steal round, as pure
-/// functions of the worker's state and its PRNG: which victim to try
-/// (VictimPolicy) and how many extra frames a steal-half raid claims
-/// (StealPolicy::Half). The runtime kernel (WorkerRuntime, FramePolicy)
-/// and the virtual-time simulator (sim/SimEngine.cpp) both call these, so
-/// one implementation of each strategy serves both and a simulated run
-/// draws exactly the victim sequence a real worker with the same seed and
-/// failure history would.
+/// The decisions a thief makes on every steal round, as pure functions
+/// of the worker's state and its PRNG: which victim to try
+/// (VictimPolicy), how many extra frames a steal-half raid claims
+/// (StealPolicy::Half), and how many failures it retries at yield speed
+/// before it backs off into sleeps (idleSpinBudget). The runtime kernel
+/// (WorkerRuntime, FramePolicy) and the virtual-time simulator
+/// (sim/SimEngine.cpp) both call the first two, so one implementation of
+/// each strategy serves both and a simulated run draws exactly the victim
+/// sequence a real worker with the same seed and failure history would.
+/// The yield budget is the kernel's alone: the simulator models retries
+/// in virtual time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +27,7 @@
 #include "support/Prng.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 
 namespace atc {
@@ -87,6 +91,19 @@ inline VictimChoice chooseVictim(VictimPolicy Policy, int GroupSize,
 /// first, whatever the bound).
 inline int stealHalfWidth(int Remaining, int MaxStolen) {
   return std::min(Remaining / 2, std::max(MaxStolen, 1) - 1);
+}
+
+/// Failed attempts a thief of a \p NumWorkers run spends yielding before
+/// stealBackoff (core/Backoff.h) starts to sleep: (NumWorkers - 1) x
+/// (\p MaxStolen + 1), enough failures to push any one busy victim past
+/// the need_task threshold \p MaxStolen with this thief's attempts
+/// alone, wherever its victim choices land. Saturates at INT_MAX rather
+/// than overflowing for huge thresholds.
+inline int idleSpinBudget(int NumWorkers, int MaxStolen) {
+  const long long Budget =
+      static_cast<long long>(std::max(NumWorkers - 1, 0)) *
+      (static_cast<long long>(std::max(MaxStolen, 0)) + 1);
+  return static_cast<int>(std::min<long long>(Budget, INT_MAX));
 }
 
 } // namespace atc

@@ -7,8 +7,9 @@
 /// \file
 /// The scheduler kernel every SchedulerKind runs on: worker threads, the
 /// steal loop (pluggable victim ordering — see StealDecisions.h — plus the
-/// steal-half stash drain, truncated-exponential backoff, and the paper's
-/// stolen_num / need_task signalling), termination detection, result
+/// steal-half stash drain, a yield budget sized to the need_task threshold
+/// before truncated-exponential sleeps, and the paper's stolen_num /
+/// need_task signalling), termination detection, result
 /// publication and statistics aggregation live here — once. What differs
 /// between systems (how work is represented, acquired from a victim, and
 /// executed) is supplied by a policy class:
@@ -69,6 +70,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <climits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -248,7 +250,7 @@ public:
   /// NeedHelp stays true (the AdaptiveTC sync_specialtask wait). Rather
   /// than the paper's usleep(100) poll this is work-conserving — each
   /// executed task is counted in HelpSteals — backing off through the
-  /// shared stealBackoff policy only when there is nothing to take.
+  /// shared idle ladder (idleBackoff) only when there is nothing to take.
   /// Helping can deepen the native stack (stolen work can reach another
   /// sync in turn), trading stack depth for zero idle time — the usual
   /// help-first bargain.
@@ -266,8 +268,8 @@ public:
           continue;
         }
       }
-      ++FailStreak;
-      stealBackoff(FailStreak, liveBackoffShift(W.Tune));
+      countFailure(FailStreak);
+      idleBackoff(W, FailStreak);
     }
   }
 
@@ -314,7 +316,7 @@ private:
       }
       if (O == AcquireOutcome::Terminated)
         break;
-      ++FailStreak;
+      countFailure(FailStreak);
 #if ATC_TUNING_ENABLED
       if (ATC_UNLIKELY(W.Tune != nullptr) && (FailStreak & 15) == 0) {
         // Starving thief: flush the failure counters so the controller
@@ -325,9 +327,28 @@ private:
         W.Tune->maybeTune(nowNanos(), *W.Metrics);
       }
 #endif
-      stealBackoff(FailStreak, liveBackoffShift(W.Tune));
+      idleBackoff(W, FailStreak);
     }
     W.Stats.StealWaitNs += nowNanos() - IdleBegin;
+  }
+
+  /// Extends a thief's failure streak, saturating: with a huge
+  /// max_stolen_num the yield budget is unbounded too, and a starving
+  /// thief may fail more than INT_MAX times.
+  static void countFailure(int &FailStreak) {
+    if (FailStreak < INT_MAX)
+      ++FailStreak;
+  }
+
+  /// One idle step after \p FailStreak consecutive failures: yield while
+  /// the streak is within the thief's idleSpinBudget (so its attempts
+  /// alone can drive a busy victim through the need_task threshold —
+  /// the thief's live max_stolen_num, the same knob that bounds its
+  /// steal-half raids), then sleep up to the thief's live backoff cap.
+  void idleBackoff(const Worker &W, int FailStreak) const {
+    const int Budget = idleSpinBudget(
+        Cfg.NumWorkers, liveMaxStolen(W.Tune, Cfg.MaxStolenNum));
+    stealBackoff(FailStreak, Budget, liveBackoffShift(W.Tune));
   }
 
   /// One acquire attempt: drain any steal-half surplus the thief already
@@ -397,8 +418,13 @@ private:
     const int Threshold = liveMaxStolen(Victim.Tune, Cfg.MaxStolenNum);
     int SN = Victim.StolenNum.fetch_add(1, std::memory_order_relaxed) + 1;
     if (SN > Threshold) {
-      Victim.NeedTask.store(true, std::memory_order_relaxed);
-      ATC_METRIC(Victim.Metrics, setNeedTask(true));
+      // Store only while the flag is still clear: the victim polls this
+      // line on every fake-task child, and thieves keep failing against
+      // it at yield speed until it responds.
+      if (!Victim.NeedTask.load(std::memory_order_relaxed)) {
+        Victim.NeedTask.store(true, std::memory_order_relaxed);
+        ATC_METRIC(Victim.Metrics, setNeedTask(true));
+      }
       // Record only the crossing, not every attempt past it — this is
       // the thief's record, on the thief's own ring (single-writer).
       if (SN == Threshold + 1)

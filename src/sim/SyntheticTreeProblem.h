@@ -14,8 +14,8 @@
 /// count, on any tree shape.
 ///
 /// The per-depth node stack is part of the State, so the workspace-copy
-/// machinery (taskprivate) is exercised exactly as for the puzzle
-/// benchmarks.
+/// machinery (taskprivate, including the per-depth liveBytes hint) is
+/// exercised exactly as for the puzzle benchmarks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +85,13 @@ public:
   }
 
   void undoChoice(State &, int, int) const {}
+
+  /// Search at depth d reads Node[d] and overwrites Node[d + 1..] before
+  /// reading them, so a spawn copies only the path down to its depth
+  /// rather than the whole MaxDepth-node stack.
+  std::size_t liveBytes(const State &, int Depth) const {
+    return static_cast<std::size_t>(Depth + 1) * sizeof(SimTreeNode);
+  }
 
   /// Leaves of the whole tree (the oracle every run must produce).
   long long expectedLeaves() const { return Tree.walk().Leaves; }

@@ -230,6 +230,33 @@ TEST(LiveBytes, PentominoPrefixSufficient) {
   checkLiveBytesContract(Prob, Prob.makeRoot(), 5, 14);
 }
 
+TEST(LiveBytes, SyntheticTreePrefixSufficient) {
+  SyntheticTreeProblem Prob(SimTree::preset("tree3l", 3000));
+  checkLiveBytesContract(Prob, Prob.makeRoot(), 10, 15);
+}
+
+TEST(LiveBytes, SyntheticTreeRunCopiesOnlyThePath) {
+  // A spawn at depth d copies the d + 1 path nodes its child can read,
+  // not the whole MaxDepth-node stack; results and the task / fake-task
+  // partition of the tree are unaffected.
+  SyntheticTreeProblem Prob(SimTree::preset("tree3l", 30'000));
+  TreeProfile Profile;
+  {
+    auto S = Prob.makeRoot();
+    profileTree(Prob, S, Profile);
+  }
+  SchedulerConfig Cfg;
+  Cfg.Kind = SchedulerKind::AdaptiveTC;
+  Cfg.NumWorkers = 4;
+  auto R = runProblem(Prob, Prob.makeRoot(), Cfg);
+  EXPECT_EQ(R.Value, Prob.expectedLeaves());
+  EXPECT_EQ(R.Stats.TasksCreated + R.Stats.FakeTasks,
+            static_cast<std::uint64_t>(Profile.Nodes));
+  ASSERT_GT(R.Stats.WorkspaceCopies, 0u);
+  EXPECT_LT(R.Stats.CopiedBytes,
+            R.Stats.WorkspaceCopies * sizeof(SyntheticTreeProblem::State));
+}
+
 TEST(LiveBytes, HintsAreMeaningfullySmallerThanTheState) {
   // The point of the hint is a substantially smaller copy (a marginal
   // bound is a net loss — it trades a compile-time-size memcpy for a

@@ -13,8 +13,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Backoff.h"
 #include "core/Runtime.h"
 #include "core/kernel/StealDecisions.h"
+#include "core/tuning/TuningController.h"
 #include "problems/FibComp.h"
 #include "problems/KnightsTour.h"
 #include "problems/NQueens.h"
@@ -24,6 +26,8 @@
 #include "problems/Sudoku.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
 
 using namespace atc;
 
@@ -725,6 +729,69 @@ TEST(StealDecisions, StealHalfWidthNeverExceedsMaxStolenMinusOne) {
   EXPECT_EQ(stealHalfWidth(10, 20), 5);
   EXPECT_EQ(stealHalfWidth(10, 3), 2);
   EXPECT_EQ(stealHalfWidth(10, 1), 0);
+}
+
+TEST(StealDecisions, IdleLadderYieldsThroughTheSpinBudget) {
+  for (int Budget : {0, 4, 21, 63})
+    for (int MaxShift : {0, 2, 7, 10})
+      for (int Streak = 0; Streak <= Budget; ++Streak)
+        EXPECT_EQ(backoffSleepUs(Streak, Budget, MaxShift), 0)
+            << "streak " << Streak << ", budget " << Budget;
+}
+
+TEST(StealDecisions, IdleLadderSleepsDoublingPastTheBudgetUpToTheCap) {
+  for (int Budget : {0, 63})
+    for (int MaxShift : {0, 2, 7, 10})
+      for (int Past = 1; Past <= MaxShift + 4; ++Past)
+        EXPECT_EQ(backoffSleepUs(Budget + Past, Budget, MaxShift),
+                  1 << std::min(Past - 1, MaxShift))
+            << "budget " << Budget << ", cap shift " << MaxShift
+            << ", streak " << Budget + Past;
+  EXPECT_EQ(backoffSleepUs(64, 63, DefaultBackoffShift), 1);
+  EXPECT_EQ(backoffSleepUs(65, 63, DefaultBackoffShift), 2);
+  EXPECT_EQ(backoffSleepUs(66, 63, DefaultBackoffShift), 4);
+  EXPECT_EQ(backoffSleepUs(INT_MAX, 63, DefaultBackoffShift), 128);
+}
+
+TEST(StealDecisions, SpinBudgetLetsOneThiefRaiseNeedTaskOnAnyVictim) {
+  // (NumWorkers - 1) x (max_stolen_num + 1): even if every failure lands
+  // on a different peer in turn, each peer collects more than
+  // max_stolen_num of them before the thief sleeps.
+  EXPECT_EQ(idleSpinBudget(4, 20), 63);
+  EXPECT_EQ(idleSpinBudget(2, 20), 21);
+  EXPECT_EQ(idleSpinBudget(8, 0), 7);
+  EXPECT_EQ(idleSpinBudget(1, 20), 0);
+  for (int Workers = 2; Workers <= 16; ++Workers)
+    for (int MaxStolen : {0, 1, 20, 500})
+      EXPECT_GT(idleSpinBudget(Workers, MaxStolen) / (Workers - 1),
+                MaxStolen);
+}
+
+TEST(StealDecisions, SpinBudgetFollowsTheTunedMaxStolenNum) {
+  // The kernel sizes the budget from the thief's live knob, as it does
+  // the steal-half bound; a tuned-up threshold buys a longer yield phase.
+  TuningController T;
+  T.arm(/*InitCutoff=*/2, /*InitMaxStolen=*/40);
+  const int Live = liveMaxStolen(&T, /*Def=*/20);
+#if ATC_TUNING_ENABLED
+  EXPECT_EQ(Live, 40);
+  EXPECT_EQ(idleSpinBudget(4, Live), 123);
+#else
+  EXPECT_EQ(Live, 20);
+  EXPECT_EQ(idleSpinBudget(4, Live), 63);
+#endif
+  EXPECT_EQ(idleSpinBudget(4, liveMaxStolen(nullptr, 20)), 63);
+}
+
+TEST(StealDecisions, SpinBudgetSaturatesInsteadOfOverflowing) {
+  EXPECT_EQ(idleSpinBudget(2, INT_MAX), INT_MAX);
+  EXPECT_EQ(idleSpinBudget(4, INT_MAX), INT_MAX);
+  EXPECT_EQ(idleSpinBudget(INT_MAX, INT_MAX), INT_MAX);
+  EXPECT_EQ(idleSpinBudget(4, 500), 1503); // PropertyTest's msn500 case
+  // A saturated budget never sleeps, even at the largest streak.
+  EXPECT_EQ(backoffSleepUs(INT_MAX, idleSpinBudget(4, INT_MAX),
+                           DefaultBackoffShift),
+            0);
 }
 
 // Before the kernel refactor Tascell never reported steal-path counters;
