@@ -30,6 +30,7 @@
 #include "support/Timer.h"
 #include "trace/TraceJson.h"
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -47,7 +48,8 @@ int main(int argc, char **argv) {
   long long TraceCap = 1 << 20;
   OptionSet Opts("Count n-queens solutions, optionally recording a "
                  "scheduler event trace for Perfetto");
-  Opts.addInt("workers", &Workers, "worker threads (default 4)");
+  Opts.addInt("workers", &Workers, "worker threads (default 4)", 1,
+              MaxThreadsFlag);
   Opts.addInt("n", &BoardSize, "problem size (default 13 for n-queens; "
                                "0 = the kind's registry default)");
   Opts.addString("problem", &Problem,
@@ -76,7 +78,8 @@ int main(int argc, char **argv) {
                  "(Chrome/Perfetto trace.json)");
   Opts.addInt("trace-cap", &TraceCap,
               "per-worker trace ring capacity in events (default 2^20; "
-              "oldest events are dropped on overflow)");
+              "oldest events are dropped on overflow)",
+              1, INT_MAX);
   MetricsCliOptions MOpt;
   addMetricsOptions(Opts, MOpt);
   Opts.parse(argc, argv);
@@ -94,16 +97,7 @@ int main(int argc, char **argv) {
   Cfg.Trace = !TracePath.empty();
   Cfg.TraceCap = static_cast<int>(TraceCap);
   Cfg.Tuning = Tuning;
-#if !ATC_TRACE_ENABLED
-  if (Cfg.Trace)
-    std::fprintf(stderr, "nqueens: warning: built with ATC_TRACE=OFF; "
-                         "--trace will produce no events\n");
-#endif
-#if !defined(ATC_TUNING_ENABLED) || !ATC_TUNING_ENABLED
-  if (Tuning)
-    std::fprintf(stderr, "nqueens: warning: built with ATC_TUNING=OFF; "
-                         "--tuning has no effect\n");
-#endif
+  observeCompiledOut("nqueens", Cfg.Trace || Tuning || MOpt.wantsMetrics());
 
   ProblemRunner Prob;
   std::string Err;

@@ -35,7 +35,8 @@ int main(int argc, char **argv) {
   std::string Deque = "the";
   std::string TracePath;
   OptionSet Opts("Quickstart: n-queens under every scheduler");
-  Opts.addInt("threads", &Threads, "worker threads (default 4)");
+  Opts.addInt("threads", &Threads, "worker threads (default 4)", 1,
+              MaxThreadsFlag);
   Opts.addInt("n", &BoardSize, "board size (default 11)");
   std::string StealPol = "one";
   std::string Victim = "affinity";

@@ -54,7 +54,7 @@ int main(int argc, char **argv) {
   std::string Victim = "affinity";
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity, random, or partitioned");
-  Opts.addInt("threads", &Threads, "worker threads");
+  Opts.addInt("threads", &Threads, "worker threads", 1, MaxThreadsFlag);
   std::string TracePath;
   Opts.addString("trace", &TracePath,
                  "record a scheduler event trace to this file "
@@ -74,6 +74,7 @@ int main(int argc, char **argv) {
     reportFatalError("unknown victim policy '" + Victim + "'");
   Cfg.NumWorkers = static_cast<int>(Threads);
   Cfg.Trace = !TracePath.empty();
+  observeCompiledOut("sudoku_solver", Cfg.Trace || MOpt.wantsMetrics());
 
   Sudoku Prob;
   Sudoku::State Root = Grid.empty() ? Sudoku::makeInstance(Instance)

@@ -46,12 +46,12 @@ template <typename ResultT> struct RunResult {
   SchedulerStats Stats;
 
   /// The run's event trace when SchedulerConfig::Trace was armed (and
-  /// the build has ATC_TRACE=ON); null otherwise. Export with
+  /// the build has ATC_OBSERVE=ON); null otherwise. Export with
   /// writeChromeTraceFile (trace/TraceJson.h).
   std::shared_ptr<TraceLog> Trace;
 
   /// The run's live-metrics registry when SchedulerConfig::Metrics (or a
-  /// MetricsSink) was armed and the build has ATC_METRICS=ON; null
+  /// MetricsSink) was armed and the build has ATC_OBSERVE=ON; null
   /// otherwise. After the run the cells hold the final, exact per-worker
   /// state — sample() it for a post-run snapshot, or export with
   /// renderPrometheus / renderJsonSeries (metrics/Exposition.h).

@@ -179,7 +179,7 @@ struct SchedulerConfig {
 
   /// Arm the event tracer (src/trace) for this run: each worker gets a
   /// fixed-size ring buffer and the run's RunResult carries the TraceLog
-  /// out for export. Requires a build with ATC_TRACE=ON (the default);
+  /// out for export. Requires a build with ATC_OBSERVE=ON (the default);
   /// when tracing is compiled out this flag is ignored.
   bool Trace = false;
 
@@ -191,7 +191,7 @@ struct SchedulerConfig {
   /// Arm the live-metrics layer (src/metrics) for this run: each worker
   /// gets a cache-line-isolated metric cell and the run's RunResult
   /// carries the MetricsRegistry out for exposition. Requires a build
-  /// with ATC_METRICS=ON (the default); when metrics are compiled out
+  /// with ATC_OBSERVE=ON (the default); when metrics are compiled out
   /// this flag is ignored.
   bool Metrics = false;
 
@@ -200,8 +200,8 @@ struct SchedulerConfig {
   /// MaxStolenNum and steal-backoff bound from its own live metrics
   /// (Cutoff / MaxStolenNum above become *initial* values). Implies
   /// Metrics — the controller's inputs are the metric cells, so arming
-  /// tuning arms them too. Requires a build with ATC_TUNING=ON (and
-  /// ATC_METRICS=ON); when tuning is compiled out this flag is ignored.
+  /// tuning arms them too. Requires a build with ATC_OBSERVE=ON (the
+  /// default); when tuning is compiled out this flag is ignored.
   bool Tuning = false;
 
   /// Externally owned registry to publish into instead of a run-private

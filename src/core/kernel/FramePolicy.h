@@ -128,7 +128,7 @@ public:
 
   void beginRun(Runtime &R) {
     Rt = &R;
-#if ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
     // Metrics arming (WorkerRuntime::run) precedes beginRun, so the
     // cells exist by now: point each deque at its worker's depth gauge
     // (pushes, pops and thief-side steals all store the new size).
@@ -288,11 +288,8 @@ private:
   /// keeps calling Tc directly.
   FsmTransition dispatchChild(const Worker &W, CodeVersion Cur, int Dp,
                               bool NeedTask) const {
-#if ATC_TUNING_ENABLED
-    if (ATC_UNLIKELY(W.Tune != nullptr))
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Tune != nullptr))
       return TcPol(W.Tune->cutoff()).child(Cur, Dp, NeedTask);
-#endif
-    (void)W;
     return Tc.child(Cur, Dp, NeedTask);
   }
 
@@ -568,15 +565,13 @@ FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
   // hottest recursion in the scheduler even with tracing and metrics
   // disarmed. setMode de-dupes, so nested taskBody spans restore to Check.
   MetricsModeScope MetricsSpan(W.Metrics, TraceMode::Check);
-#if ATC_TRACE_ENABLED
   // One spawn-fake per subtree: per-node volume would drown the ring in
   // events carrying no extra information (SchedulerStats::FakeTasks has
   // the exact count).
-  if (ATC_UNLIKELY(W.Trace != nullptr) &&
+  if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Trace != nullptr) &&
       W.Trace->mode() != TraceMode::Check)
     W.Trace->emit(TraceEventKind::SpawnFake, 0,
                   static_cast<std::uint16_t>(Depth));
-#endif
   TraceModeScope TraceSpan(W.Trace, TraceMode::Check);
   CheckCounts C;
   Result Acc = checkBodyImpl(W, S, Depth, C);

@@ -8,11 +8,12 @@
 /// The decisions a thief makes on every steal round, as pure functions
 /// of the worker's state and its PRNG: which victim to try
 /// (VictimPolicy), how many extra frames a steal-half raid claims
-/// (StealPolicy::Half), and how many failures it retries at yield speed
-/// before it backs off into sleeps (idleSpinBudget). The runtime kernel
-/// (WorkerRuntime, FramePolicy) and the virtual-time simulator
-/// (sim/SimEngine.cpp) both call the first two, so one implementation of
-/// each strategy serves both and a simulated run draws exactly the victim
+/// (StealPolicy::Half), whether a failed attempt raises the victim's
+/// need_task (needTaskSignal), and how many failures it retries at yield
+/// speed before it backs off into sleeps (idleSpinBudget). The runtime
+/// kernel (WorkerRuntime, FramePolicy) and the virtual-time simulator
+/// (sim/SimEngine.cpp) both call the first three, so one implementation
+/// of each rule serves both and a simulated run draws exactly the victim
 /// sequence a real worker with the same seed and failure history would.
 /// The yield budget is the kernel's alone: the simulator models retries
 /// in virtual time.
@@ -91,6 +92,24 @@ inline VictimChoice chooseVictim(VictimPolicy Policy, int GroupSize,
 /// first, whatever the bound).
 inline int stealHalfWidth(int Remaining, int MaxStolen) {
   return std::min(Remaining / 2, std::max(MaxStolen, 1) - 1);
+}
+
+/// Where a failed steal leaves the victim against its need_task threshold.
+enum class NeedTaskSignal {
+  Below,    ///< stolen_num is within the threshold: nothing to raise.
+  Crossing, ///< this failure crossed it: raise need_task, record the raise.
+  Past,     ///< already crossed: need_task stays raised, nothing to record.
+};
+
+/// The paper's failed-steal rule for a victim whose stolen_num, counting
+/// this failure, is \p StolenNum: need_task is raised once stolen_num
+/// exceeds the victim's \p MaxStolen, and the raise is recorded only on
+/// the crossing, not on every attempt past it.
+inline NeedTaskSignal needTaskSignal(int StolenNum, int MaxStolen) {
+  if (StolenNum <= MaxStolen)
+    return NeedTaskSignal::Below;
+  return StolenNum - 1 == MaxStolen ? NeedTaskSignal::Crossing
+                                    : NeedTaskSignal::Past;
 }
 
 /// Failed attempts a thief of a \p NumWorkers run spends yielding before

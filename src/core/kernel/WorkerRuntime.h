@@ -112,7 +112,8 @@ public:
     for (int I = 0; I < Cfg.NumWorkers; ++I)
       Workers.push_back(Pol.makeWorker(I));
     Log.reset();
-#if ATC_TRACE_ENABLED
+    Reg.reset();
+#if ATC_OBSERVE_ENABLED
     if (Cfg.Trace) {
       Log = std::make_shared<TraceLog>(
           Cfg.NumWorkers, static_cast<std::size_t>(Cfg.TraceCap));
@@ -121,16 +122,9 @@ public:
       for (int I = 0; I < Cfg.NumWorkers; ++I)
         Workers[static_cast<std::size_t>(I)]->Trace = &Log->buffer(I);
     }
-#endif
-    Reg.reset();
-#if ATC_METRICS_ENABLED
     // Tuning implies metrics: the controllers' only inputs are the
     // cells, so an armed Cfg.Tuning arms the registry too.
-    bool WantTuning = false;
-#if ATC_TUNING_ENABLED
-    WantTuning = Cfg.Tuning;
-#endif
-    if (Cfg.Metrics || Cfg.MetricsSink != nullptr || WantTuning) {
+    if (Cfg.Metrics || Cfg.MetricsSink != nullptr || Cfg.Tuning) {
       if (Cfg.MetricsSink != nullptr) {
         // Non-owning alias: the owner (a CLI session or a job server)
         // keeps the sink alive and may be reading it concurrently from
@@ -153,9 +147,8 @@ public:
         Cell.begin(ArmNs);
         Workers[static_cast<std::size_t>(I)]->Metrics = &Cell;
       }
-#if ATC_TUNING_ENABLED
       Tuners.clear();
-      if (WantTuning) {
+      if (Cfg.Tuning) {
         // One controller per worker, knobs seeded from the run config;
         // publish immediately so the atc_tune_* gauges show the armed
         // initial values before the first rule window closes.
@@ -167,7 +160,6 @@ public:
           Tuners.push_back(std::move(T));
         }
       }
-#endif
     }
 #endif
     Pol.beginRun(*this);
@@ -214,12 +206,12 @@ public:
   const SchedulerStats &stats() const { return Total; }
 
   /// The last run's event trace, or null when untraced (Cfg.Trace off or
-  /// the ATC_TRACE=OFF build). Shared so RunResult can outlive this
+  /// the ATC_OBSERVE=OFF build). Shared so RunResult can outlive this
   /// runtime.
   std::shared_ptr<TraceLog> traceLog() const { return Log; }
 
   /// The last run's metrics registry, or null when unmetered (Cfg.Metrics
-  /// off or the ATC_METRICS=OFF build). Non-owning alias when the run
+  /// off or the ATC_OBSERVE=OFF build). Non-owning alias when the run
   /// published into an external Cfg.MetricsSink.
   std::shared_ptr<MetricsRegistry> metricsRegistry() const { return Reg; }
 
@@ -317,8 +309,8 @@ private:
       if (O == AcquireOutcome::Terminated)
         break;
       countFailure(FailStreak);
-#if ATC_TUNING_ENABLED
-      if (ATC_UNLIKELY(W.Tune != nullptr) && (FailStreak & 15) == 0) {
+      if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Tune != nullptr) &&
+          (FailStreak & 15) == 0) {
         // Starving thief: flush the failure counters so the controller
         // sees them, then evaluate — the max_stolen/backoff rules must
         // fire even when no steal ever succeeds. Off the hot path (the
@@ -326,7 +318,6 @@ private:
         ATC_METRIC(W.Metrics, publishStats(W.Stats));
         W.Tune->maybeTune(nowNanos(), *W.Metrics);
       }
-#endif
       idleBackoff(W, FailStreak);
     }
     W.Stats.StealWaitNs += nowNanos() - IdleBegin;
@@ -415,9 +406,10 @@ private:
     // The failed-steal threshold protects the *victim* (how hard thieves
     // may press before interrupting it), so a tuned victim's live knob
     // takes over from the run constant.
-    const int Threshold = liveMaxStolen(Victim.Tune, Cfg.MaxStolenNum);
-    int SN = Victim.StolenNum.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (SN > Threshold) {
+    const NeedTaskSignal Signal = needTaskSignal(
+        Victim.StolenNum.fetch_add(1, std::memory_order_relaxed) + 1,
+        liveMaxStolen(Victim.Tune, Cfg.MaxStolenNum));
+    if (Signal != NeedTaskSignal::Below) {
       // Store only while the flag is still clear: the victim polls this
       // line on every fake-task child, and thieves keep failing against
       // it at yield speed until it responds.
@@ -425,9 +417,9 @@ private:
         Victim.NeedTask.store(true, std::memory_order_relaxed);
         ATC_METRIC(Victim.Metrics, setNeedTask(true));
       }
-      // Record only the crossing, not every attempt past it — this is
-      // the thief's record, on the thief's own ring (single-writer).
-      if (SN == Threshold + 1)
+      // The crossing is the thief's record, on the thief's own ring
+      // (single-writer).
+      if (Signal == NeedTaskSignal::Crossing)
         ATC_TRACE_EVENT(W.Trace, TraceEventKind::NeedTaskRaise,
                         static_cast<std::uint32_t>(V));
     }
@@ -437,11 +429,9 @@ private:
   Policy &Pol;
   SchedulerConfig Cfg;
   std::vector<std::unique_ptr<Worker>> Workers;
-#if ATC_TUNING_ENABLED
   /// Per-worker tuning controllers when Cfg.Tuning armed the run
   /// (rebuilt per run, like Workers; workers hold raw pointers).
   std::vector<std::unique_ptr<TuningController>> Tuners;
-#endif
   std::shared_ptr<TraceLog> Log;
   std::shared_ptr<MetricsRegistry> Reg;
   std::atomic<bool> Done{false};

@@ -31,13 +31,14 @@
 ///                         plentiful; retry fast), widened when they
 ///                         mostly fail (stop hammering contended lines).
 ///
-/// Gating mirrors trace/metrics exactly (the double-gating idiom):
-/// building with -DATC_TUNING=OFF defines ATC_TUNING_ENABLED=0 and
-/// compiles every read/tune site away; with tuning compiled in, the
-/// runtime gate is SchedulerConfig::Tuning — off costs one predictable
-/// untaken branch on a worker-local pointer per site. Tuning implies
-/// metrics: the controller's only inputs are the cell's counters and
-/// histograms, so arming tuning arms the metrics cells too.
+/// Gating is shared with trace/metrics (the double-gating idiom):
+/// building with -DATC_OBSERVE=OFF (support/Compiler.h) compiles every
+/// read/tune site away, together with trace and metrics sites; with
+/// tuning compiled in, the runtime gate is SchedulerConfig::Tuning — off
+/// costs one predictable untaken branch on a worker-local pointer per
+/// site. Tuning implies metrics: the controller's only inputs are the
+/// cell's counters and histograms, so arming tuning arms the metrics
+/// cells too.
 ///
 /// Concurrency model: knobs are relaxed atomics. cutoff() and
 /// backoffShift() are read only by the owning worker; maxStolenNum() is
@@ -57,12 +58,6 @@
 
 #include <atomic>
 #include <cstdint>
-
-// Compile-time tuning gate. The build defines ATC_TUNING_ENABLED=0|1 via
-// the ATC_TUNING CMake option; standalone consumers default to enabled.
-#ifndef ATC_TUNING_ENABLED
-#define ATC_TUNING_ENABLED 1
-#endif
 
 namespace atc {
 
@@ -232,50 +227,36 @@ private:
 // Gated accessors — how runtime code reads live knobs
 //===----------------------------------------------------------------------===//
 //
-// With ATC_TUNING_ENABLED=0 these fold to the configured default (the
-// compile-time gate; the pointer argument is dead and the hot path is
-// untouched). Otherwise they cost one predictable null test (the runtime
-// gate: the pointer is null unless SchedulerConfig::Tuning armed the
-// run) — the same shape as ATC_METRIC.
-
-#if ATC_TUNING_ENABLED
+// Each costs one predictable null test (the runtime gate: the pointer
+// is null unless SchedulerConfig::Tuning armed the run) — the same shape
+// as ATC_METRIC. With ATC_OBSERVE_ENABLED=0 the test folds to false, so
+// the accessors fold to the configured default and the hot path is
+// untouched (the compile-time gate).
 
 /// The worker's live cut-off depth, or \p Def when untuned.
 inline int liveCutoff(const TuningController *T, int Def) {
-  return ATC_UNLIKELY(T != nullptr) ? T->cutoff() : Def;
+  return ATC_OBSERVE_ENABLED && ATC_UNLIKELY(T != nullptr) ? T->cutoff()
+                                                           : Def;
 }
 /// The *victim's* live failed-steal threshold, or \p Def when untuned.
 inline int liveMaxStolen(const TuningController *T, int Def) {
-  return ATC_UNLIKELY(T != nullptr) ? T->maxStolenNum() : Def;
+  return ATC_OBSERVE_ENABLED && ATC_UNLIKELY(T != nullptr) ? T->maxStolenNum()
+                                                           : Def;
 }
 /// The thief's live backoff cap exponent, or the paper anchor.
 inline int liveBackoffShift(const TuningController *T) {
-  return ATC_UNLIKELY(T != nullptr) ? T->backoffShift()
-                                    : DefaultBackoffShift;
+  return ATC_OBSERVE_ENABLED && ATC_UNLIKELY(T != nullptr)
+             ? T->backoffShift()
+             : DefaultBackoffShift;
 }
 
 /// Invokes a member expression on the controller when armed:
 ///   ATC_TUNE(W.Tune, maybeTune(nowNanos(), *W.Metrics));
 #define ATC_TUNE(TC, ...)                                                    \
   do {                                                                       \
-    if (ATC_UNLIKELY((TC) != nullptr))                                       \
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((TC) != nullptr))                \
       (TC)->__VA_ARGS__;                                                     \
   } while (false)
-
-#else
-
-inline int liveCutoff(const TuningController *, int Def) { return Def; }
-inline int liveMaxStolen(const TuningController *, int Def) { return Def; }
-inline int liveBackoffShift(const TuningController *) {
-  return DefaultBackoffShift;
-}
-
-#define ATC_TUNE(TC, ...)                                                    \
-  do {                                                                       \
-    (void)(TC);                                                              \
-  } while (false)
-
-#endif // ATC_TUNING_ENABLED
 
 } // namespace atc
 

@@ -361,10 +361,8 @@ public:
 private:
   /// Publishes size() to the attached gauge (see attachDepthGauge).
   void publishDepth() {
-#if ATC_METRICS_ENABLED
-    if (ATC_UNLIKELY(DepthGauge != nullptr))
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(DepthGauge != nullptr))
       DepthGauge->store(size(), std::memory_order_relaxed);
-#endif
   }
 
   /// Slot contents are atomic because a thief may read a slot while the

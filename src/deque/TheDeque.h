@@ -44,12 +44,6 @@
 #include <memory>
 #include <mutex>
 
-// Compile-time metrics gate (see metrics/Metrics.h — the fallback is
-// duplicated here so the deque library stays independent of it).
-#ifndef ATC_METRICS_ENABLED
-#define ATC_METRICS_ENABLED 1
-#endif
-
 namespace atc {
 
 /// Result of an owner-side pop.
@@ -285,7 +279,7 @@ public:
   /// operation stores the new occupancy into \p Gauge with a relaxed
   /// atomic store — owner pushes/pops and thief steals alike. Null (the
   /// default) costs one predictable untaken branch per operation; with
-  /// ATC_METRICS=OFF builds the stores are compiled out entirely.
+  /// ATC_OBSERVE=OFF builds the stores are compiled out entirely.
   void attachDepthGauge(std::atomic<std::int64_t> *Gauge) {
     DepthGauge = Gauge;
   }
@@ -293,10 +287,8 @@ public:
 private:
   /// Publishes size() to the attached gauge (see attachDepthGauge).
   void publishDepth() {
-#if ATC_METRICS_ENABLED
-    if (ATC_UNLIKELY(DepthGauge != nullptr))
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(DepthGauge != nullptr))
       DepthGauge->store(size(), std::memory_order_relaxed);
-#endif
   }
 
   /// Frame is plain: thieves read it only after the claim/re-check

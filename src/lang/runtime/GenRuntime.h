@@ -28,8 +28,8 @@
 /// the whole process (one worker track; spawn, special-task, FSM and
 /// need_task events) and writes a Chrome/Perfetto trace.json to <path>
 /// when the Worker is destroyed. ATCGEN_TRACE_CAP overrides the ring
-/// capacity (events; default 1M). Compiled out with ATC_TRACE=OFF builds
-/// (-DATC_TRACE_ENABLED=0).
+/// capacity (events; default 1M). Compiled out with ATC_OBSERVE=OFF builds
+/// (-DATC_OBSERVE_ENABLED=0).
 ///
 /// Deque knob: ATCGEN_DEQUE=the|atomic|chaselev mirrors every protocol
 /// operation (push, pop, pushSpecial, popSpecial) into a real scheduler
@@ -53,7 +53,7 @@
 /// atc_lang/atc_support, so the writer here is self-contained rather
 /// than routed through the atc_metrics library; MetricsTest round-trips
 /// the output through the shared parser to pin the format. Compiled out
-/// with ATC_METRICS=OFF builds (-DATC_METRICS_ENABLED=0).
+/// with ATC_OBSERVE=OFF builds (-DATC_OBSERVE_ENABLED=0).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,6 +70,8 @@
 // nothing, can instantiate them — see the ATCGEN_DEQUE knob).
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
+// ATC_OBSERVE_ENABLED, defaulting to 1 without the CMake definition.
+#include "support/Compiler.h"
 
 #include <cassert>
 #include <cctype>
@@ -83,12 +85,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-// Compile-time metrics gate (shared with src/metrics; the fallback is
-// duplicated so generated code keeps compiling with only -I <repo>/src).
-#ifndef ATC_METRICS_ENABLED
-#define ATC_METRICS_ENABLED 1
-#endif
 
 namespace atcgen {
 
@@ -184,7 +180,7 @@ inline int parseDequeCap(const char *Str) {
 /// Single-worker executor implementing the generated-code ABI.
 struct Worker {
   explicit Worker(int CutoffDepth = 0) : Fsm(CutoffDepth) {
-#if ATC_TRACE_ENABLED
+#if ATC_OBSERVE_ENABLED
     if (const char *Path = std::getenv("ATCGEN_TRACE")) {
       std::size_t Cap = 1u << 20;
       if (const char *CapStr = std::getenv("ATCGEN_TRACE_CAP"))
@@ -196,8 +192,6 @@ struct Worker {
       TracePath = Path;
       TB = &Trace->buffer(0);
     }
-#endif
-#if ATC_METRICS_ENABLED
     if (const char *Path = std::getenv("ATCGEN_METRICS"))
       MetricsPath = Path;
 #endif
@@ -245,13 +239,11 @@ struct Worker {
       ATC_TRACE_EVENT(TB, atc::TraceEventKind::FsmTransition,
                       static_cast<std::uint32_t>(Cur),
                       static_cast<std::uint16_t>(T.Child));
-#if ATC_TRACE_ENABLED
     // Approximate span attribution for the one-worker executor: the
     // mode follows each dispatch edge (there is no scope-exit hook in
     // the generated code to restore the parent's mode on return).
-    if (TB)
+    if (ATC_OBSERVE_ENABLED && TB)
       TB->setMode(atc::traceModeFor(T.Child));
-#endif
     return T.Child;
   }
 
@@ -457,16 +449,13 @@ struct Worker {
                    static_cast<unsigned long long>(Stats.Pops),
                    static_cast<unsigned long long>(Stats.SpecialPops),
                    static_cast<unsigned long long>(Mirror->growCount()));
-#if ATC_TRACE_ENABLED
+    // Both stay unset when observability is compiled out.
     if (Trace && !atc::writeChromeTraceFile(*Trace, TracePath))
       std::fprintf(stderr, "atcgen: cannot write trace to %s\n",
                    TracePath.c_str());
-#endif
-#if ATC_METRICS_ENABLED
     if (!MetricsPath.empty() && !writeMetricsFile(MetricsPath))
       std::fprintf(stderr, "atcgen: cannot write metrics to %s\n",
                    MetricsPath.c_str());
-#endif
     for (WsBucket &B : WsBuckets)
       for (void *P : B.Free)
         ::operator delete(P);

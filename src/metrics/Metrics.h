@@ -21,10 +21,10 @@
 /// successful thieves) — both plain atomic stores.
 ///
 /// Gates, mirroring trace/TraceEvent.h exactly: building with
-/// -DATC_METRICS=OFF defines ATC_METRICS_ENABLED=0 and compiles every
-/// emission site away; with metrics compiled in, the runtime gate is
-/// SchedulerConfig::Metrics — off costs one predictable untaken branch on
-/// a worker-local pointer per site.
+/// -DATC_OBSERVE=OFF (support/Compiler.h) compiles every emission site
+/// away, together with tracing and tuning; with metrics compiled in, the
+/// runtime gate is SchedulerConfig::Metrics — off costs one predictable
+/// untaken branch on a worker-local pointer per site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,13 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-
-// Compile-time metrics gate. The build defines ATC_METRICS_ENABLED=0|1
-// via the ATC_METRICS CMake option; standalone consumers (atcc-generated
-// code compiled with only -I <repo>/src) default to enabled.
-#ifndef ATC_METRICS_ENABLED
-#define ATC_METRICS_ENABLED 1
-#endif
 
 namespace atc {
 
@@ -298,60 +291,27 @@ private:
 // Emission macros — the only way runtime code should publish
 //===----------------------------------------------------------------------===//
 //
-// With ATC_METRICS_ENABLED=0 these expand to nothing (the compile-time
-// gate); otherwise they cost one predictable null test on the worker's
-// cell pointer (the runtime gate: the pointer is null unless
-// SchedulerConfig::Metrics armed the run).
+// Each costs one predictable null test on the worker's cell pointer (the
+// runtime gate: the pointer is null unless SchedulerConfig::Metrics armed
+// the run). With ATC_OBSERVE_ENABLED=0 the test folds to false and the
+// site compiles away (the compile-time gate).
 
-#if ATC_METRICS_ENABLED
 /// Invokes a member expression on the cell when armed:
 ///   ATC_METRIC(MC, StealLatencyNs.record(Ns));
 #define ATC_METRIC(MC, ...)                                                  \
   do {                                                                       \
-    if (ATC_UNLIKELY((MC) != nullptr))                                       \
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((MC) != nullptr))                \
       (MC)->__VA_ARGS__;                                                     \
   } while (false)
 /// Reads the monotonic clock only when the cell is armed (0 otherwise);
 /// pairs with a later ATC_METRIC(..., Hist.record(...)) at the same site.
 #define ATC_METRIC_NOW(MC)                                                   \
-  (ATC_UNLIKELY((MC) != nullptr) ? ::atc::nowNanos() : std::uint64_t{0})
-#else
-#define ATC_METRIC(MC, ...)                                                  \
-  do {                                                                       \
-    (void)(MC);                                                              \
-  } while (false)
-#define ATC_METRIC_NOW(MC) ((void)(MC), std::uint64_t{0})
-#endif
+  (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((MC) != nullptr) ? ::atc::nowNanos()  \
+                                                        : std::uint64_t{0})
 
-/// RAII mode span for residency accounting: switches \p MC to \p M for
-/// the scope, restoring the previous mode on every exit path. The exact
-/// analogue of TraceModeScope; compiles to nothing when metrics are
-/// compiled out.
-class MetricsModeScope {
-public:
-#if ATC_METRICS_ENABLED
-  MetricsModeScope(WorkerMetricsCell *MC, TraceMode M) : MC(MC) {
-    if (ATC_UNLIKELY(MC != nullptr)) {
-      Prev = MC->mode();
-      MC->setMode(M);
-    }
-  }
-  ~MetricsModeScope() {
-    if (ATC_UNLIKELY(MC != nullptr))
-      MC->setMode(Prev);
-  }
-  MetricsModeScope(const MetricsModeScope &) = delete;
-  MetricsModeScope &operator=(const MetricsModeScope &) = delete;
-
-private:
-  WorkerMetricsCell *MC;
-  TraceMode Prev = TraceMode::Idle;
-#else
-  MetricsModeScope(WorkerMetricsCell *, TraceMode) {}
-  MetricsModeScope(const MetricsModeScope &) = delete;
-  MetricsModeScope &operator=(const MetricsModeScope &) = delete;
-#endif
-};
+/// Mode span for residency accounting on a worker's cell (see
+/// ModeScope in trace/TraceEvent.h).
+using MetricsModeScope = ModeScope<WorkerMetricsCell>;
 
 } // namespace atc
 

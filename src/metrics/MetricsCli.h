@@ -36,12 +36,26 @@
 #include "metrics/Exposition.h"
 #include "metrics/MetricsRegistry.h"
 #include "metrics/Sampler.h"
+#include "support/Compiler.h"
 #include "support/Options.h"
 
 #include <cstdio>
 #include <string>
 
 namespace atc {
+
+/// True when \p Requested observability flags (trace, metrics, tuning)
+/// reach a build with ATC_OBSERVE=OFF, after saying so on stderr: such a
+/// build records no trace, publishes empty snapshots and never tunes.
+inline bool observeCompiledOut(const char *Tool, bool Requested) {
+  if (ATC_OBSERVE_ENABLED || !Requested)
+    return false;
+  std::fprintf(stderr,
+               "%s: built with ATC_OBSERVE=OFF; trace, metrics and tuning "
+               "flags have no effect\n",
+               Tool);
+  return true;
+}
 
 /// Storage for the shared metrics/stats flags.
 struct MetricsCliOptions {
@@ -92,10 +106,6 @@ public:
            const std::string &Workload) {
     if (!Opt.wantsMetrics())
       return;
-#if !ATC_METRICS_ENABLED
-    std::fprintf(stderr, "warning: built with ATC_METRICS=OFF; metrics "
-                         "flags will produce empty snapshots\n");
-#endif
     Reg.reset(Cfg.NumWorkers);
     // Meta belongs to the registry's owner: the runtime never touches an
     // external sink's Meta (a sampler may be reading it concurrently).

@@ -49,7 +49,7 @@ struct JobSpec {
   /// Arm the online tuning layer (SchedulerConfig::Tuning) for the run:
   /// Cutoff / the runtime's MaxStolenNum become initial values the
   /// per-worker controllers adapt from. Wire form: "tuning": "on"|"off"
-  /// (JSON true/false also accepted). No-op in ATC_TUNING=OFF builds.
+  /// (JSON true/false also accepted). No-op in ATC_OBSERVE=OFF builds.
   bool Tuning = false;
 
   /// Queue-residency budget in milliseconds: a job still queued this long

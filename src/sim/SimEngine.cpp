@@ -112,25 +112,19 @@ public:
       : Tree(Tree), Opts(Opts), C(Costs), CutoffDepth(Opts.effectiveCutoff()) {
     for (int I = 0; I < Opts.NumWorkers; ++I)
       Workers.emplace_back(Opts.Seed + static_cast<std::uint64_t>(I));
-#if ATC_TRACE_ENABLED
+#if ATC_OBSERVE_ENABLED
     if (Log && Log->numWorkers() >= Opts.NumWorkers) {
       Log->Meta.Scheduler = schedulerKindName(Opts.Kind);
       Log->Meta.Source = "sim";
       for (int I = 0; I < Opts.NumWorkers; ++I)
         Workers[static_cast<std::size_t>(I)].TB = &Log->buffer(I);
     }
-#else
-    (void)Log;
-#endif
-#if ATC_METRICS_ENABLED
-#if ATC_TUNING_ENABLED
     // The controllers' only inputs are the metrics cells, so a tuned sim
     // with no caller-provided registry arms a private one.
     if (Opts.Tuning && !Metrics) {
       OwnReg = std::make_unique<MetricsRegistry>();
       Metrics = OwnReg.get();
     }
-#endif
     if (Metrics) {
       Metrics->reset(Opts.NumWorkers);
       Metrics->Meta.Scheduler = schedulerKindName(Opts.Kind);
@@ -140,7 +134,6 @@ public:
         Cell.begin(0); // virtual clocks start at t = 0
         Workers[static_cast<std::size_t>(I)].MC = &Cell;
       }
-#if ATC_TUNING_ENABLED
       if (Opts.Tuning) {
         for (int I = 0; I < Opts.NumWorkers; ++I) {
           auto T = std::make_unique<TuningController>();
@@ -150,9 +143,9 @@ public:
           Tuners.push_back(std::move(T));
         }
       }
-#endif
     }
 #else
+    (void)Log;
     (void)Metrics;
 #endif
   }
@@ -223,8 +216,8 @@ private:
   /// step so virtual-time spans track the frame structure the way
   /// TraceModeScope tracks the real call structure.
   void syncTraceMode(SimWorker &W) {
-#if ATC_TRACE_ENABLED || ATC_METRICS_ENABLED
-    if (ATC_UNLIKELY(W.TB != nullptr || W.MC != nullptr)) {
+    if (ATC_OBSERVE_ENABLED &&
+        ATC_UNLIKELY(W.TB != nullptr || W.MC != nullptr)) {
       TraceMode M;
       if (W.Stack.empty()) {
         M = TraceMode::Idle;
@@ -237,15 +230,9 @@ private:
         else
           M = traceModeFor(F.Mode);
       }
-#if ATC_TRACE_ENABLED
-      if (W.TB)
-        W.TB->setModeAt(static_cast<std::uint64_t>(W.Now), M);
-#endif
+      ATC_TRACE_MODE_AT(W.TB, static_cast<std::uint64_t>(W.Now), M);
       ATC_METRIC(W.MC, setModeAt(static_cast<std::uint64_t>(W.Now), M));
     }
-#else
-    (void)W;
-#endif
   }
 
   const SimTree &Tree;
@@ -254,12 +241,10 @@ private:
   const int CutoffDepth;
 
   std::vector<SimWorker> Workers;
-#if ATC_TUNING_ENABLED
   /// Per-worker controllers when Opts.Tuning armed the run; OwnReg backs
   /// them with cells when the caller passed no registry.
   std::vector<std::unique_ptr<TuningController>> Tuners;
   std::unique_ptr<MetricsRegistry> OwnReg;
-#endif
   std::deque<Job> JobArena;
   std::vector<SimTreeNode> KidsScratch;
 
@@ -370,8 +355,7 @@ SimReport Simulator::run() {
     // SchedulerStats).
     syncTraceMode(W);
     ATC_METRIC(W.MC, publishStats(W.Stats));
-#if ATC_TUNING_ENABLED
-    if (W.Tune) {
+    if (ATC_OBSERVE_ENABLED && W.Tune) {
       W.Tune->publishTo(*W.MC); // final knob gauges match the report
       R.TuneAdjustments += W.Tune->adjustments();
       R.TuneWindows += W.Tune->windowsEvaluated();
@@ -381,7 +365,6 @@ SimReport Simulator::run() {
         R.FinalBackoffShift = W.Tune->backoffShift();
       }
     }
-#endif
   }
   R.NodesProcessed = Processed;
   return R;
@@ -624,21 +607,21 @@ void Simulator::dequeStealAttempt(int Wi) {
     W.Now += Ns;
     W.B.IdleNs += Ns;
     emit(W, TraceEventKind::StealFail, static_cast<std::uint32_t>(Vi));
-#if ATC_TUNING_ENABLED
-    if (W.Tune && (W.FailStreak & 15) == 0) {
+    if (ATC_OBSERVE_ENABLED && W.Tune && (W.FailStreak & 15) == 0) {
       // Starving-thief tune point, mirroring the kernel steal loop's.
       ATC_METRIC(W.MC, publishStats(W.Stats));
       W.Tune->maybeTune(static_cast<std::uint64_t>(W.Now), *W.MC);
     }
-#endif
     // The failed-steal threshold guards the *victim*, so a tuned
     // victim's live knob replaces the run constant (as in acquireOnce).
-    const int Threshold = liveMaxStolen(V.Tune, Opts.MaxStolenNum);
-    if (Opts.Kind == SchedulerKind::AdaptiveTC &&
-        ++V.StolenNum > Threshold) {
+    if (Opts.Kind != SchedulerKind::AdaptiveTC)
+      return;
+    const NeedTaskSignal Signal = needTaskSignal(
+        ++V.StolenNum, liveMaxStolen(V.Tune, Opts.MaxStolenNum));
+    if (Signal != NeedTaskSignal::Below) {
       V.NeedTask = true;
       ATC_METRIC(V.MC, setNeedTask(true));
-      if (V.StolenNum == Threshold + 1)
+      if (Signal == NeedTaskSignal::Crossing)
         emit(W, TraceEventKind::NeedTaskRaise,
              static_cast<std::uint32_t>(Vi));
     }

@@ -90,9 +90,9 @@ struct SimOptions {
   /// TuningController as the real runtime (core/tuning), driven on its
   /// *virtual* clock — Cutoff / MaxStolenNum above become initial values
   /// and the controller's rules are exercised deterministically. Needs a
-  /// build with ATC_TUNING=ON and ATC_METRICS=ON (the controllers read
-  /// the metrics cells; the simulator arms a private registry when the
-  /// caller passed none); compiled-out builds ignore the flag.
+  /// build with ATC_OBSERVE=ON (the controllers read the metrics cells;
+  /// the simulator arms a private registry when the caller passed none);
+  /// compiled-out builds ignore the flag.
   bool Tuning = false;
 
   /// Rule constants and knob bounds for the armed controllers; the

@@ -9,14 +9,16 @@
 #include "support/Error.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace atc;
 
 void OptionSet::addInt(const std::string &Name, long long *Storage,
-                       const std::string &Help) {
-  Options.push_back({Name, OptionKind::Int, Storage, Help});
+                       const std::string &Help, long long Min,
+                       long long Max) {
+  Options.push_back({Name, OptionKind::Int, Storage, Help, Min, Max});
 }
 
 void OptionSet::addDouble(const std::string &Name, double *Storage,
@@ -45,10 +47,17 @@ void OptionSet::setValue(const Option &Opt, const std::string &Value) {
   switch (Opt.Kind) {
   case OptionKind::Int: {
     char *End = nullptr;
+    errno = 0;
     long long V = std::strtoll(Value.c_str(), &End, 10);
     if (End == Value.c_str() || *End != '\0')
       reportFatalError("option --" + Opt.Name + " expects an integer, got '" +
                        Value + "'");
+    if (errno == ERANGE || V < Opt.Min || V > Opt.Max) {
+      std::fprintf(stderr, "option --%s expects an integer in [%lld, %lld], "
+                           "got '%s'\n",
+                   Opt.Name.c_str(), Opt.Min, Opt.Max, Value.c_str());
+      std::exit(2);
+    }
     *static_cast<long long *>(Opt.Storage) = V;
     return;
   }

@@ -15,10 +15,16 @@
 #ifndef ATC_SUPPORT_OPTIONS_H
 #define ATC_SUPPORT_OPTIONS_H
 
+#include <climits>
 #include <string>
 #include <vector>
 
 namespace atc {
+
+/// Upper bound for worker/thread-count flags: above any core count the
+/// runtime targets, and far below where per-worker deques and trace
+/// rings would exhaust memory.
+inline constexpr long long MaxThreadsFlag = 1024;
 
 /// Declarative option set. Register options, then call parse().
 class OptionSet {
@@ -26,9 +32,12 @@ public:
   explicit OptionSet(std::string ProgramDescription = "")
       : Description(std::move(ProgramDescription)) {}
 
-  /// Registers an integer-valued option "--name=N".
+  /// Registers an integer-valued option "--name=N". A value outside the
+  /// inclusive range [\p Min, \p Max] (or outside long long) prints the
+  /// flag and its bounds and exits with status 2.
   void addInt(const std::string &Name, long long *Storage,
-              const std::string &Help);
+              const std::string &Help, long long Min = LLONG_MIN,
+              long long Max = LLONG_MAX);
 
   /// Registers a double-valued option "--name=X".
   void addDouble(const std::string &Name, double *Storage,
@@ -60,6 +69,7 @@ private:
     OptionKind Kind;
     void *Storage;
     std::string Help;
+    long long Min = LLONG_MIN, Max = LLONG_MAX; ///< Int only.
   };
 
   const Option *find(const std::string &Name) const;

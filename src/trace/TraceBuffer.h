@@ -124,67 +124,29 @@ private:
 // Emission macros — the only way runtime code should emit
 //===----------------------------------------------------------------------===//
 //
-// With ATC_TRACE_ENABLED=0 these expand to nothing (the compile-time
-// gate); otherwise they cost one predictable null test on the worker's
-// buffer pointer (the runtime gate: the pointer is null unless
-// SchedulerConfig::Trace armed the run).
+// Each costs one predictable null test on the worker's buffer pointer
+// (the runtime gate: the pointer is null unless SchedulerConfig::Trace
+// armed the run). With ATC_OBSERVE_ENABLED=0 the test folds to false and
+// the site compiles away (the compile-time gate).
 
-#if ATC_TRACE_ENABLED
 #define ATC_TRACE_EVENT(TB, ...)                                             \
   do {                                                                       \
-    if (ATC_UNLIKELY((TB) != nullptr))                                       \
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((TB) != nullptr))                \
       (TB)->emit(__VA_ARGS__);                                               \
   } while (false)
 #define ATC_TRACE_EVENT_AT(TB, ...)                                          \
   do {                                                                       \
-    if (ATC_UNLIKELY((TB) != nullptr))                                       \
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((TB) != nullptr))                \
       (TB)->emitAt(__VA_ARGS__);                                             \
   } while (false)
 #define ATC_TRACE_MODE_AT(TB, ...)                                           \
   do {                                                                       \
-    if (ATC_UNLIKELY((TB) != nullptr))                                       \
+    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((TB) != nullptr))                \
       (TB)->setModeAt(__VA_ARGS__);                                          \
   } while (false)
-#else
-#define ATC_TRACE_EVENT(TB, ...)                                             \
-  do {                                                                       \
-  } while (false)
-#define ATC_TRACE_EVENT_AT(TB, ...)                                         \
-  do {                                                                       \
-  } while (false)
-#define ATC_TRACE_MODE_AT(TB, ...)                                          \
-  do {                                                                       \
-  } while (false)
-#endif
 
-/// RAII mode span: switches \p TB to \p M for the scope, restoring the
-/// previous mode on every exit path (taskBody's stolen-unwind returns
-/// included). Compiles to nothing when tracing is compiled out.
-class TraceModeScope {
-public:
-#if ATC_TRACE_ENABLED
-  TraceModeScope(TraceBuffer *TB, TraceMode M) : TB(TB) {
-    if (ATC_UNLIKELY(TB != nullptr)) {
-      Prev = TB->mode();
-      TB->setMode(M);
-    }
-  }
-  ~TraceModeScope() {
-    if (ATC_UNLIKELY(TB != nullptr))
-      TB->setMode(Prev);
-  }
-  TraceModeScope(const TraceModeScope &) = delete;
-  TraceModeScope &operator=(const TraceModeScope &) = delete;
-
-private:
-  TraceBuffer *TB;
-  TraceMode Prev = TraceMode::Idle;
-#else
-  TraceModeScope(TraceBuffer *, TraceMode) {}
-  TraceModeScope(const TraceModeScope &) = delete;
-  TraceModeScope &operator=(const TraceModeScope &) = delete;
-#endif
-};
+/// Mode span on a worker's trace ring (see ModeScope).
+using TraceModeScope = ModeScope<TraceBuffer>;
 
 } // namespace atc
 

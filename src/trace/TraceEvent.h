@@ -13,8 +13,8 @@
 /// (GenRuntime) — emits this same 16-byte record, so one exporter and one
 /// summarizer serve them all.
 ///
-/// The compile-time gate: building with -DATC_TRACE=OFF (CMake option)
-/// defines ATC_TRACE_ENABLED=0 and compiles every emission site away
+/// The compile-time gate: building with -DATC_OBSERVE=OFF (CMake option;
+/// see support/Compiler.h) compiles every emission site away
 /// entirely (the ATC_TRACE_EVENT macros below expand to nothing). With
 /// tracing compiled in, the runtime gate is SchedulerConfig::Trace — when
 /// it is off, each emission site costs exactly one predictable
@@ -26,15 +26,9 @@
 #define ATC_TRACE_TRACEEVENT_H
 
 #include "core/kernel/FiveVersionFsm.h"
+#include "support/Compiler.h"
 
 #include <cstdint>
-
-// Compile-time tracing gate. The build defines ATC_TRACE_ENABLED=0|1 via
-// the ATC_TRACE CMake option; standalone consumers (atcc-generated code
-// compiled with only -I <repo>/src) default to enabled.
-#ifndef ATC_TRACE_ENABLED
-#define ATC_TRACE_ENABLED 1
-#endif
 
 namespace atc {
 
@@ -186,6 +180,41 @@ struct TraceEvent {
 };
 
 static_assert(sizeof(TraceEvent) == 16, "trace events are 16 bytes");
+
+/// RAII mode span: switches \p Sink (a TraceBuffer or a
+/// WorkerMetricsCell) to \p M for the scope, restoring the previous mode
+/// on every exit path (taskBody's stolen-unwind returns included). An
+/// unarmed (null) sink costs one predictable branch.
+#if ATC_OBSERVE_ENABLED
+template <typename SinkT> class ModeScope {
+public:
+  ModeScope(SinkT *Sink, TraceMode M) : Sink(Sink) {
+    if (ATC_UNLIKELY(Sink != nullptr)) {
+      Prev = Sink->mode();
+      Sink->setMode(M);
+    }
+  }
+  ~ModeScope() {
+    if (ATC_UNLIKELY(Sink != nullptr))
+      Sink->setMode(Prev);
+  }
+  ModeScope(const ModeScope &) = delete;
+  ModeScope &operator=(const ModeScope &) = delete;
+
+private:
+  SinkT *Sink;
+  TraceMode Prev = TraceMode::Idle;
+};
+#else
+// Compiled out: an empty object with a trivial destructor, so the hot
+// recursions that hold one carry no cleanup at all.
+template <typename SinkT> class ModeScope {
+public:
+  ModeScope(SinkT *, TraceMode) {}
+  ModeScope(const ModeScope &) = delete;
+  ModeScope &operator=(const ModeScope &) = delete;
+};
+#endif
 
 } // namespace atc
 

@@ -162,7 +162,7 @@ TEST(MetricsCell, PublishStatsMirrorsEveryField) {
 // Snapshot-vs-SchedulerStats coherence (the CI metrics-smoke contract)
 //===----------------------------------------------------------------------===//
 
-#if ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
 
 struct CoherenceCase {
   SchedulerKind Kind;
@@ -259,7 +259,7 @@ TEST(MetricsSim, StealHalfAndAffinityCountersSurfaceInSnapshot) {
             Snap.total(StatField::Steals) + Snap.total(StatField::StealFails));
 }
 
-#endif // ATC_METRICS_ENABLED
+#endif // ATC_OBSERVE_ENABLED
 
 //===----------------------------------------------------------------------===//
 // Prometheus exposition round-trip
@@ -418,8 +418,8 @@ TEST(MetricsGate, CompileTimeGate) {
   Cfg.Metrics = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 92);
-#if !ATC_METRICS_ENABLED
-  // Built with -DATC_METRICS=OFF: asking for metrics must yield none.
+#if !ATC_OBSERVE_ENABLED
+  // Built with -DATC_OBSERVE=OFF: asking for metrics must yield none.
   EXPECT_EQ(R.Metrics, nullptr);
 #else
   ASSERT_NE(R.Metrics, nullptr);

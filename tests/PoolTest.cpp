@@ -191,7 +191,7 @@ TEST(PoolReuse, MixedWidthJobsShareOnePool) {
   EXPECT_EQ(Pool.threadIds(), Ids);
 }
 
-#if ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
 
 // A long-lived registry shared across pool jobs: the runtime re-arms it
 // at the top of every run, so the epoch ticks once per job and the
@@ -222,7 +222,7 @@ TEST(PoolReuse, SharedRegistryTicksEpochAndIsolatesStats) {
   }
 }
 
-#endif // ATC_METRICS_ENABLED
+#endif // ATC_OBSERVE_ENABLED
 
 //===----------------------------------------------------------------------===//
 // SchedulerStats / MetricsRegistry reset and epoch regression

@@ -472,20 +472,46 @@ TEST(Overflow, TinyDequeStillProducesCorrectResults) {
 }
 
 TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
+  // AdaptiveTC pushes fewer tasks, so a deque that Cilk overflows is
+  // enough for it. Figure 2 bounds an AdaptiveTC worker's deque on any
+  // interleaving: fast (and slow) code pushes only at spawn depths below
+  // the cut-off C, a check node answering need_task pushes one special
+  // task, and its fast_2 child pushes only below depth 2C before falling
+  // into sequence, which never pushes or polls again; an owner helping
+  // at a stolen special's sync has an empty deque. So occupancy stays
+  // <= 3C + 1, which the fixed lock-free ring reports as its high-water
+  // mark (the THE array reports absolute indices, which grow with steals).
   NQueensArray Prob;
   SchedulerConfig Cfg;
+  Cfg.Deque = DequeKind::Atomic;
   Cfg.NumWorkers = 4;
-  Cfg.DequeCapacity = 64;
+  const int Bound = 3 * Cfg.effectiveCutoff() + 1;
+  Cfg.DequeCapacity = Bound;
 
-  Cfg.Kind = SchedulerKind::Cilk;
-  auto Cilk = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
+  // One worker is deterministic: Cilk pushes a continuation per spawn
+  // level and 10-queens nests deeper than Bound; AdaptiveTC (cut-off
+  // log2(1) = 0, no thief to raise need_task) pushes nothing.
+  SchedulerConfig One = Cfg;
+  One.NumWorkers = 1;
+  One.Kind = SchedulerKind::Cilk;
+  auto Cilk = runProblem(Prob, NQueensArray::makeRoot(10), One);
+  One.Kind = SchedulerKind::AdaptiveTC;
+  auto Atc1 = runProblem(Prob, NQueensArray::makeRoot(10), One);
+  EXPECT_EQ(Cilk.Value, 724);
+  EXPECT_EQ(Atc1.Value, 724);
+  EXPECT_GT(Cilk.Stats.DequeOverflows, 0u);
+  EXPECT_EQ(Cilk.Stats.DequeHighWater, Bound);
+  EXPECT_EQ(Atc1.Stats.DequeHighWater, 0);
+
+  // Four workers: the same capacity never overflows for AdaptiveTC.
   Cfg.Kind = SchedulerKind::AdaptiveTC;
-  auto Atc = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
-
-  EXPECT_EQ(Cilk.Value, Atc.Value);
-  EXPECT_GT(Cilk.Stats.DequeHighWater, Atc.Stats.DequeHighWater)
-      << "AdaptiveTC pushes fewer tasks, so it is less prone to overflow";
-  EXPECT_EQ(Atc.Stats.DequeOverflows, 0u);
+  for (int Rep = 0; Rep < 10; ++Rep) {
+    Cfg.Seed = 0x0f10 + static_cast<std::uint64_t>(Rep);
+    auto Atc = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
+    EXPECT_EQ(Atc.Value, 724);
+    EXPECT_LE(Atc.Stats.DequeHighWater, Bound) << "rep " << Rep;
+    EXPECT_EQ(Atc.Stats.DequeOverflows, 0u) << "rep " << Rep;
+  }
 }
 
 } // namespace

@@ -583,7 +583,7 @@ TEST(CheckPath, ExactAccountingForEveryRegistryProblem) {
 // node still runs under exactly one code version (a dispatch reads one
 // cut-off value, whichever it is), so real + fake tasks must still
 // partition the tree and every steal attempt must still resolve — across
-// scheduler kinds and deque kinds. In an ATC_TUNING=OFF build the flag
+// scheduler kinds and deque kinds. In an ATC_OBSERVE=OFF build the flag
 // is inert and this leg degenerates to the static matrix, which must
 // also pass.
 TEST(PolicyMatrix, TuningPreservesNodeAccounting) {
@@ -731,6 +731,25 @@ TEST(StealDecisions, StealHalfWidthNeverExceedsMaxStolenMinusOne) {
   EXPECT_EQ(stealHalfWidth(10, 1), 0);
 }
 
+TEST(StealDecisions, NeedTaskRaisedPastTheThresholdRecordedOnlyOnCrossing) {
+  for (int MaxStolen : {0, 1, 20, 500}) {
+    int Crossings = 0;
+    for (int StolenNum = 1; StolenNum <= MaxStolen + 5; ++StolenNum) {
+      const NeedTaskSignal S = needTaskSignal(StolenNum, MaxStolen);
+      EXPECT_EQ(S == NeedTaskSignal::Below, StolenNum <= MaxStolen)
+          << "stolen_num " << StolenNum << ", max_stolen " << MaxStolen;
+      Crossings += S == NeedTaskSignal::Crossing;
+    }
+    EXPECT_EQ(Crossings, 1) << "max_stolen " << MaxStolen;
+  }
+  EXPECT_EQ(needTaskSignal(20, 20), NeedTaskSignal::Below);
+  EXPECT_EQ(needTaskSignal(21, 20), NeedTaskSignal::Crossing);
+  EXPECT_EQ(needTaskSignal(22, 20), NeedTaskSignal::Past);
+  // A threshold of INT_MAX is never crossed, and nothing overflows.
+  EXPECT_EQ(needTaskSignal(INT_MAX, INT_MAX), NeedTaskSignal::Below);
+  EXPECT_EQ(needTaskSignal(INT_MAX, INT_MAX - 1), NeedTaskSignal::Crossing);
+}
+
 TEST(StealDecisions, IdleLadderYieldsThroughTheSpinBudget) {
   for (int Budget : {0, 4, 21, 63})
     for (int MaxShift : {0, 2, 7, 10})
@@ -773,13 +792,8 @@ TEST(StealDecisions, SpinBudgetFollowsTheTunedMaxStolenNum) {
   TuningController T;
   T.arm(/*InitCutoff=*/2, /*InitMaxStolen=*/40);
   const int Live = liveMaxStolen(&T, /*Def=*/20);
-#if ATC_TUNING_ENABLED
-  EXPECT_EQ(Live, 40);
-  EXPECT_EQ(idleSpinBudget(4, Live), 123);
-#else
-  EXPECT_EQ(Live, 20);
-  EXPECT_EQ(idleSpinBudget(4, Live), 63);
-#endif
+  EXPECT_EQ(Live, ATC_OBSERVE_ENABLED ? 40 : 20); // compiled out: default
+  EXPECT_EQ(idleSpinBudget(4, Live), ATC_OBSERVE_ENABLED ? 123 : 63);
   EXPECT_EQ(idleSpinBudget(4, liveMaxStolen(nullptr, 20)), 63);
 }
 

@@ -288,7 +288,7 @@ TEST(JobServer, NarrowJobsNeverShrinkTheSharedRegistry) {
   EXPECT_EQ(Rec.State, JobState::Done) << Rec.Error;
   EXPECT_EQ(Server.registry().numWorkers(), 2)
       << "narrow job must re-arm cells in place, not resize";
-#if ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
   EXPECT_EQ(Server.registry().Meta.Source, "server")
       << "the runtime must not stomp the owner's Meta";
 #endif

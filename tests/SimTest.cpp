@@ -254,7 +254,7 @@ TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
     EXPECT_EQ(R.MakespanNs, G.MakespanNs) << What;
     EXPECT_EQ(R.Steals, G.Steals) << What;
     EXPECT_EQ(R.StealFails, G.StealFails) << What;
-#if ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
     // The per-worker affinity and batch counters live in the cells only.
     MetricsSnapshot Snap =
         Reg.sample(static_cast<std::uint64_t>(R.MakespanNs));

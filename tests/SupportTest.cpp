@@ -141,6 +141,43 @@ TEST(Options, FlagAcceptsExplicitFalse) {
   EXPECT_FALSE(F);
 }
 
+/// Parses "--workers=<Value>" against the range [1, 8].
+static long long parseWorkers(const std::string &Value) {
+  long long N = 4;
+  OptionSet Opts;
+  Opts.addInt("workers", &N, "worker count", 1, 8);
+  const std::string Arg = "--workers=" + Value;
+  const char *Argv[] = {"prog", Arg.c_str()};
+  Opts.parse(2, Argv);
+  return N;
+}
+
+TEST(Options, IntRangeAcceptsValuesInRange) {
+  EXPECT_EQ(parseWorkers("1"), 1);
+  EXPECT_EQ(parseWorkers("8"), 8);
+}
+
+TEST(Options, IntBelowRangeExitsWithBounds) {
+  EXPECT_EXIT(parseWorkers("0"), ::testing::ExitedWithCode(2),
+              "--workers expects an integer in \\[1, 8\\], got '0'");
+  EXPECT_EXIT(parseWorkers("-5"), ::testing::ExitedWithCode(2), "'-5'");
+}
+
+TEST(Options, IntAboveRangeExitsWithBounds) {
+  EXPECT_EXIT(parseWorkers("9"), ::testing::ExitedWithCode(2),
+              "--workers expects an integer in \\[1, 8\\], got '9'");
+}
+
+TEST(Options, IntOverflowingIntOrLongLongExits) {
+  // Past INT_MAX (never truncated into range), and past LLONG_MAX, where
+  // strtoll saturates.
+  for (const char *V : {"4294967297", "99999999999999999999",
+                        "-99999999999999999999"})
+    EXPECT_EXIT(parseWorkers(V), ::testing::ExitedWithCode(2),
+                "\\[1, 8\\]")
+        << V;
+}
+
 TEST(Options, UsageMentionsEveryOption) {
   long long N = 0;
   OptionSet Opts("demo");

@@ -90,7 +90,7 @@ TEST(TraceBuffer, NullPointerMacroIsSafe) {
 }
 
 TEST(TraceModeScope, SavesAndRestores) {
-#if ATC_TRACE_ENABLED
+#if ATC_OBSERVE_ENABLED
   TraceBuffer TB;
   TB.init(16);
   TB.setModeAt(1, TraceMode::Check);
@@ -263,7 +263,7 @@ TEST(TraceRuntime, AdaptiveTcRunProducesCoherentTrace) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_TRACE_ENABLED
+#if ATC_OBSERVE_ENABLED
   ASSERT_NE(R.Trace, nullptr);
   EXPECT_EQ(R.Trace->numWorkers(), 4);
   EXPECT_EQ(R.Trace->Meta.Scheduler, "AdaptiveTC");
@@ -313,7 +313,7 @@ TEST(TraceRuntime, CheckSubtreeSpansNestInRootFastSpan) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_TRACE_ENABLED
+#if ATC_OBSERVE_ENABLED
   const std::size_t RootChildren = 9;
   ASSERT_NE(R.Trace, nullptr);
   const TraceBuffer &TB = R.Trace->buffer(0);
@@ -372,8 +372,8 @@ TEST(TraceRuntime, DisabledByDefault) {
 }
 
 TEST(TraceRuntime, CompileTimeGate) {
-#if !ATC_TRACE_ENABLED
-  // Built with -DATC_TRACE=OFF: asking for a trace must yield none.
+#if !ATC_OBSERVE_ENABLED
+  // Built with -DATC_OBSERVE=OFF: asking for a trace must yield none.
   NQueensArray Prob;
   auto Root = NQueensArray::makeRoot(8);
   SchedulerConfig Cfg;
@@ -384,7 +384,7 @@ TEST(TraceRuntime, CompileTimeGate) {
   EXPECT_EQ(R.Value, 92);
   EXPECT_EQ(R.Trace, nullptr);
 #else
-  GTEST_SKIP() << "tracing compiled in (ATC_TRACE=ON)";
+  GTEST_SKIP() << "tracing compiled in (ATC_OBSERVE=ON)";
 #endif
 }
 
@@ -397,7 +397,7 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_TRACE_ENABLED
+#if ATC_OBSERVE_ENABLED
   ASSERT_NE(R.Trace, nullptr);
   std::uint64_t Donations = 0;
   for (int W = 0; W < R.Trace->numWorkers(); ++W) {
@@ -415,7 +415,8 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceSim, EmitsSameSchemaInVirtualTime) {
-#if ATC_TRACE_ENABLED
+  if (!ATC_OBSERVE_ENABLED)
+    GTEST_SKIP() << "tracing compiled out (ATC_OBSERVE=OFF)";
   SimTree Tree(SimTree::preset("tree3r", 50'000));
   SimOptions Opts;
   Opts.Kind = SchedulerKind::AdaptiveTC;
@@ -452,13 +453,11 @@ TEST(TraceSim, EmitsSameSchemaInVirtualTime) {
   EXPECT_EQ(T.Source, "sim");
   TraceSummary S = summarizeTrace(T);
   EXPECT_EQ(S.Workers.size(), 4u);
-#else
-  GTEST_SKIP() << "tracing compiled out (ATC_TRACE=OFF)";
-#endif
 }
 
 TEST(TraceSim, Deterministic) {
-#if ATC_TRACE_ENABLED
+  if (!ATC_OBSERVE_ENABLED)
+    GTEST_SKIP() << "tracing compiled out (ATC_OBSERVE=OFF)";
   SimTree Tree(SimTree::preset("tree1l", 20'000));
   SimOptions Opts;
   Opts.Kind = SchedulerKind::Tascell;
@@ -477,9 +476,6 @@ TEST(TraceSim, Deterministic) {
       EXPECT_EQ(TA.at(I).B, TB.at(I).B);
     }
   }
-#else
-  GTEST_SKIP() << "tracing compiled out (ATC_TRACE=OFF)";
-#endif
 }
 
 //===----------------------------------------------------------------------===//

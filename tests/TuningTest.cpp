@@ -201,7 +201,7 @@ TEST(TuningRules, ReversalHysteresisPreventsOscillation) {
 }
 
 TEST(TuningRules, GatedAccessorsDefaultWhenUntuned) {
-  // Null controller (or a build with ATC_TUNING=OFF): the live accessors
+  // Null controller (or a build with ATC_OBSERVE=OFF): the live accessors
   // fold to the configured defaults.
   EXPECT_EQ(liveCutoff(nullptr, 5), 5);
   EXPECT_EQ(liveMaxStolen(nullptr, 20), 20);
@@ -227,7 +227,7 @@ TEST(TuningSim, TunedRunIsDeterministicAndLosesNoNodes) {
   EXPECT_EQ(A.TuneAdjustments, B.TuneAdjustments);
   EXPECT_EQ(A.FinalCutoff, B.FinalCutoff);
   EXPECT_EQ(A.FinalMaxStolen, B.FinalMaxStolen);
-#if ATC_TUNING_ENABLED && ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
   EXPECT_GT(A.TuneWindows, 0u) << "controllers never evaluated a window";
   EXPECT_GE(A.FinalCutoff, 1);
 #else
@@ -254,7 +254,8 @@ TEST(TuningSim, UntunedRunIsUnchangedByTheTuningCode) {
 }
 
 TEST(TuningSim, TunedRegistryCarriesTuneGauges) {
-#if ATC_TUNING_ENABLED && ATC_METRICS_ENABLED
+  if (!ATC_OBSERVE_ENABLED)
+    GTEST_SKIP() << "observability compiled out";
   SimTree Tree(SimTree::preset("tree3l", 200000));
   CostModel Costs;
   SimOptions Opts;
@@ -276,9 +277,6 @@ TEST(TuningSim, TunedRegistryCarriesTuneGauges) {
   }
   EXPECT_EQ(Windows, R.TuneWindows)
       << "registry gauges disagree with the report";
-#else
-  GTEST_SKIP() << "tuning or metrics compiled out";
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,7 +292,7 @@ TEST(TuningRuntime, TunedRunIsCorrectAndPublishesGauges) {
 
   auto R = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
   EXPECT_EQ(R.Value, 724);
-#if ATC_TUNING_ENABLED && ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
   ASSERT_NE(R.Metrics, nullptr) << "tuning must arm the metrics registry";
   MetricsSnapshot Snap = R.Metrics->sample();
   for (int I = 0; I < Cfg.NumWorkers; ++I) {
@@ -314,7 +312,7 @@ TEST(TuningRuntime, UntunedRunPublishesZeroGauges) {
 
   auto R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_METRICS_ENABLED
+#if ATC_OBSERVE_ENABLED
   ASSERT_NE(R.Metrics, nullptr);
   MetricsSnapshot Snap = R.Metrics->sample();
   for (int I = 0; I < Cfg.NumWorkers; ++I) {

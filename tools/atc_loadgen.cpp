@@ -176,7 +176,8 @@ int main(int argc, char **argv) {
   Opts.addInt("tenants", &Tenants,
               "spread jobs across this many tenants (default 4)");
   Opts.addInt("workers", &Workers,
-              "workers per job; 0 = server pool width (default 0)");
+              "workers per job; 0 = server pool width (default 0)", 0,
+              MaxThreadsFlag);
   Opts.addInt("deadline-ms", &DeadlineMs,
               "per-job queue deadline; 0 = none (default 0)");
   Opts.addInt("collectors", &Collectors,

@@ -46,11 +46,12 @@ int main(int argc, char **argv) {
   long long DepthWatermark = 0;
   OptionSet Opts("Scheduler-as-a-service daemon (see docs/SERVING.md)");
   Opts.addInt("threads", &Threads,
-              "persistent worker-pool width (default 4)");
+              "persistent worker-pool width (default 4)", 1,
+              MaxThreadsFlag);
   Opts.addInt("port", &Port,
               "loopback HTTP port; 0 picks an ephemeral one (default 9900)");
   Opts.addInt("http-threads", &HttpThreads,
-              "HTTP serving threads (default 8)");
+              "HTTP serving threads (default 8)", 1, MaxThreadsFlag);
   Opts.addInt("max-queued", &MaxQueued,
               "hard admission cap: jobs queued beyond this are shed "
               "(default 256)");

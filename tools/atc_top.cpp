@@ -35,6 +35,7 @@
 
 #include "core/Runtime.h"
 #include "metrics/Exposition.h"
+#include "metrics/MetricsCli.h"
 #include "metrics/MetricsRegistry.h"
 #include "problems/ProblemRegistry.h"
 #include "support/Error.h"
@@ -507,7 +508,8 @@ int main(int argc, char **argv) {
   Opts.addFlag("demo", &Demo,
                "run a registry problem in-process in a loop and poll its "
                "registry directly (no file needed)");
-  Opts.addInt("workers", &Workers, "worker threads for --demo (default 4)");
+  Opts.addInt("workers", &Workers, "worker threads for --demo (default 4)",
+              1, MaxThreadsFlag);
   Opts.addString("problem", &Problem,
                  "registry problem for --demo (default nqueens-array)");
   Opts.addInt("n", &ProblemSize,
@@ -544,13 +546,9 @@ int main(int argc, char **argv) {
                  "(http://127.0.0.1:<port>[/path])\n");
     return 2;
   }
-#if !ATC_METRICS_ENABLED
-  if (Demo) {
-    std::fprintf(stderr, "atc_top: built with ATC_METRICS=OFF; --demo "
-                         "would show an empty registry\n");
+  // --demo would show an empty registry.
+  if (observeCompiledOut("atc_top", Demo))
     return 1;
-  }
-#endif
 
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
