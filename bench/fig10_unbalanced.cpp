@@ -38,6 +38,7 @@ int main(int argc, char **argv) {
   std::string StealPol = "one";
   std::string Victim = "random";
   long long VictimGroup = 4;
+  std::string Fsm = "paper";
   OptionSet Opts("Figure 10: speedup on unbalanced trees");
   Opts.addInt("scale", &Scale, "tree size in nodes");
   Opts.addFlag("quick", &Quick, "thread counts {1,2,4,8} only");
@@ -52,6 +53,9 @@ int main(int argc, char **argv) {
                  "affinity, or partitioned");
   Opts.addInt("victim-group", &VictimGroup,
               "group width for --victim partitioned (default 4)");
+  Opts.addString("fsm", &Fsm,
+                 "AdaptiveTC edge table: paper (Figure 2 as published, "
+                 "the committed records) or spine (the real runtime's)");
   Opts.addString("csv", &CsvPath, "also write results as CSV to this file");
   Opts.addString("trace", &TracePath,
                  "also record one run's virtual-time event trace to this "
@@ -74,6 +78,9 @@ int main(int argc, char **argv) {
     reportFatalError("unknown steal policy '" + StealPol + "'");
   if (!parseVictimPolicy(Victim, VP))
     reportFatalError("unknown victim policy '" + Victim + "'");
+  if (Fsm != "paper" && Fsm != "spine")
+    reportFatalError("unknown fsm variant '" + Fsm +
+                     "' (expected paper|spine)");
   // Applied to every simulated configuration below (tables, diagnostics,
   // and the optional traced replay).
   auto applyPolicies = [&](SimOptions &O) {
@@ -81,6 +88,7 @@ int main(int argc, char **argv) {
     O.Steal = SP;
     O.Victim = VP;
     O.VictimGroupSize = static_cast<int>(VictimGroup);
+    O.Fsm = Fsm == "spine" ? FsmVariant::Spine : FsmVariant::Paper;
   };
 
   struct Panel {

@@ -30,6 +30,25 @@
 ///               child(Fast, ...); the state is kept distinct so transition
 ///               counters can attribute edges to the thief path.
 ///
+/// Two variants share the table (FsmVariant):
+///
+///  * Paper - Figure 2 as published. The simulator's committed records,
+///            the SimPolicies golden and atcc's single-worker generated
+///            runtime use it.
+///  * Spine - what the real runtime (AdaptiveTCTaskPolicy) runs. Past the
+///            cut-off, a fast or slow node with C <= Dp < 4C still spawns
+///            its *first* applied child as a real task, under fast at
+///            Dp + 1; every later child goes to check as in Paper. Each
+///            frame pushed along this spine of first children is a
+///            continuation holding its level's remaining siblings, and
+///            thieves take the deque head-first, so they get the largest
+///            pending subtree (the counterpart of Tascell's
+///            oldest-choice-point split) for one push per level. At
+///            C = 0 (one worker) the rule never fires.
+///
+/// maxOwnerPushes() bounds how many entries one worker's own spawn chain
+/// can hold on its deque at once: 3C + 1 for Paper, 6C + 1 for Spine.
+///
 /// This header is deliberately self-contained (no project includes beyond
 /// <cstdint>): code generated from .atc sources compiles outside the build
 /// tree with only `-I <repo>/src` and includes it through GenRuntime.h.
@@ -96,25 +115,47 @@ struct FsmTransition {
   }
 };
 
+/// Which edge table FiveVersionFsm::child follows (see the file comment).
+enum class FsmVariant : std::uint8_t {
+  Paper, ///< Figure 2 as published.
+  Spine, ///< Paper plus first-child spawning for C <= Dp < 4C.
+};
+
 /// The Figure 2 transition function, parameterized by the cut-off depth
-/// ("initially set to log N by the runtime system").
+/// ("initially set to log N by the runtime system") and the variant.
 class FiveVersionFsm {
 public:
-  constexpr explicit FiveVersionFsm(int CutoffDepth) : Cutoff(CutoffDepth) {}
+  constexpr explicit FiveVersionFsm(int CutoffDepth, FsmVariant V)
+      : Cutoff(CutoffDepth), Variant(V) {}
 
   constexpr int cutoff() const { return Cutoff; }
 
+  /// The most entries one worker's own spawn chain can hold on its deque
+  /// at once, on any interleaving. Along a call path, fast and slow
+  /// frames push only at distinct spawn depths below C (Paper) or 4C
+  /// (Spine), one check node answering need_task pushes one special
+  /// task, and its fast_2 chain pushes only below depth 2C before falling
+  /// into sequence, which never pushes again. So 3C + 1 for Paper and
+  /// 4C + 1 + 2C = 6C + 1 for Spine.
+  constexpr int maxOwnerPushes() const {
+    return (Variant == FsmVariant::Spine ? 4 : 1) * Cutoff + 1 + 2 * Cutoff;
+  }
+
   /// Returns the edge taken by a spawn site executing version \p Cur at
   /// spawn depth \p Dp, with the worker's need_task flag reading
-  /// \p NeedTask (consulted only when Cur is Check).
-  constexpr FsmTransition child(CodeVersion Cur, int Dp,
-                                bool NeedTask) const {
+  /// \p NeedTask (consulted only when Cur is Check). \p FirstChild says
+  /// whether this is the node's first applied child (for a slow node,
+  /// the first one after the resume); only the Spine variant reads it.
+  constexpr FsmTransition child(CodeVersion Cur, int Dp, bool NeedTask,
+                                bool FirstChild) const {
     switch (Cur) {
     case CodeVersion::Fast:
     case CodeVersion::Slow:
       // fast: spawn below the cut-off, hand off to check beyond it. The
-      // slow (stolen-continuation) version dispatches identically.
-      if (Dp < Cutoff)
+      // slow (stolen-continuation) version dispatches identically. Spine
+      // keeps spawning the first child down to 4 x the cut-off.
+      if (Dp < Cutoff || (Variant == FsmVariant::Spine && FirstChild &&
+                          Dp < 4 * Cutoff))
         return {CodeVersion::Fast, Dp + 1, /*SpawnTask=*/true,
                 /*SpecialPush=*/false, /*PolledNeedTask=*/false};
       return {CodeVersion::Check, Dp, /*SpawnTask=*/false,
@@ -147,6 +188,7 @@ public:
 
 private:
   int Cutoff;
+  FsmVariant Variant;
 };
 
 /// Transition-count statistics: a NumCodeVersions x NumCodeVersions edge

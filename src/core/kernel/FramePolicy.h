@@ -26,8 +26,11 @@
 ///  * fast      -> taskBody(Cur = Fast): allocates a frame at entry,
 ///                 pushes it per spawn, a failed pop returns a dummy value
 ///                 ("if pop(sn) == FAILURE return 0"). Beyond the cut-off
-///                 it calls checkBody. Its sync point is a no-op (owner-
-///                 path invariant: never-stolen frames are fully joined).
+///                 it calls checkBody, except that AdaptiveTC's Spine
+///                 variant still spawns the first applied child while the
+///                 spawn depth is below 4 x the cut-off (FiveVersionFsm.h).
+///                 Its sync point is a no-op (owner-path invariant:
+///                 never-stolen frames are fully joined).
 ///  * check     -> checkBody: a fake task (no frame, in-place workspace
 ///                 with undo). checkBody opens the Check mode spans, emits
 ///                 spawn-fake and flushes the batched counters once per
@@ -49,7 +52,12 @@
 ///
 /// Which edges exist is entirely the TcPol's business: the Cilk policies
 /// always spawn (checkBody/seqBody compile to dead branches), Cutoff
-/// degrades to sequence, AdaptiveTC runs the full FSM.
+/// degrades to sequence, AdaptiveTC runs the full FSM in its Spine
+/// variant. taskBody and runContinuation tell the policy which child is
+/// the first applied one (after a resume, for runContinuation); the
+/// check and sequence bodies never ask. One worker's own spawn chain so
+/// holds at most FiveVersionFsm::maxOwnerPushes() deque entries: 6C + 1
+/// under Spine, 3C + 1 under Figure 2 as published.
 ///
 /// Join protocol (who assembles the result of a stolen task):
 ///  * At steal time the thief increments the stolen frame's JoinCount:
@@ -282,15 +290,16 @@ private:
 
   /// Figure 2 dispatch with the online tuning layer folded in: a tuned
   /// worker re-reads its controller's live cut-off depth on every child
-  /// (TcPol is an int-sized wrapper, so constructing one per dispatch is
-  /// free); untuned workers take the shared Tc member untouched. The
-  /// check version's edge ignores the cut-off entirely, so checkBodyImpl
-  /// keeps calling Tc directly.
+  /// (TcPol is a small wrapper, so constructing one per dispatch is
+  /// free), so the spine bound 4C follows the live cut-off too; untuned
+  /// workers take the shared Tc member untouched. The check version's
+  /// edge ignores the cut-off entirely, so checkBodyImpl keeps calling Tc
+  /// directly.
   FsmTransition dispatchChild(const Worker &W, CodeVersion Cur, int Dp,
-                              bool NeedTask) const {
+                              bool NeedTask, bool FirstChild) const {
     if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Tune != nullptr))
-      return TcPol(W.Tune->cutoff()).child(Cur, Dp, NeedTask);
-    return Tc.child(Cur, Dp, NeedTask);
+      return TcPol(W.Tune->cutoff()).child(Cur, Dp, NeedTask, FirstChild);
+    return Tc.child(Cur, Dp, NeedTask, FirstChild);
   }
 
   /// Check-version counters of one fake-task subtree, batched in
@@ -475,6 +484,7 @@ FramePolicy<P, DequeT, TcPol>::taskBody(Worker &W, State &S, int Depth,
   };
 
   Result Acc{};
+  bool FirstChild = true;
   const int N = Prob.numChoices(S, Depth);
   for (int K = 0; K < N; ++K) {
     if (!Prob.applyChoice(S, Depth, K))
@@ -483,7 +493,9 @@ FramePolicy<P, DequeT, TcPol>::taskBody(Worker &W, State &S, int Depth,
     // Figure 2 dispatch: the task-creation policy decides how this child
     // executes (need_task is consulted only by the check version, i.e.
     // inside checkBody — never here).
-    const FsmTransition T = dispatchChild(W, Cur, Dp, /*NeedTask=*/false);
+    const FsmTransition T =
+        dispatchChild(W, Cur, Dp, /*NeedTask=*/false, FirstChild);
+    FirstChild = false;
     if (T.SpawnTask) {
       // Spawn as a real task: give the child a private workspace copy
       // (the taskprivate copy), then expose our continuation. The copy
@@ -603,7 +615,8 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
     ++C.Polls;
     const FsmTransition T =
         Tc.child(CodeVersion::Check, /*Dp=*/0,
-                 W.NeedTask.load(std::memory_order_relaxed));
+                 W.NeedTask.load(std::memory_order_relaxed),
+                 /*FirstChild=*/false);
     if (ATC_LIKELY(!T.SpawnTask))
       // No idle thread waiting: stay a fake task (in-place workspace).
       Acc += checkBodyImpl(W, S, Depth + 1, C);
@@ -767,6 +780,9 @@ void FramePolicy<P, DequeT, TcPol>::runContinuation(Worker &W, Frame *F) {
   const int Dp = F->SpawnDepth;
   Prob.undoChoice(S, Depth, F->LastChoice);
   Result Acc = F->PartialAcc;
+  // The first child after the resume counts as the first one: a stolen
+  // spine frame keeps exposing its remaining siblings.
+  bool FirstChild = true;
   const int N = Prob.numChoices(S, Depth);
 
   for (int K = F->LastChoice + 1; K < N; ++K) {
@@ -776,8 +792,9 @@ void FramePolicy<P, DequeT, TcPol>::runContinuation(Worker &W, Frame *F) {
     // Per the paper, the slow version dispatches children through the
     // fast/check rule regardless of which version originally spawned it
     // (CodeVersion::Slow mirrors Fast in every policy).
-    const FsmTransition T =
-        dispatchChild(W, CodeVersion::Slow, Dp, /*NeedTask=*/false);
+    const FsmTransition T = dispatchChild(W, CodeVersion::Slow, Dp,
+                                          /*NeedTask=*/false, FirstChild);
+    FirstChild = false;
     if (T.SpawnTask) {
       // As in taskBody: copy the child workspace (live prefix only)
       // before the push makes our continuation (and S) stealable.

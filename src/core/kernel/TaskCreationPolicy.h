@@ -40,10 +40,13 @@ namespace atc {
 /// Concept for a deque-engine task-creation policy.
 template <typename T>
 concept TaskCreationPolicy =
-    requires(const T &Pol, CodeVersion Cur, int Dp, bool NeedTask) {
+    requires(const T &Pol, CodeVersion Cur, int Dp, bool NeedTask,
+             bool FirstChild) {
       { T::Kind } -> std::convertible_to<SchedulerKind>;
       { T::PooledWorkspace } -> std::convertible_to<bool>;
-      { Pol.child(Cur, Dp, NeedTask) } -> std::same_as<FsmTransition>;
+      {
+        Pol.child(Cur, Dp, NeedTask, FirstChild)
+      } -> std::same_as<FsmTransition>;
     };
 
 /// Cilk: work-first work stealing; every spawn is a real task with a fresh
@@ -55,7 +58,8 @@ struct CilkTaskPolicy {
   constexpr explicit CilkTaskPolicy(int /*CutoffDepth*/) {}
 
   constexpr FsmTransition child(CodeVersion /*Cur*/, int Dp,
-                                bool /*NeedTask*/) const {
+                                bool /*NeedTask*/,
+                                bool /*FirstChild*/) const {
     return {CodeVersion::Fast, Dp + 1, /*SpawnTask=*/true,
             /*SpecialPush=*/false, /*PolledNeedTask=*/false};
   }
@@ -70,7 +74,8 @@ struct CilkSynchedTaskPolicy {
   constexpr explicit CilkSynchedTaskPolicy(int /*CutoffDepth*/) {}
 
   constexpr FsmTransition child(CodeVersion /*Cur*/, int Dp,
-                                bool /*NeedTask*/) const {
+                                bool /*NeedTask*/,
+                                bool /*FirstChild*/) const {
     return {CodeVersion::Fast, Dp + 1, /*SpawnTask=*/true,
             /*SpecialPush=*/false, /*PolledNeedTask=*/false};
   }
@@ -86,8 +91,8 @@ struct CutoffTaskPolicy {
   constexpr explicit CutoffTaskPolicy(int CutoffDepth)
       : CutoffDepth(CutoffDepth) {}
 
-  constexpr FsmTransition child(CodeVersion Cur, int Dp,
-                                bool /*NeedTask*/) const {
+  constexpr FsmTransition child(CodeVersion Cur, int Dp, bool /*NeedTask*/,
+                                bool /*FirstChild*/) const {
     if (Cur != CodeVersion::Sequence && Dp < CutoffDepth)
       return {CodeVersion::Fast, Dp + 1, /*SpawnTask=*/true,
               /*SpecialPush=*/false, /*PolledNeedTask=*/false};
@@ -98,17 +103,20 @@ struct CutoffTaskPolicy {
   int CutoffDepth;
 };
 
-/// AdaptiveTC: the paper's contribution — the full Figure 2 FSM.
+/// AdaptiveTC: the paper's contribution — the full Figure 2 FSM. The
+/// real runtime runs its Spine variant (FiveVersionFsm.h); the simulator
+/// picks the variant per run through dispatchChild.
 struct AdaptiveTCTaskPolicy {
   static constexpr SchedulerKind Kind = SchedulerKind::AdaptiveTC;
   static constexpr bool PooledWorkspace = true;
 
-  constexpr explicit AdaptiveTCTaskPolicy(int CutoffDepth)
-      : Fsm(CutoffDepth) {}
+  constexpr explicit AdaptiveTCTaskPolicy(int CutoffDepth,
+                                          FsmVariant V = FsmVariant::Spine)
+      : Fsm(CutoffDepth, V) {}
 
-  constexpr FsmTransition child(CodeVersion Cur, int Dp,
-                                bool NeedTask) const {
-    return Fsm.child(Cur, Dp, NeedTask);
+  constexpr FsmTransition child(CodeVersion Cur, int Dp, bool NeedTask,
+                                bool FirstChild) const {
+    return Fsm.child(Cur, Dp, NeedTask, FirstChild);
   }
 
   FiveVersionFsm Fsm;
@@ -122,18 +130,22 @@ static_assert(TaskCreationPolicy<AdaptiveTCTaskPolicy>);
 /// Runtime-kind frontend over the static policies, for consumers that
 /// pick the strategy per run instead of per template instantiation (the
 /// simulator). Sequential and Tascell have no deque spawn sites; their
-/// children uniformly run as plain recursion.
+/// children uniformly run as plain recursion. \p Variant selects the
+/// AdaptiveTC edge table and is ignored by every other kind.
 inline FsmTransition dispatchChild(SchedulerKind Kind, int CutoffDepth,
-                                   CodeVersion Cur, int Dp, bool NeedTask) {
+                                   CodeVersion Cur, int Dp, bool NeedTask,
+                                   bool FirstChild, FsmVariant Variant) {
   switch (Kind) {
   case SchedulerKind::Cilk:
-    return CilkTaskPolicy(CutoffDepth).child(Cur, Dp, NeedTask);
+    return CilkTaskPolicy(CutoffDepth).child(Cur, Dp, NeedTask, FirstChild);
   case SchedulerKind::CilkSynched:
-    return CilkSynchedTaskPolicy(CutoffDepth).child(Cur, Dp, NeedTask);
+    return CilkSynchedTaskPolicy(CutoffDepth)
+        .child(Cur, Dp, NeedTask, FirstChild);
   case SchedulerKind::Cutoff:
-    return CutoffTaskPolicy(CutoffDepth).child(Cur, Dp, NeedTask);
+    return CutoffTaskPolicy(CutoffDepth).child(Cur, Dp, NeedTask, FirstChild);
   case SchedulerKind::AdaptiveTC:
-    return AdaptiveTCTaskPolicy(CutoffDepth).child(Cur, Dp, NeedTask);
+    return AdaptiveTCTaskPolicy(CutoffDepth, Variant)
+        .child(Cur, Dp, NeedTask, FirstChild);
   case SchedulerKind::Sequential:
   case SchedulerKind::Tascell:
     return {CodeVersion::Sequence, Dp, /*SpawnTask=*/false,

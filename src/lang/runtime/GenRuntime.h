@@ -179,7 +179,10 @@ inline int parseDequeCap(const char *Str) {
 
 /// Single-worker executor implementing the generated-code ABI.
 struct Worker {
-  explicit Worker(int CutoffDepth = 0) : Fsm(CutoffDepth) {
+  // Figure 2 as published (FsmVariant::Paper): the generated spawn sites
+  // do not track which child is the first applied one.
+  explicit Worker(int CutoffDepth = 0)
+      : Fsm(CutoffDepth, atc::FsmVariant::Paper) {
 #if ATC_OBSERVE_ENABLED
     if (const char *Path = std::getenv("ATCGEN_TRACE")) {
       std::size_t Cap = 1u << 20;
@@ -230,7 +233,7 @@ struct Worker {
   /// transition) match the FSM's ChildDp by construction.
   CodeVersion dispatch(CodeVersion Cur, int Dp) {
     const bool NT = (Cur == CodeVersion::Check) && needTask();
-    const atc::FsmTransition T = Fsm.child(Cur, Dp, NT);
+    const atc::FsmTransition T = Fsm.child(Cur, Dp, NT, /*FirstChild=*/false);
     FsmCounts.record(Cur, T.Child);
     if (NT)
       ATC_TRACE_EVENT(TB, atc::TraceEventKind::NeedTaskObserve, 0,

@@ -23,8 +23,9 @@ using namespace atc;
 namespace {
 
 // Frames dispatch (and cost) their children per the shared Figure 2 FSM:
-// CodeVersion::Fast spawns tasks up to the cut-off, Fast2 up to the
-// doubled cut-off, Check runs fake tasks that poll need_task, and
+// CodeVersion::Fast spawns tasks up to the cut-off (and, with
+// SimOptions::Fsm = Spine, its first child down to 4x the cut-off), Fast2
+// up to the doubled cut-off, Check runs fake tasks that poll need_task, and
 // Sequence covers plain recursion (and Tascell / Sequential, whose
 // dispatchChild edge is always a non-spawning Sequence edge).
 
@@ -404,6 +405,9 @@ void Simulator::step(int Wi) {
 
 void Simulator::visitChild(SimWorker &W) {
   SimFrame &F = W.Stack.back();
+  // A stolen range starts at index 0 of the thief's frame, so this is
+  // also the first child after a resume, as in the kernel's slow version.
+  const bool FirstChild = F.Next == 0;
   SimTreeNode Node = F.Kids[static_cast<std::size_t>(F.Next++)];
 
   // Determine the child's dispatch (edge) from the parent frame's mode
@@ -411,8 +415,9 @@ void Simulator::visitChild(SimWorker &W) {
   // the simulator's cost charges.
   // A tuned worker dispatches against its controller's live cut-off, the
   // exact analogue of FramePolicy::dispatchChild re-reading the knob.
-  const FsmTransition T = dispatchChild(
-      Opts.Kind, liveCutoff(W.Tune, CutoffDepth), F.Mode, F.Dp, W.NeedTask);
+  const FsmTransition T =
+      dispatchChild(Opts.Kind, liveCutoff(W.Tune, CutoffDepth), F.Mode, F.Dp,
+                    W.NeedTask, FirstChild, Opts.Fsm);
   const CodeVersion ChildMode = T.Child;
   const int ChildDp = T.ChildDp;
   const bool Spawned = T.SpawnTask;  // real task: frame + deque + copy

@@ -38,6 +38,7 @@
 #define ATC_SIM_SIMENGINE_H
 
 #include "core/Scheduler.h"
+#include "core/kernel/FiveVersionFsm.h"
 #include "core/tuning/TuningController.h"
 #include "sim/CostModel.h"
 #include "sim/TreeGen.h"
@@ -85,6 +86,12 @@ struct SimOptions {
 
   /// Group width for VictimPolicy::Partitioned.
   int VictimGroupSize = 4;
+
+  /// AdaptiveTC edge table. The committed fig records and the SimPolicies
+  /// golden were produced with Figure 2 as published, so Paper stays the
+  /// default here even though the real runtime runs Spine
+  /// (core/kernel/FiveVersionFsm.h). Other kinds ignore it.
+  FsmVariant Fsm = FsmVariant::Paper;
 
   /// Arm the online tuning layer: each virtual worker gets the same
   /// TuningController as the real runtime (core/tuning), driven on its

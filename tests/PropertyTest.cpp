@@ -473,32 +473,37 @@ TEST(Overflow, TinyDequeStillProducesCorrectResults) {
 
 TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   // AdaptiveTC pushes fewer tasks, so a deque that Cilk overflows is
-  // enough for it. Figure 2 bounds an AdaptiveTC worker's deque on any
-  // interleaving: fast (and slow) code pushes only at spawn depths below
-  // the cut-off C, a check node answering need_task pushes one special
-  // task, and its fast_2 child pushes only below depth 2C before falling
-  // into sequence, which never pushes or polls again; an owner helping
-  // at a stolen special's sync has an empty deque. So occupancy stays
-  // <= 3C + 1, which the fixed lock-free ring reports as its high-water
-  // mark (the THE array reports absolute indices, which grow with steals).
-  NQueensArray Prob;
+  // enough for it. The FSM bounds an AdaptiveTC worker's deque on any
+  // interleaving (FiveVersionFsm::maxOwnerPushes): fast and slow code push
+  // only at distinct spawn depths below 4C (the runtime's Spine variant
+  // spawns first children down to there), a check node answering
+  // need_task pushes one special task, and its fast_2 child pushes only
+  // below depth 2C before falling into sequence, which never pushes or
+  // polls again; an owner helping at a stolen special's sync has an empty
+  // deque. So occupancy stays <= 6C + 1, which the fixed lock-free ring
+  // reports as its high-water mark (the THE array reports absolute
+  // indices, which grow with steals).
+  FibProblem Prob;
+  const long long Expected = FibProblem::fibValue(22);
   SchedulerConfig Cfg;
   Cfg.Deque = DequeKind::Atomic;
   Cfg.NumWorkers = 4;
-  const int Bound = 3 * Cfg.effectiveCutoff() + 1;
+  const int Bound =
+      AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes();
+  ASSERT_EQ(Bound, 6 * Cfg.effectiveCutoff() + 1);
   Cfg.DequeCapacity = Bound;
 
   // One worker is deterministic: Cilk pushes a continuation per spawn
-  // level and 10-queens nests deeper than Bound; AdaptiveTC (cut-off
-  // log2(1) = 0, no thief to raise need_task) pushes nothing.
+  // level and fib(22) nests 21 levels, deeper than Bound; AdaptiveTC
+  // (cut-off log2(1) = 0, no thief to raise need_task) pushes nothing.
   SchedulerConfig One = Cfg;
   One.NumWorkers = 1;
   One.Kind = SchedulerKind::Cilk;
-  auto Cilk = runProblem(Prob, NQueensArray::makeRoot(10), One);
+  auto Cilk = runProblem(Prob, FibProblem::makeRoot(22), One);
   One.Kind = SchedulerKind::AdaptiveTC;
-  auto Atc1 = runProblem(Prob, NQueensArray::makeRoot(10), One);
-  EXPECT_EQ(Cilk.Value, 724);
-  EXPECT_EQ(Atc1.Value, 724);
+  auto Atc1 = runProblem(Prob, FibProblem::makeRoot(22), One);
+  EXPECT_EQ(Cilk.Value, Expected);
+  EXPECT_EQ(Atc1.Value, Expected);
   EXPECT_GT(Cilk.Stats.DequeOverflows, 0u);
   EXPECT_EQ(Cilk.Stats.DequeHighWater, Bound);
   EXPECT_EQ(Atc1.Stats.DequeHighWater, 0);
@@ -507,8 +512,8 @@ TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   Cfg.Kind = SchedulerKind::AdaptiveTC;
   for (int Rep = 0; Rep < 10; ++Rep) {
     Cfg.Seed = 0x0f10 + static_cast<std::uint64_t>(Rep);
-    auto Atc = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
-    EXPECT_EQ(Atc.Value, 724);
+    auto Atc = runProblem(Prob, FibProblem::makeRoot(22), Cfg);
+    EXPECT_EQ(Atc.Value, Expected);
     EXPECT_LE(Atc.Stats.DequeHighWater, Bound) << "rep " << Rep;
     EXPECT_EQ(Atc.Stats.DequeOverflows, 0u) << "rep " << Rep;
   }

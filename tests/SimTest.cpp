@@ -319,6 +319,24 @@ TEST(SimShapes, AdaptiveTCCreatesFarFewerTasksThanCilk) {
       << "AdaptiveTC is less prone to deque overflow";
 }
 
+TEST(SimShapes, SpineVariantFeedsThievesOnTree3l) {
+  // SimOptions::Fsm selects the AdaptiveTC edge table; Figure 2 as
+  // published stays the default the committed records were made with.
+  // On the left-heavy tree the spine's first-child continuations hand
+  // thieves the large pending siblings, so they starve less.
+  SimTree Tree(SimTree::preset("tree3l", TestScale));
+  SimOptions Opts;
+  Opts.NumWorkers = 4;
+  EXPECT_EQ(Opts.Fsm, FsmVariant::Paper);
+  CostModel Costs;
+  SimReport Paper = simulate(Tree, Opts, Costs);
+  Opts.Fsm = FsmVariant::Spine;
+  SimReport Spine = simulate(Tree, Opts, Costs);
+  EXPECT_EQ(Spine.NodesProcessed, Paper.NodesProcessed);
+  EXPECT_GT(Spine.speedup(), Paper.speedup());
+  EXPECT_LT(Spine.Total.IdleNs, Paper.Total.IdleNs);
+}
+
 TEST(SimShapes, AdaptiveTCPublishesSpecialTasksUnderPressure) {
   SimReport R = runSim("fig8", SchedulerKind::AdaptiveTC, 8);
   EXPECT_GT(R.SpecialTasks, 0u)
