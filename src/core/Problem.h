@@ -55,6 +55,7 @@
 #define ATC_CORE_PROBLEM_H
 
 #include "support/Arena.h"
+#include "support/Compiler.h"
 
 #include <concepts>
 #include <cstddef>
@@ -142,10 +143,11 @@ inline std::size_t copyLiveState(const P &Prob, typename P::State *Dst,
 
 /// Reference sequential interpreter ("the serial C program" every speedup
 /// in the paper is measured against). Mutates \p S in place and restores
-/// it before returning.
+/// it before returning. Loop-aligned (support/Compiler.h) so the baseline
+/// that overhead ratios divide by does not move with code placement.
 template <SearchProblem P>
-typename P::Result runSequential(P &Prob, typename P::State &S,
-                                 int Depth = 0) {
+ATC_LOOP_ALIGNED typename P::Result
+runSequential(P &Prob, typename P::State &S, int Depth = 0) {
   if (Prob.isLeaf(S, Depth))
     return Prob.leafResult(S, Depth);
   typename P::Result Acc{};

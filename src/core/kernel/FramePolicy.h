@@ -35,10 +35,11 @@
 ///                 with undo). checkBody opens the Check mode spans, emits
 ///                 spawn-fake and flushes the batched counters once per
 ///                 subtree; the per-node recursion checkBodyImpl is the
-///                 sequence version's loop plus one need_task poll per
-///                 applied child. When need_task is set, the out-of-line
-///                 publishSpecial creates a special task, pushes it, runs
-///                 the child via taskBody(Cur = Fast2, depth 0) and does
+///                 sequence version's loop plus one need_task load and
+///                 branch per applied child. When need_task is set, the
+///                 out-of-line publishSpecial takes the check edge of
+///                 Figure 2, creates a special task, pushes it, runs the
+///                 child via taskBody(Cur = Fast2, depth 0) and does
 ///                 pop_specialtask; the out-of-line syncSpecial is
 ///                 sync_specialtask.
 ///  * fast_2    -> taskBody(Cur = Fast2): like fast with twice the
@@ -293,8 +294,8 @@ private:
   /// (TcPol is a small wrapper, so constructing one per dispatch is
   /// free), so the spine bound 4C follows the live cut-off too; untuned
   /// workers take the shared Tc member untouched. The check version's
-  /// edge ignores the cut-off entirely, so checkBodyImpl keeps calling Tc
-  /// directly.
+  /// edge ignores the cut-off entirely, so publishSpecial keeps calling
+  /// Tc directly.
   FsmTransition dispatchChild(const Worker &W, CodeVersion Cur, int Dp,
                               bool NeedTask, bool FirstChild) const {
     if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Tune != nullptr))
@@ -302,17 +303,28 @@ private:
     return Tc.child(Cur, Dp, NeedTask, FirstChild);
   }
 
-  /// Check-version counters of one fake-task subtree, batched in
-  /// checkBody's local and flushed into Stats once per subtree (and by
-  /// publishSpecial before a mid-run metrics mirror).
-  struct CheckCounts {
+  /// One fake-task subtree's walk, threaded through checkBodyImpl by a
+  /// single reference so the recursion passes as few arguments as the
+  /// sequence version's (fewer values to keep live across each call).
+  /// The check-version counters are batched here and flushed into Stats
+  /// once per subtree (and by publishSpecial before a mid-run metrics
+  /// mirror). The need_task polls are not counted one by one: every
+  /// applied child of a check node polls exactly once and then becomes
+  /// either a fake node or a published child, so the flush derives them.
+  struct CheckWalk {
+    FramePolicy &Self;
+    Worker &W;
     std::uint64_t FakeTasks = 0;
-    std::uint64_t Polls = 0;
+    /// Children handed to publishSpecial.
+    std::uint64_t Published = 0;
+    /// 1 until the first flush: the subtree's entry node, counted in
+    /// FakeTasks but reached from a non-check caller, polled nothing.
+    std::uint64_t Entry = 1;
 
-    void flushInto(SchedulerStats &Stats) {
-      Stats.FakeTasks += FakeTasks;
-      Stats.Polls += Polls;
-      *this = CheckCounts{};
+    void flush() {
+      W.Stats.FakeTasks += FakeTasks;
+      W.Stats.Polls += FakeTasks - Entry + Published;
+      FakeTasks = Published = Entry = 0;
     }
   };
 
@@ -327,10 +339,10 @@ private:
   ExecResult<Result> taskBody(Worker &W, State &S, int Depth, Frame *Parent,
                               int Dp, CodeVersion Cur, bool OwnsState);
   Result checkBody(Worker &W, State &S, int Depth);
-  Result checkBodyImpl(Worker &W, State &S, int Depth, CheckCounts &C);
-  ATC_NOINLINE Result publishSpecial(Worker &W, State &S, int Depth,
-                                     FsmTransition T, SpecialTask &ST,
-                                     CheckCounts &C);
+  ATC_LOOP_ALIGNED static Result checkBodyImpl(CheckWalk &C, State &S,
+                                               int Depth);
+  ATC_NOINLINE Result publishSpecial(CheckWalk &C, State &S, int Depth,
+                                     SpecialTask &ST);
   ATC_NOINLINE Result syncSpecial(Worker &W, const SpecialTask &ST,
                                   int Depth);
   Result seqBody(Worker &W, State &S, int Depth);
@@ -585,21 +597,27 @@ FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
     W.Trace->emit(TraceEventKind::SpawnFake, 0,
                   static_cast<std::uint16_t>(Depth));
   TraceModeScope TraceSpan(W.Trace, TraceMode::Check);
-  CheckCounts C;
-  Result Acc = checkBodyImpl(W, S, Depth, C);
-  C.flushInto(W.Stats);
+  assert(Tc.child(CodeVersion::Check, /*Dp=*/0, /*NeedTask=*/false,
+                  /*FirstChild=*/false)
+                 .Child == CodeVersion::Check &&
+         "without need_task, check must keep its children fake tasks");
+  CheckWalk C{*this, W};
+  Result Acc = checkBodyImpl(C, S, Depth);
+  C.flush();
   return Acc;
 }
 
 /// The check version's per-node recursion: the sequence version's loop
-/// plus one relaxed need_task load per applied child. Everything a
-/// starving thief triggers (special-task publication and its sync) is out
-/// of line, so the per-node frame holds only the loop's state and an
-/// empty special-task slot.
+/// plus one relaxed need_task load and one branch per applied child.
+/// Everything a starving thief triggers (the Figure 2 check edge,
+/// special-task publication and its sync) is out of line, so the
+/// per-node frame holds only the loop's state and an empty special-task
+/// slot. Loop-aligned (support/Compiler.h), as is detail::seqBodyImpl.
 template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
 typename P::Result
-FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
-                                             CheckCounts &C) {
+FramePolicy<P, DequeT, TcPol>::checkBodyImpl(CheckWalk &C, State &S,
+                                             int Depth) {
+  P &Prob = C.Self.Prob;
   ++C.FakeTasks;
   if (Prob.isLeaf(S, Depth))
     return Prob.leafResult(S, Depth);
@@ -611,21 +629,17 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
     if (!Prob.applyChoice(S, Depth, K))
       continue;
 
-    // The check version's edge of Figure 2: one need_task poll per child.
-    ++C.Polls;
-    const FsmTransition T =
-        Tc.child(CodeVersion::Check, /*Dp=*/0,
-                 W.NeedTask.load(std::memory_order_relaxed),
-                 /*FirstChild=*/false);
-    if (ATC_LIKELY(!T.SpawnTask))
-      // No idle thread waiting: stay a fake task (in-place workspace).
-      Acc += checkBodyImpl(W, S, Depth + 1, C);
+    // One need_task poll per child. Without need_task the check edge of
+    // Figure 2 keeps the child a fake task (in-place workspace);
+    // publishSpecial takes the edge for the other case.
+    if (ATC_LIKELY(!C.W.NeedTask.load(std::memory_order_relaxed)))
+      Acc += checkBodyImpl(C, S, Depth + 1);
     else
-      Acc += publishSpecial(W, S, Depth, T, ST, C);
+      Acc += C.Self.publishSpecial(C, S, Depth, ST);
     Prob.undoChoice(S, Depth, K);
   }
   if (ATC_UNLIKELY(ST.SF != nullptr))
-    Acc += syncSpecial(W, ST, Depth);
+    Acc += C.Self.syncSpecial(C.W, ST, Depth);
   return Acc;
 }
 
@@ -634,13 +648,16 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(Worker &W, State &S, int Depth,
 /// task through fast_2, with the spawn depth reset to 0 (T.ChildDp — the
 /// FSM's depth reset). Returns the child's contribution to the node's
 /// result; a stolen child's value arrives later through ST.SF->Deposits.
-/// The caller undoes the choice.
+/// The caller polled need_task set and undoes the choice.
 template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
 typename P::Result FramePolicy<P, DequeT, TcPol>::publishSpecial(
-    Worker &W, State &S, int Depth, FsmTransition T, SpecialTask &ST,
-    CheckCounts &C) {
+    CheckWalk &C, State &S, int Depth, SpecialTask &ST) {
+  Worker &W = C.W;
+  const FsmTransition T = Tc.child(CodeVersion::Check, /*Dp=*/0,
+                                   /*NeedTask=*/true, /*FirstChild=*/false);
   assert(T.SpecialPush && T.Child == CodeVersion::Fast2 &&
          T.ChildDp == 0 && "check must publish through fast_2");
+  ++C.Published;
   if (!ST.SF) {
     // The observation record: this check body saw its own need_task
     // flag and is about to publish (one event per responding body, not
@@ -666,7 +683,7 @@ typename P::Result FramePolicy<P, DequeT, TcPol>::publishSpecial(
   ++W.Stats.Spawns;
   // Hand the subtree's batched counters to Stats so the mirror flush
   // below is as fresh as the rest of the worker's counters.
-  C.flushInto(W.Stats);
+  C.flush();
   // Reseed cadence (interval between special-task publishes) and a
   // mirror flush — this is the busy owner's cold publication point, so
   // its cell stays fresh for live dashboards without the hot fake-task
@@ -740,8 +757,8 @@ namespace detail {
 /// stack local threaded by reference so the hot loop never touches the
 /// worker's Stats cache line (flushed once by seqBody below).
 template <SearchProblem P>
-typename P::Result seqBodyImpl(P &Prob, typename P::State &S, int Depth,
-                               std::uint64_t &Nodes) {
+ATC_LOOP_ALIGNED typename P::Result
+seqBodyImpl(P &Prob, typename P::State &S, int Depth, std::uint64_t &Nodes) {
   ++Nodes;
   if (Prob.isLeaf(S, Depth))
     return Prob.leafResult(S, Depth);
