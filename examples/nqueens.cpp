@@ -68,11 +68,6 @@ int main(int argc, char **argv) {
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity (retry last success), random, "
                  "or partitioned (group-first)");
-  bool Tuning = false;
-  Opts.addFlag("tuning", &Tuning,
-               "arm the online tuning layer (docs/TUNING.md): per-worker "
-               "controllers adapt the cut-off, max_stolen_num and steal "
-               "backoff from live metrics");
   Opts.addString("trace", &TracePath,
                  "record a scheduler event trace to this file "
                  "(Chrome/Perfetto trace.json)");
@@ -96,8 +91,7 @@ int main(int argc, char **argv) {
   Cfg.NumWorkers = static_cast<int>(Workers);
   Cfg.Trace = !TracePath.empty();
   Cfg.TraceCap = static_cast<int>(TraceCap);
-  Cfg.Tuning = Tuning;
-  observeCompiledOut("nqueens", Cfg.Trace || Tuning || MOpt.wantsMetrics());
+  observeCompiledOut("nqueens", Cfg.Trace || MOpt.wantsMetrics());
 
   ProblemRunner Prob;
   std::string Err;

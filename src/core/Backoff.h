@@ -21,18 +21,20 @@
 
 namespace atc {
 
+/// Exponent of the idle ladder's sleep cap: sleeps stop doubling at
+/// 1us << BackoffMaxShift = 128us.
+inline constexpr int BackoffMaxShift = 7;
+
 /// The idle ladder as a pure decision: microseconds to sleep after \p
 /// FailStreak consecutive failed steal attempts, 0 meaning a plain yield.
 /// Every streak up to \p SpinBudget yields (idleSpinBudget in
 /// core/kernel/StealDecisions.h: enough failures to push any busy victim
 /// past max_stolen_num on this thief's attempts alone); past it, sleeps
-/// double from 1us up to a (1us << MaxShift) cap. \p MaxShift is the
-/// online tuning layer's backoff knob (liveBackoffShift in
-/// core/tuning/TuningController.h), so it caps only the sleep phase.
-inline int backoffSleepUs(int FailStreak, int SpinBudget, int MaxShift) {
+/// double from 1us up to the 128us cap.
+inline int backoffSleepUs(int FailStreak, int SpinBudget) {
   if (FailStreak <= SpinBudget)
     return 0;
-  return 1 << std::min(FailStreak - SpinBudget - 1, MaxShift);
+  return 1 << std::min(FailStreak - SpinBudget - 1, BackoffMaxShift);
 }
 
 /// Truncated-exponential backoff after \p FailStreak consecutive failed
@@ -43,8 +45,8 @@ inline int backoffSleepUs(int FailStreak, int SpinBudget, int MaxShift) {
 /// between attempts would take milliseconds to make a busy victim
 /// publish. Once the budget is spent the victim has either responded or
 /// has nothing to publish, and sleeping backs off contended deque lines.
-inline void stealBackoff(int FailStreak, int SpinBudget, int MaxShift) {
-  const int Us = backoffSleepUs(FailStreak, SpinBudget, MaxShift);
+inline void stealBackoff(int FailStreak, int SpinBudget) {
+  const int Us = backoffSleepUs(FailStreak, SpinBudget);
   if (Us == 0)
     std::this_thread::yield();
   else

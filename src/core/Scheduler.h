@@ -195,15 +195,6 @@ struct SchedulerConfig {
   /// this flag is ignored.
   bool Metrics = false;
 
-  /// Arm the online tuning layer (src/core/tuning) for this run: each
-  /// worker gets a TuningController that adapts the cut-off depth,
-  /// MaxStolenNum and steal-backoff bound from its own live metrics
-  /// (Cutoff / MaxStolenNum above become *initial* values). Implies
-  /// Metrics — the controller's inputs are the metric cells, so arming
-  /// tuning arms them too. Requires a build with ATC_OBSERVE=ON (the
-  /// default); when tuning is compiled out this flag is ignored.
-  bool Tuning = false;
-
   /// Externally owned registry to publish into instead of a run-private
   /// one (implies Metrics when non-null). This is how a CLI lets a
   /// background MetricsSampler or atc_top watch the run live: pre-size

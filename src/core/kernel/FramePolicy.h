@@ -225,10 +225,7 @@ public:
   /// part that is expensive — while the claim cost stays one CAS (or one
   /// mutex round with TheDeque) per frame.
   void stealExtra(Worker &W, Worker &Victim) {
-    // The batch bound caps how much *this thief* carries off, so a tuned
-    // thief's live knob (not the victim's) replaces the run constant.
-    const int Extra = stealHalfWidth(
-        Victim.Deque.size(), liveMaxStolen(W.Tune, Cfg.MaxStolenNum));
+    const int Extra = stealHalfWidth(Victim.Deque.size(), Cfg.MaxStolenNum);
     for (int I = 0; I < Extra; ++I) {
       StealResult SR = Victim.Deque.steal(&FramePolicy::onSteal, nullptr);
       if (SR.Status != StealResult::Status::Success)
@@ -287,20 +284,6 @@ private:
     // may already have freed) would be a use-after-free; the owner
     // observes each child steal 1:1 through the popSpecial failure and
     // does the bookkeeping on its own frame.
-  }
-
-  /// Figure 2 dispatch with the online tuning layer folded in: a tuned
-  /// worker re-reads its controller's live cut-off depth on every child
-  /// (TcPol is a small wrapper, so constructing one per dispatch is
-  /// free), so the spine bound 4C follows the live cut-off too; untuned
-  /// workers take the shared Tc member untouched. The check version's
-  /// edge ignores the cut-off entirely, so publishSpecial keeps calling
-  /// Tc directly.
-  FsmTransition dispatchChild(const Worker &W, CodeVersion Cur, int Dp,
-                              bool NeedTask, bool FirstChild) const {
-    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Tune != nullptr))
-      return TcPol(W.Tune->cutoff()).child(Cur, Dp, NeedTask, FirstChild);
-    return Tc.child(Cur, Dp, NeedTask, FirstChild);
   }
 
   /// One fake-task subtree's walk, threaded through checkBodyImpl by a
@@ -505,8 +488,7 @@ FramePolicy<P, DequeT, TcPol>::taskBody(Worker &W, State &S, int Depth,
     // Figure 2 dispatch: the task-creation policy decides how this child
     // executes (need_task is consulted only by the check version, i.e.
     // inside checkBody — never here).
-    const FsmTransition T =
-        dispatchChild(W, Cur, Dp, /*NeedTask=*/false, FirstChild);
+    const FsmTransition T = Tc.child(Cur, Dp, /*NeedTask=*/false, FirstChild);
     FirstChild = false;
     if (T.SpawnTask) {
       // Spawn as a real task: give the child a private workspace copy
@@ -690,9 +672,6 @@ typename P::Result FramePolicy<P, DequeT, TcPol>::publishSpecial(
   // loop ever touching the cell.
   ATC_METRIC(W.Metrics, recordReseed(nowNanos()));
   ATC_METRIC(W.Metrics, publishStats(W.Stats));
-  // Owner-side tune opportunity: the reseed it just recorded is exactly
-  // the signal the cut-off rule feeds on, and the cell is fresh.
-  ATC_TUNE(W.Tune, maybeTune(nowNanos(), *W.Metrics));
   ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpecialPush, 0,
                   static_cast<std::uint16_t>(Depth));
   ATC_TRACE_EVENT(W.Trace, TraceEventKind::FsmTransition,
@@ -809,8 +788,8 @@ void FramePolicy<P, DequeT, TcPol>::runContinuation(Worker &W, Frame *F) {
     // Per the paper, the slow version dispatches children through the
     // fast/check rule regardless of which version originally spawned it
     // (CodeVersion::Slow mirrors Fast in every policy).
-    const FsmTransition T = dispatchChild(W, CodeVersion::Slow, Dp,
-                                          /*NeedTask=*/false, FirstChild);
+    const FsmTransition T =
+        Tc.child(CodeVersion::Slow, Dp, /*NeedTask=*/false, FirstChild);
     FirstChild = false;
     if (T.SpawnTask) {
       // As in taskBody: copy the child workspace (live prefix only)

@@ -18,7 +18,6 @@
 #define ATC_CORE_KERNEL_KERNELWORKER_H
 
 #include "core/SchedulerStats.h"
-#include "core/tuning/TuningController.h"
 #include "metrics/Metrics.h"
 #include "support/Compiler.h"
 #include "support/Prng.h"
@@ -63,16 +62,6 @@ struct alignas(ATC_CACHE_LINE_SIZE) KernelWorker {
   /// by WorkerRuntime before threads start when SchedulerConfig::Metrics
   /// is armed.
   WorkerMetricsCell *Metrics = nullptr;
-
-  /// This worker's online tuning controller, or null when the run is
-  /// untuned (the common case — every knob read null-tests this, the
-  /// same idiom as Trace/Metrics). maybeTune() runs only on the owning
-  /// worker; *thieves* read the victim's maxStolenNum() through this
-  /// pointer (relaxed atomic — the threshold guards the victim, so the
-  /// victim's controller owns it). Set by WorkerRuntime before threads
-  /// start when SchedulerConfig::Tuning is armed (which requires the
-  /// metrics cells the controller reads).
-  TuningController *Tune = nullptr;
 
   /// Count of consecutive failed steal attempts against this worker,
   /// incremented by thieves (Fig. 3d). When it exceeds max_stolen_num the

@@ -62,7 +62,6 @@
 #include "core/SchedulerStats.h"
 #include "core/kernel/KernelWorker.h"
 #include "core/kernel/StealDecisions.h"
-#include "core/tuning/TuningController.h"
 #include "metrics/MetricsRegistry.h"
 #include "support/Compiler.h"
 #include "support/Timer.h"
@@ -122,9 +121,7 @@ public:
       for (int I = 0; I < Cfg.NumWorkers; ++I)
         Workers[static_cast<std::size_t>(I)]->Trace = &Log->buffer(I);
     }
-    // Tuning implies metrics: the controllers' only inputs are the
-    // cells, so an armed Cfg.Tuning arms the registry too.
-    if (Cfg.Metrics || Cfg.MetricsSink != nullptr || Cfg.Tuning) {
+    if (Cfg.Metrics || Cfg.MetricsSink != nullptr) {
       if (Cfg.MetricsSink != nullptr) {
         // Non-owning alias: the owner (a CLI session or a job server)
         // keeps the sink alive and may be reading it concurrently from
@@ -146,19 +143,6 @@ public:
         WorkerMetricsCell &Cell = Reg->cell(I);
         Cell.begin(ArmNs);
         Workers[static_cast<std::size_t>(I)]->Metrics = &Cell;
-      }
-      Tuners.clear();
-      if (Cfg.Tuning) {
-        // One controller per worker, knobs seeded from the run config;
-        // publish immediately so the atc_tune_* gauges show the armed
-        // initial values before the first rule window closes.
-        for (int I = 0; I < Cfg.NumWorkers; ++I) {
-          auto T = std::make_unique<TuningController>();
-          T->arm(Cfg.effectiveCutoff(), Cfg.MaxStolenNum);
-          T->publishTo(Reg->cell(I));
-          Workers[static_cast<std::size_t>(I)]->Tune = T.get();
-          Tuners.push_back(std::move(T));
-        }
       }
     }
 #endif
@@ -261,7 +245,7 @@ public:
         }
       }
       countFailure(FailStreak);
-      idleBackoff(W, FailStreak);
+      idleBackoff(FailStreak);
     }
   }
 
@@ -299,9 +283,6 @@ private:
         // flush here is the thief's bounded-frequency publication point.
         ATC_METRIC(W.Metrics, StealLatencyNs.record(Waited));
         ATC_METRIC(W.Metrics, publishStats(W.Stats));
-        // Thief-side tune opportunity: the cell was just made fresh and
-        // the clock already read — the cheapest place to close a window.
-        ATC_TUNE(W.Tune, maybeTune(nowNanos(), *W.Metrics));
         Pol.execute(W, T);
         IdleBegin = nowNanos();
         continue;
@@ -309,16 +290,7 @@ private:
       if (O == AcquireOutcome::Terminated)
         break;
       countFailure(FailStreak);
-      if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Tune != nullptr) &&
-          (FailStreak & 15) == 0) {
-        // Starving thief: flush the failure counters so the controller
-        // sees them, then evaluate — the max_stolen/backoff rules must
-        // fire even when no steal ever succeeds. Off the hot path (the
-        // worker is idle and about to back off anyway).
-        ATC_METRIC(W.Metrics, publishStats(W.Stats));
-        W.Tune->maybeTune(nowNanos(), *W.Metrics);
-      }
-      idleBackoff(W, FailStreak);
+      idleBackoff(FailStreak);
     }
     W.Stats.StealWaitNs += nowNanos() - IdleBegin;
   }
@@ -332,14 +304,11 @@ private:
   }
 
   /// One idle step after \p FailStreak consecutive failures: yield while
-  /// the streak is within the thief's idleSpinBudget (so its attempts
-  /// alone can drive a busy victim through the need_task threshold —
-  /// the thief's live max_stolen_num, the same knob that bounds its
-  /// steal-half raids), then sleep up to the thief's live backoff cap.
-  void idleBackoff(const Worker &W, int FailStreak) const {
-    const int Budget = idleSpinBudget(
-        Cfg.NumWorkers, liveMaxStolen(W.Tune, Cfg.MaxStolenNum));
-    stealBackoff(FailStreak, Budget, liveBackoffShift(W.Tune));
+  /// the streak is within idleSpinBudget (so this thief's attempts alone
+  /// can drive a busy victim through the need_task threshold), then
+  /// sleep on the capped ladder.
+  void idleBackoff(int FailStreak) const {
+    stealBackoff(FailStreak, idleSpinBudget(Cfg.NumWorkers, Cfg.MaxStolenNum));
   }
 
   /// One acquire attempt: drain any steal-half surplus the thief already
@@ -403,12 +372,9 @@ private:
     ATC_TRACE_EVENT(W.Trace, TraceEventKind::StealFail,
                     static_cast<std::uint32_t>(V));
     W.LastVictim = -1;
-    // The failed-steal threshold protects the *victim* (how hard thieves
-    // may press before interrupting it), so a tuned victim's live knob
-    // takes over from the run constant.
     const NeedTaskSignal Signal = needTaskSignal(
         Victim.StolenNum.fetch_add(1, std::memory_order_relaxed) + 1,
-        liveMaxStolen(Victim.Tune, Cfg.MaxStolenNum));
+        Cfg.MaxStolenNum);
     if (Signal != NeedTaskSignal::Below) {
       // Store only while the flag is still clear: the victim polls this
       // line on every fake-task child, and thieves keep failing against
@@ -429,9 +395,6 @@ private:
   Policy &Pol;
   SchedulerConfig Cfg;
   std::vector<std::unique_ptr<Worker>> Workers;
-  /// Per-worker tuning controllers when Cfg.Tuning armed the run
-  /// (rebuilt per run, like Workers; workers hold raw pointers).
-  std::vector<std::unique_ptr<TuningController>> Tuners;
   std::shared_ptr<TraceLog> Log;
   std::shared_ptr<MetricsRegistry> Reg;
   std::atomic<bool> Done{false};

@@ -193,39 +193,6 @@ std::string atc::renderPrometheus(const MetricsSnapshot &Snap,
     appendf(Out, "atc_need_task{worker=\"%d\"} %d\n", W,
             Snap.Workers[W].NeedTask ? 1 : 0);
 
-  // Live tuning knobs (core/tuning/TuningController.h). Always emitted
-  // so the series schema is stable; all-zero on untuned runs, and
-  // atc_tune_cutoff >= 1 marks a worker whose controller is armed.
-  appendf(Out, "# HELP atc_tune_cutoff Live task-creation cut-off depth "
-               "(0 = tuning off)\n");
-  appendf(Out, "# TYPE atc_tune_cutoff gauge\n");
-  for (int W = 0; W != NumWorkers; ++W)
-    appendf(Out, "atc_tune_cutoff{worker=\"%d\"} %u\n", W,
-            Snap.Workers[W].TuneCutoff);
-  appendf(Out, "# HELP atc_tune_max_stolen_num Live failed-steal threshold "
-               "before need_task is raised (0 = tuning off)\n");
-  appendf(Out, "# TYPE atc_tune_max_stolen_num gauge\n");
-  for (int W = 0; W != NumWorkers; ++W)
-    appendf(Out, "atc_tune_max_stolen_num{worker=\"%d\"} %u\n", W,
-            Snap.Workers[W].TuneMaxStolen);
-  appendf(Out, "# HELP atc_tune_backoff_shift Live steal-backoff cap "
-               "exponent (sleep cap = 1us << shift; 0 = tuning off)\n");
-  appendf(Out, "# TYPE atc_tune_backoff_shift gauge\n");
-  for (int W = 0; W != NumWorkers; ++W)
-    appendf(Out, "atc_tune_backoff_shift{worker=\"%d\"} %u\n", W,
-            Snap.Workers[W].TuneBackoffShift);
-  appendf(Out, "# HELP atc_tune_adjustments Knob adjustments applied by "
-               "the controller\n");
-  appendf(Out, "# TYPE atc_tune_adjustments counter\n");
-  for (int W = 0; W != NumWorkers; ++W)
-    appendf(Out, "atc_tune_adjustments_total{worker=\"%d\"} %llu\n", W,
-            static_cast<unsigned long long>(Snap.Workers[W].TuneAdjustments));
-  appendf(Out, "# HELP atc_tune_windows Tuning rule windows evaluated\n");
-  appendf(Out, "# TYPE atc_tune_windows counter\n");
-  for (int W = 0; W != NumWorkers; ++W)
-    appendf(Out, "atc_tune_windows_total{worker=\"%d\"} %llu\n", W,
-            static_cast<unsigned long long>(Snap.Workers[W].TuneWindows));
-
   // Mode residency.
   appendf(Out, "# HELP atc_mode_ns Nanoseconds spent in each FSM mode\n");
   appendf(Out, "# TYPE atc_mode_ns counter\n");
@@ -275,13 +242,6 @@ std::string atc::renderJsonSeries(const std::vector<MetricsSnapshot> &History,
         appendf(Out, "%s\"%s\": %llu", M ? ", " : "",
                 traceModeName(static_cast<TraceMode>(M)),
                 static_cast<unsigned long long>(Ws.ModeNs[M]));
-      appendf(Out,
-              "},\n   \"tune\": {\"cutoff\": %u, \"max_stolen_num\": %u, "
-              "\"backoff_shift\": %u, \"adjustments\": %llu, "
-              "\"windows\": %llu",
-              Ws.TuneCutoff, Ws.TuneMaxStolen, Ws.TuneBackoffShift,
-              static_cast<unsigned long long>(Ws.TuneAdjustments),
-              static_cast<unsigned long long>(Ws.TuneWindows));
       Out += "},\n   \"hist\": {";
       jsonHistogram(Out, "steal_latency_ns", Ws.StealLatencyNs);
       Out += ", ";

@@ -22,7 +22,7 @@
 ///
 /// Gates, mirroring trace/TraceEvent.h exactly: building with
 /// -DATC_OBSERVE=OFF (support/Compiler.h) compiles every emission site
-/// away, together with tracing and tuning; with metrics compiled in, the
+/// away, together with tracing; with metrics compiled in, the
 /// runtime gate is SchedulerConfig::Metrics — off costs one predictable
 /// untaken branch on a worker-local pointer per site.
 ///
@@ -147,11 +147,6 @@ public:
     NeedTaskGauge.store(0, std::memory_order_relaxed);
     DequeDepthGauge.store(0, std::memory_order_relaxed);
     LastReseedNs = 0;
-    TuneCutoff.store(0, std::memory_order_relaxed);
-    TuneMaxStolen.store(0, std::memory_order_relaxed);
-    TuneBackoffShift.store(0, std::memory_order_relaxed);
-    TuneAdjustments.store(0, std::memory_order_relaxed);
-    TuneWindows.store(0, std::memory_order_relaxed);
     StealLatencyNs.reset();
     SpawnCostNs.reset();
     DequeDepth.reset();
@@ -199,20 +194,6 @@ public:
       ReseedIntervalNs.record(NowNs - Last);
   }
 
-  /// Mirrors the worker's TuningController knobs and counters into the
-  /// atc_tune_* gauges (core/tuning/TuningController.h). All-zero on an
-  /// untuned run — atc_tune_cutoff >= 1 is the "this worker is being
-  /// tuned" signal dashboards key off.
-  void publishTuning(std::uint32_t Cutoff, std::uint32_t MaxStolen,
-                     std::uint32_t BackoffShift, std::uint64_t Adjustments,
-                     std::uint64_t Windows) {
-    TuneCutoff.store(Cutoff, std::memory_order_relaxed);
-    TuneMaxStolen.store(MaxStolen, std::memory_order_relaxed);
-    TuneBackoffShift.store(BackoffShift, std::memory_order_relaxed);
-    TuneAdjustments.store(Adjustments, std::memory_order_relaxed);
-    TuneWindows.store(Windows, std::memory_order_relaxed);
-  }
-
   //===------------------------------------------------------------------===//
   // Cross-thread gauges
   //===------------------------------------------------------------------===//
@@ -249,21 +230,6 @@ public:
   std::uint64_t modeStartNanos() const {
     return ModeStartNs.load(std::memory_order_relaxed);
   }
-  std::uint32_t tuneCutoff() const {
-    return TuneCutoff.load(std::memory_order_relaxed);
-  }
-  std::uint32_t tuneMaxStolen() const {
-    return TuneMaxStolen.load(std::memory_order_relaxed);
-  }
-  std::uint32_t tuneBackoffShift() const {
-    return TuneBackoffShift.load(std::memory_order_relaxed);
-  }
-  std::uint64_t tuneAdjustments() const {
-    return TuneAdjustments.load(std::memory_order_relaxed);
-  }
-  std::uint64_t tuneWindows() const {
-    return TuneWindows.load(std::memory_order_relaxed);
-  }
 
   LogHistogram StealLatencyNs;    ///< Idle-to-acquire, per successful steal.
   LogHistogram SpawnCostNs;       ///< Alloc+copy+push cost per real spawn.
@@ -278,12 +244,6 @@ private:
       static_cast<std::uint32_t>(TraceMode::Idle)};
   std::atomic<std::uint32_t> NeedTaskGauge{0};
   std::atomic<std::int64_t> DequeDepthGauge{0};
-  // Tuning-knob mirrors (publishTuning); all-zero when untuned.
-  std::atomic<std::uint32_t> TuneCutoff{0};
-  std::atomic<std::uint32_t> TuneMaxStolen{0};
-  std::atomic<std::uint32_t> TuneBackoffShift{0};
-  std::atomic<std::uint64_t> TuneAdjustments{0};
-  std::atomic<std::uint64_t> TuneWindows{0};
   std::uint64_t LastReseedNs = 0; ///< Owner-only reseed anchor.
 };
 

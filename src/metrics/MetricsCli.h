@@ -44,15 +44,15 @@
 
 namespace atc {
 
-/// True when \p Requested observability flags (trace, metrics, tuning)
-/// reach a build with ATC_OBSERVE=OFF, after saying so on stderr: such a
-/// build records no trace, publishes empty snapshots and never tunes.
+/// True when \p Requested observability flags (trace, metrics) reach a
+/// build with ATC_OBSERVE=OFF, after saying so on stderr: such a build
+/// records no trace and publishes empty snapshots.
 inline bool observeCompiledOut(const char *Tool, bool Requested) {
   if (ATC_OBSERVE_ENABLED || !Requested)
     return false;
   std::fprintf(stderr,
-               "%s: built with ATC_OBSERVE=OFF; trace, metrics and tuning "
-               "flags have no effect\n",
+               "%s: built with ATC_OBSERVE=OFF; trace and metrics flags "
+               "have no effect\n",
                Tool);
   return true;
 }

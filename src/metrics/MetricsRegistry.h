@@ -52,12 +52,6 @@ struct WorkerSample {
   std::int64_t DequeDepth = 0;
   TraceMode Mode = TraceMode::Idle;
   bool NeedTask = false;
-  // Tuning-knob mirrors (atc_tune_*); all-zero on an untuned run.
-  std::uint32_t TuneCutoff = 0;
-  std::uint32_t TuneMaxStolen = 0;
-  std::uint32_t TuneBackoffShift = 0;
-  std::uint64_t TuneAdjustments = 0;
-  std::uint64_t TuneWindows = 0;
   HistogramCounts StealLatencyNs;
   HistogramCounts SpawnCostNs;
   HistogramCounts DequeDepthHist;
@@ -192,11 +186,6 @@ public:
       W.Mode = C.mode();
       W.NeedTask = C.needTask();
       W.DequeDepth = C.dequeDepth();
-      W.TuneCutoff = C.tuneCutoff();
-      W.TuneMaxStolen = C.tuneMaxStolen();
-      W.TuneBackoffShift = C.tuneBackoffShift();
-      W.TuneAdjustments = C.tuneAdjustments();
-      W.TuneWindows = C.tuneWindows();
       // Live adjustment: credit the open interval to the current mode.
       // Racy against a concurrent transition by design — the error is
       // bounded by one interval and self-corrects at the next sample.

@@ -137,22 +137,6 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
     return false;
   }
 
-  // "tuning": "on"|"off" on the wire; a JSON bool is accepted too.
-  const json::Value &Tuning = Doc["tuning"];
-  if (Tuning.isBool()) {
-    Spec.Tuning = Tuning.asBool();
-  } else {
-    S = Tuning.stringOr("off");
-    if (S == "on" || S == "true") {
-      Spec.Tuning = true;
-    } else if (S == "off" || S == "false") {
-      Spec.Tuning = false;
-    } else {
-      Error = "field 'tuning' must be \"on\" or \"off\"";
-      return false;
-    }
-  }
-
   // Validate problem kind + size by building (and discarding) a runner
   // shell — cheap for every kind but comp, whose arrays we accept as the
   // cost of full validation at admission rather than at dispatch.
@@ -172,13 +156,12 @@ std::string atc::jobSpecJson(const JobSpec &Spec) {
                 "{\"problem\": \"%s\", \"size\": %d, \"tenant\": \"%s\", "
                 "\"scheduler\": \"%s\", \"workers\": %d, \"deque\": \"%s\", "
                 "\"steal\": \"%s\", \"victim\": \"%s\", \"cutoff\": %d, "
-                "\"tuning\": \"%s\", \"deadline_ms\": %lld}",
+                "\"deadline_ms\": %lld}",
                 escapeJson(Spec.Problem).c_str(), Spec.Size,
                 escapeJson(Spec.Tenant).c_str(),
                 schedulerKindName(Spec.Kind), Spec.Workers,
                 dequeKindName(Spec.Deque), stealPolicyName(Spec.Steal),
                 victimPolicyName(Spec.Victim), Spec.Cutoff,
-                Spec.Tuning ? "on" : "off",
                 static_cast<long long>(Spec.DeadlineMs));
   return Buf;
 }

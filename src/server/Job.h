@@ -17,7 +17,7 @@
 ///   {"problem": "nqueens-array", "size": 11, "tenant": "alice",
 ///    "scheduler": "adaptivetc", "workers": 4, "deque": "chaselev",
 ///    "steal": "one", "victim": "affinity", "cutoff": -1,
-///    "tuning": "off", "deadline_ms": 2000}
+///    "deadline_ms": 2000}
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -45,12 +45,6 @@ struct JobSpec {
   StealPolicy Steal = StealPolicy::One;
   VictimPolicy Victim = VictimPolicy::Affinity;
   int Cutoff = -1; ///< Task-creation cut-off; -1 = runtime default.
-
-  /// Arm the online tuning layer (SchedulerConfig::Tuning) for the run:
-  /// Cutoff / the runtime's MaxStolenNum become initial values the
-  /// per-worker controllers adapt from. Wire form: "tuning": "on"|"off"
-  /// (JSON true/false also accepted). No-op in ATC_OBSERVE=OFF builds.
-  bool Tuning = false;
 
   /// Queue-residency budget in milliseconds: a job still queued this long
   /// after submission is dropped as Expired instead of run. 0 = no

@@ -220,7 +220,6 @@ void JobServer::runJob(std::uint64_t Id) {
   Cfg.Steal = R.Spec.Steal;
   Cfg.Victim = R.Spec.Victim;
   Cfg.Cutoff = R.Spec.Cutoff;
-  Cfg.Tuning = R.Spec.Tuning;
   Cfg.Executor = &Pool;
   Cfg.MetricsSink = &Registry;
 

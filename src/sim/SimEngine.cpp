@@ -7,7 +7,6 @@
 #include "sim/SimEngine.h"
 #include "core/kernel/StealDecisions.h"
 #include "core/kernel/TaskCreationPolicy.h"
-#include "core/tuning/TuningController.h"
 #include "metrics/MetricsRegistry.h"
 #include "support/Compiler.h"
 #include "support/Prng.h"
@@ -16,7 +15,7 @@
 #include <cassert>
 #include <deque>
 #include <limits>
-#include <memory>
+#include <utility>
 
 using namespace atc;
 
@@ -67,11 +66,6 @@ struct SimWorker {
   /// Virtual-time metrics cell, or null when the sim run is unmetered.
   WorkerMetricsCell *MC = nullptr;
 
-  /// Online tuning controller, or null when the sim run is untuned —
-  /// the exact controller the real runtime uses, driven on this worker's
-  /// virtual clock (SimOptions::Tuning).
-  TuningController *Tune = nullptr;
-
   /// Per-worker counter mirror, kept in the runtime's SchedulerStats
   /// vocabulary so the metrics snapshot of a sim run carries the same
   /// fields as a real run (the SimReport globals are sums of these).
@@ -120,12 +114,6 @@ public:
       for (int I = 0; I < Opts.NumWorkers; ++I)
         Workers[static_cast<std::size_t>(I)].TB = &Log->buffer(I);
     }
-    // The controllers' only inputs are the metrics cells, so a tuned sim
-    // with no caller-provided registry arms a private one.
-    if (Opts.Tuning && !Metrics) {
-      OwnReg = std::make_unique<MetricsRegistry>();
-      Metrics = OwnReg.get();
-    }
     if (Metrics) {
       Metrics->reset(Opts.NumWorkers);
       Metrics->Meta.Scheduler = schedulerKindName(Opts.Kind);
@@ -134,15 +122,6 @@ public:
         WorkerMetricsCell &Cell = Metrics->cell(I);
         Cell.begin(0); // virtual clocks start at t = 0
         Workers[static_cast<std::size_t>(I)].MC = &Cell;
-      }
-      if (Opts.Tuning) {
-        for (int I = 0; I < Opts.NumWorkers; ++I) {
-          auto T = std::make_unique<TuningController>();
-          T->arm(CutoffDepth, Opts.MaxStolenNum, Opts.Tune);
-          T->publishTo(Metrics->cell(I));
-          Workers[static_cast<std::size_t>(I)].Tune = T.get();
-          Tuners.push_back(std::move(T));
-        }
       }
     }
 #else
@@ -242,10 +221,6 @@ private:
   const int CutoffDepth;
 
   std::vector<SimWorker> Workers;
-  /// Per-worker controllers when Opts.Tuning armed the run; OwnReg backs
-  /// them with cells when the caller passed no registry.
-  std::vector<std::unique_ptr<TuningController>> Tuners;
-  std::unique_ptr<MetricsRegistry> OwnReg;
   std::deque<Job> JobArena;
   std::vector<SimTreeNode> KidsScratch;
 
@@ -356,16 +331,6 @@ SimReport Simulator::run() {
     // SchedulerStats).
     syncTraceMode(W);
     ATC_METRIC(W.MC, publishStats(W.Stats));
-    if (ATC_OBSERVE_ENABLED && W.Tune) {
-      W.Tune->publishTo(*W.MC); // final knob gauges match the report
-      R.TuneAdjustments += W.Tune->adjustments();
-      R.TuneWindows += W.Tune->windowsEvaluated();
-      if (I == 0) {
-        R.FinalCutoff = W.Tune->cutoff();
-        R.FinalMaxStolen = W.Tune->maxStolenNum();
-        R.FinalBackoffShift = W.Tune->backoffShift();
-      }
-    }
   }
   R.NodesProcessed = Processed;
   return R;
@@ -386,9 +351,6 @@ void Simulator::step(int Wi) {
       ATC_METRIC(W.MC, StealLatencyNs.record(
                            static_cast<std::uint64_t>(Waited)));
       ATC_METRIC(W.MC, publishStats(W.Stats));
-      // Thief-side tune point, mirroring the kernel steal loop's.
-      ATC_TUNE(W.Tune,
-               maybeTune(static_cast<std::uint64_t>(W.Now), *W.MC));
     }
     syncTraceMode(W);
     return;
@@ -413,11 +375,9 @@ void Simulator::visitChild(SimWorker &W) {
   // Determine the child's dispatch (edge) from the parent frame's mode
   // via the shared FSM/policy table, then translate the transition into
   // the simulator's cost charges.
-  // A tuned worker dispatches against its controller's live cut-off, the
-  // exact analogue of FramePolicy::dispatchChild re-reading the knob.
   const FsmTransition T =
-      dispatchChild(Opts.Kind, liveCutoff(W.Tune, CutoffDepth), F.Mode, F.Dp,
-                    W.NeedTask, FirstChild, Opts.Fsm);
+      dispatchChild(Opts.Kind, CutoffDepth, F.Mode, F.Dp, W.NeedTask,
+                    FirstChild, Opts.Fsm);
   const CodeVersion ChildMode = T.Child;
   const int ChildDp = T.ChildDp;
   const bool Spawned = T.SpawnTask;  // real task: frame + deque + copy
@@ -445,12 +405,6 @@ void Simulator::visitChild(SimWorker &W) {
       ++R.SpecialTasks;
       ++W.Stats.SpecialTasks;
       ATC_METRIC(W.MC, recordReseed(static_cast<std::uint64_t>(W.Now)));
-      // Owner-side tune point, mirroring FramePolicy's reseed branch:
-      // flush the mirror so the window the controller closes sees the
-      // reseed it just recorded.
-      ATC_METRIC(W.MC, publishStats(W.Stats));
-      ATC_TUNE(W.Tune,
-               maybeTune(static_cast<std::uint64_t>(W.Now), *W.MC));
       emit(W, TraceEventKind::NeedTaskObserve, 0,
            static_cast<std::uint16_t>(W.Stack.size()));
     }
@@ -599,30 +553,18 @@ void Simulator::dequeStealAttempt(int Wi) {
     W.LastVictim = -1;
     // Light backoff only: Cilk-style thieves retry at memory-latency
     // timescales; aggressive sleeping would starve the need_task
-    // signalling path (stolen_num accumulates per failed attempt). The
-    // linear ramp's cap maps the runtime's backoff-shift knob onto the
-    // sim's scale — (1 << shift) * 20 / 128 reproduces the historical
-    // cap of 20 at the default shift of 7 exactly.
+    // signalling path (stolen_num accumulates per failed attempt), so
+    // the linear ramp caps at 20 steps.
     double Ns = C.StealFailNs;
-    if (W.FailStreak > 8) {
-      const int RampCap =
-          std::max(1, (1 << liveBackoffShift(W.Tune)) * 20 / 128);
-      Ns += 100.0 * std::min(W.FailStreak - 8, RampCap);
-    }
+    if (W.FailStreak > 8)
+      Ns += 100.0 * std::min(W.FailStreak - 8, 20);
     W.Now += Ns;
     W.B.IdleNs += Ns;
     emit(W, TraceEventKind::StealFail, static_cast<std::uint32_t>(Vi));
-    if (ATC_OBSERVE_ENABLED && W.Tune && (W.FailStreak & 15) == 0) {
-      // Starving-thief tune point, mirroring the kernel steal loop's.
-      ATC_METRIC(W.MC, publishStats(W.Stats));
-      W.Tune->maybeTune(static_cast<std::uint64_t>(W.Now), *W.MC);
-    }
-    // The failed-steal threshold guards the *victim*, so a tuned
-    // victim's live knob replaces the run constant (as in acquireOnce).
     if (Opts.Kind != SchedulerKind::AdaptiveTC)
       return;
-    const NeedTaskSignal Signal = needTaskSignal(
-        ++V.StolenNum, liveMaxStolen(V.Tune, Opts.MaxStolenNum));
+    const NeedTaskSignal Signal =
+        needTaskSignal(++V.StolenNum, Opts.MaxStolenNum);
     if (Signal != NeedTaskSignal::Below) {
       V.NeedTask = true;
       ATC_METRIC(V.MC, setNeedTask(true));
@@ -687,10 +629,8 @@ void Simulator::dequeStealAttempt(int Wi) {
       if (F.Stealable && F.Next + (IsTop ? 1 : 0) < F.End)
         Later.push_back(I);
     }
-    // Thief's live knob bounds its own batch, as in stealExtra.
     const int Extra =
-        stealHalfWidth(static_cast<int>(Later.size()),
-                       liveMaxStolen(W.Tune, Opts.MaxStolenNum));
+        stealHalfWidth(static_cast<int>(Later.size()), Opts.MaxStolenNum);
     // Youngest extras first so older continuations sit higher on the
     // thief's stack (it drains oldest-first).
     for (int I = 0; I < Extra; ++I) {

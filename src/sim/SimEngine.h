@@ -39,7 +39,6 @@
 
 #include "core/Scheduler.h"
 #include "core/kernel/FiveVersionFsm.h"
-#include "core/tuning/TuningController.h"
 #include "sim/CostModel.h"
 #include "sim/TreeGen.h"
 #include "trace/TraceLog.h"
@@ -92,20 +91,6 @@ struct SimOptions {
   /// default here even though the real runtime runs Spine
   /// (core/kernel/FiveVersionFsm.h). Other kinds ignore it.
   FsmVariant Fsm = FsmVariant::Paper;
-
-  /// Arm the online tuning layer: each virtual worker gets the same
-  /// TuningController as the real runtime (core/tuning), driven on its
-  /// *virtual* clock — Cutoff / MaxStolenNum above become initial values
-  /// and the controller's rules are exercised deterministically. Needs a
-  /// build with ATC_OBSERVE=ON (the controllers read the metrics cells;
-  /// the simulator arms a private registry when the caller passed none);
-  /// compiled-out builds ignore the flag.
-  bool Tuning = false;
-
-  /// Rule constants and knob bounds for the armed controllers; the
-  /// defaults are the shipped TuningLimits. Lets experiments (and the
-  /// ablation harness) sweep the rule space without rebuilding.
-  TuningLimits Tune;
 
   /// Models the paper's "Cutoff-library" variant, where "the cost of
   /// workspace copying cannot be reduced": the runtime, lacking the
@@ -167,16 +152,6 @@ struct SimReport {
   std::uint64_t Requests = 0;
   std::uint64_t RequestsDenied = 0;
   int MaxStealableFrames = 0; ///< Deque-pressure high-water mark.
-
-  // Online-tuning outcome (zero unless SimOptions::Tuning armed
-  // controllers): total knob adjustments and rule windows evaluated
-  // across workers, and worker 0's final knob values — enough for the
-  // ablation bench and the deterministic rule tests without a registry.
-  std::uint64_t TuneAdjustments = 0;
-  std::uint64_t TuneWindows = 0;
-  int FinalCutoff = 0;
-  int FinalMaxStolen = 0;
-  int FinalBackoffShift = 0;
 };
 
 /// Runs the simulation of \p Opts.Kind over \p Tree with costs \p Costs.

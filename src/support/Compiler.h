@@ -19,9 +19,8 @@
 #define ATC_LIKELY(x) (__builtin_expect(!!(x), 1))
 #define ATC_UNLIKELY(x) (__builtin_expect(!!(x), 0))
 
-/// Compile-time observability gate: trace emission (src/trace), metrics
-/// publication (src/metrics) and tuning knob reads (src/core/tuning) are
-/// compiled in or out together. The build defines ATC_OBSERVE_ENABLED=0|1
+/// Compile-time observability gate: trace emission (src/trace) and metrics
+/// publication (src/metrics) are compiled in or out together. The build defines ATC_OBSERVE_ENABLED=0|1
 /// via the ATC_OBSERVE CMake option; standalone consumers (atcc-generated
 /// code compiled with only -I <repo>/src) default to enabled.
 #ifndef ATC_OBSERVE_ENABLED

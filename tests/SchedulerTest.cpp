@@ -16,7 +16,6 @@
 #include "core/Backoff.h"
 #include "core/Runtime.h"
 #include "core/kernel/StealDecisions.h"
-#include "core/tuning/TuningController.h"
 #include "problems/FibComp.h"
 #include "problems/KnightsTour.h"
 #include "problems/NQueens.h"
@@ -690,50 +689,6 @@ TEST(CheckPath, ExactAccountingForEveryRegistryProblem) {
   }
 }
 
-// Online tuning moves the cut-off, max_stolen_num and backoff knobs
-// mid-run, but it must stay result- and accounting-invisible: every tree
-// node still runs under exactly one code version (a dispatch reads one
-// cut-off value, whichever it is), so real + fake tasks must still
-// partition the tree and every steal attempt must still resolve — across
-// scheduler kinds and deque kinds. In an ATC_OBSERVE=OFF build the flag
-// is inert and this leg degenerates to the static matrix, which must
-// also pass.
-TEST(PolicyMatrix, TuningPreservesNodeAccounting) {
-  const SchedulerKind Kinds[] = {SchedulerKind::Cilk,
-                                 SchedulerKind::Cutoff,
-                                 SchedulerKind::AdaptiveTC};
-  const DequeKind Deques[] = {DequeKind::The, DequeKind::Atomic,
-                              DequeKind::ChaseLev};
-
-  NQueensArray NQ;
-  auto NQRoot = NQueensArray::makeRoot(9);
-  long long Expected = runSequential(NQ, NQRoot);
-  TreeProfile Profile;
-  {
-    auto S = NQueensArray::makeRoot(9);
-    profileTree(NQ, S, Profile);
-  }
-
-  for (SchedulerKind Kind : Kinds)
-    for (DequeKind DQ : Deques) {
-      SchedulerConfig Cfg;
-      Cfg.Kind = Kind;
-      Cfg.Deque = DQ;
-      Cfg.NumWorkers = 4;
-      Cfg.Tuning = true;
-      const std::string What = std::string(schedulerKindName(Kind)) + "/" +
-                               dequeKindName(DQ) + "/tuned";
-
-      auto R = runProblem(NQ, NQueensArray::makeRoot(9), Cfg);
-      EXPECT_EQ(R.Value, Expected) << What;
-      EXPECT_EQ(R.Stats.TasksCreated + R.Stats.FakeTasks,
-                static_cast<std::uint64_t>(Profile.Nodes))
-          << What << ": node accounting does not partition the tree";
-      EXPECT_EQ(R.Stats.StealAttempts, R.Stats.Steals + R.Stats.StealFails)
-          << What;
-    }
-}
-
 // Victim ordering is kernel-owned, so every scheduler kind — Tascell's
 // mailbox engine included — must accept every VictimPolicy and produce
 // the same result. Partitioned runs with a group smaller than the worker
@@ -864,24 +819,21 @@ TEST(StealDecisions, NeedTaskRaisedPastTheThresholdRecordedOnlyOnCrossing) {
 
 TEST(StealDecisions, IdleLadderYieldsThroughTheSpinBudget) {
   for (int Budget : {0, 4, 21, 63})
-    for (int MaxShift : {0, 2, 7, 10})
-      for (int Streak = 0; Streak <= Budget; ++Streak)
-        EXPECT_EQ(backoffSleepUs(Streak, Budget, MaxShift), 0)
-            << "streak " << Streak << ", budget " << Budget;
+    for (int Streak = 0; Streak <= Budget; ++Streak)
+      EXPECT_EQ(backoffSleepUs(Streak, Budget), 0)
+          << "streak " << Streak << ", budget " << Budget;
 }
 
 TEST(StealDecisions, IdleLadderSleepsDoublingPastTheBudgetUpToTheCap) {
   for (int Budget : {0, 63})
-    for (int MaxShift : {0, 2, 7, 10})
-      for (int Past = 1; Past <= MaxShift + 4; ++Past)
-        EXPECT_EQ(backoffSleepUs(Budget + Past, Budget, MaxShift),
-                  1 << std::min(Past - 1, MaxShift))
-            << "budget " << Budget << ", cap shift " << MaxShift
-            << ", streak " << Budget + Past;
-  EXPECT_EQ(backoffSleepUs(64, 63, DefaultBackoffShift), 1);
-  EXPECT_EQ(backoffSleepUs(65, 63, DefaultBackoffShift), 2);
-  EXPECT_EQ(backoffSleepUs(66, 63, DefaultBackoffShift), 4);
-  EXPECT_EQ(backoffSleepUs(INT_MAX, 63, DefaultBackoffShift), 128);
+    for (int Past = 1; Past <= BackoffMaxShift + 4; ++Past)
+      EXPECT_EQ(backoffSleepUs(Budget + Past, Budget),
+                1 << std::min(Past - 1, BackoffMaxShift))
+          << "budget " << Budget << ", streak " << Budget + Past;
+  EXPECT_EQ(backoffSleepUs(64, 63), 1);
+  EXPECT_EQ(backoffSleepUs(65, 63), 2);
+  EXPECT_EQ(backoffSleepUs(66, 63), 4);
+  EXPECT_EQ(backoffSleepUs(INT_MAX, 63), 128);
 }
 
 TEST(StealDecisions, SpinBudgetLetsOneThiefRaiseNeedTaskOnAnyVictim) {
@@ -896,17 +848,13 @@ TEST(StealDecisions, SpinBudgetLetsOneThiefRaiseNeedTaskOnAnyVictim) {
     for (int MaxStolen : {0, 1, 20, 500})
       EXPECT_GT(idleSpinBudget(Workers, MaxStolen) / (Workers - 1),
                 MaxStolen);
-}
-
-TEST(StealDecisions, SpinBudgetFollowsTheTunedMaxStolenNum) {
-  // The kernel sizes the budget from the thief's live knob, as it does
-  // the steal-half bound; a tuned-up threshold buys a longer yield phase.
-  TuningController T;
-  T.arm(/*InitCutoff=*/2, /*InitMaxStolen=*/40);
-  const int Live = liveMaxStolen(&T, /*Def=*/20);
-  EXPECT_EQ(Live, ATC_OBSERVE_ENABLED ? 40 : 20); // compiled out: default
-  EXPECT_EQ(idleSpinBudget(4, Live), ATC_OBSERVE_ENABLED ? 123 : 63);
-  EXPECT_EQ(idleSpinBudget(4, liveMaxStolen(nullptr, 20)), 63);
+  // The kernel's ladder at 4 workers and the paper's max_stolen_num:
+  // 63 yields, then sleeps that reach the 128us cap 8 failures later.
+  const int Budget = idleSpinBudget(4, 20);
+  EXPECT_EQ(Budget, 63);
+  EXPECT_EQ(backoffSleepUs(Budget + 1, Budget), 1);
+  EXPECT_EQ(backoffSleepUs(Budget + 8, Budget), 128);
+  EXPECT_EQ(backoffSleepUs(Budget + 9, Budget), 128);
 }
 
 TEST(StealDecisions, SpinBudgetSaturatesInsteadOfOverflowing) {
@@ -915,9 +863,7 @@ TEST(StealDecisions, SpinBudgetSaturatesInsteadOfOverflowing) {
   EXPECT_EQ(idleSpinBudget(INT_MAX, INT_MAX), INT_MAX);
   EXPECT_EQ(idleSpinBudget(4, 500), 1503); // PropertyTest's msn500 case
   // A saturated budget never sleeps, even at the largest streak.
-  EXPECT_EQ(backoffSleepUs(INT_MAX, idleSpinBudget(4, INT_MAX),
-                           DefaultBackoffShift),
-            0);
+  EXPECT_EQ(backoffSleepUs(INT_MAX, idleSpinBudget(4, INT_MAX)), 0);
 }
 
 // Before the kernel refactor Tascell never reported steal-path counters;

@@ -94,15 +94,20 @@ TEST(JobQueue, PopBlocksUntilPush) {
 //===----------------------------------------------------------------------===//
 
 TEST(JobSpecJson, MinimalSpecGetsDefaults) {
-  JobSpec S;
-  std::string Err;
-  ASSERT_TRUE(parseJobSpec(R"({"problem": "fib"})", S, Err)) << Err;
-  EXPECT_EQ(S.Problem, "fib");
-  EXPECT_EQ(S.Size, problemDefaultSize("fib")) << "0 resolves the default";
-  EXPECT_EQ(S.Tenant, "default");
-  EXPECT_EQ(S.Kind, SchedulerKind::AdaptiveTC);
-  EXPECT_EQ(S.Workers, 0);
-  EXPECT_EQ(S.DeadlineMs, 0);
+  // A legacy "tuning" key is ignored like any other unknown key.
+  for (const char *Text :
+       {R"({"problem": "fib"})", R"({"problem": "fib", "tuning": "on"})"}) {
+    JobSpec S;
+    std::string Err;
+    ASSERT_TRUE(parseJobSpec(Text, S, Err)) << Text << ": " << Err;
+    EXPECT_EQ(S.Problem, "fib");
+    EXPECT_EQ(S.Size, problemDefaultSize("fib")) << "0 resolves the default";
+    EXPECT_EQ(S.Tenant, "default");
+    EXPECT_EQ(S.Kind, SchedulerKind::AdaptiveTC);
+    EXPECT_EQ(S.Workers, 0);
+    EXPECT_EQ(S.DeadlineMs, 0);
+    EXPECT_EQ(jobSpecJson(S).find("tuning"), std::string::npos) << Text;
+  }
 }
 
 TEST(JobSpecJson, FullSpecRoundTrips) {

@@ -173,41 +173,14 @@ std::string renderFrame(const MetricsSnapshot &Cur,
             static_cast<unsigned long long>(Jobs->Expired),
             fmtNs(Jobs->LatencyNs.quantile(0.50)).c_str(),
             fmtNs(Jobs->LatencyNs.quantile(0.99)).c_str());
-  // The tune column appears only when at least one controller is armed
-  // (atc_tune_cutoff >= 1 is the armed marker; see docs/TUNING.md).
-  bool Tuned = false;
-  for (const WorkerSample &Ws : Cur.Workers)
-    Tuned = Tuned || Ws.TuneCutoff >= 1;
-  if (Tuned)
-    appendf(Out, "tune:   adjustments=%llu windows=%llu  (c/m/b = cut-off / "
-                 "max_stolen_num / backoff shift)\n",
-            static_cast<unsigned long long>([&] {
-              std::uint64_t T = 0;
-              for (const WorkerSample &Ws : Cur.Workers)
-                T += Ws.TuneAdjustments;
-              return T;
-            }()),
-            static_cast<unsigned long long>([&] {
-              std::uint64_t T = 0;
-              for (const WorkerSample &Ws : Cur.Workers)
-                T += Ws.TuneWindows;
-              return T;
-            }()));
-  appendf(Out, "%3s %-9s %4s %2s%s %10s %10s %10s %10s  %s\n", "w", "mode",
-          "dq", "nt", Tuned ? "   tune c/m/b" : "", "steals/s", "spawns/s",
+  appendf(Out, "%3s %-9s %4s %2s %10s %10s %10s %10s  %s\n", "w", "mode",
+          "dq", "nt", "steals/s", "spawns/s",
           "steal p50", "spawn p50",
           "residency (f=fast c=check 2=fast_2 q=seq s=slow y=sync "
           "w=work .=idle)");
 
   for (std::size_t W = 0; W != Cur.Workers.size(); ++W) {
     const WorkerSample &Ws = Cur.Workers[W];
-    char Tune[32] = "";
-    if (Tuned) {
-      char Knobs[20];
-      std::snprintf(Knobs, sizeof(Knobs), "%u/%u/%u", Ws.TuneCutoff,
-                    Ws.TuneMaxStolen, Ws.TuneBackoffShift);
-      std::snprintf(Tune, sizeof(Tune), " %12s", Knobs);
-    }
     auto Rate = [&](StatField F) {
       char Buf[32];
       std::uint64_t C = Ws.stat(F);
@@ -221,10 +194,10 @@ std::string renderFrame(const MetricsSnapshot &Cur,
       std::snprintf(Buf, sizeof(Buf), "%.1f", R);
       return std::string(Buf);
     };
-    appendf(Out, "%3d %-9s %4lld %2s%s %10s %10s %10s %10s  [%s]\n",
+    appendf(Out, "%3d %-9s %4lld %2s %10s %10s %10s %10s  [%s]\n",
             static_cast<int>(W), traceModeName(Ws.Mode),
             static_cast<long long>(Ws.DequeDepth), Ws.NeedTask ? "!" : "",
-            Tune, Rate(StatField::Steals).c_str(),
+            Rate(StatField::Steals).c_str(),
             Rate(StatField::Spawns).c_str(),
             fmtNs(Ws.StealLatencyNs.quantile(0.5)).c_str(),
             fmtNs(Ws.SpawnCostNs.quantile(0.5)).c_str(),
@@ -368,26 +341,6 @@ bool frameFromPromText(const std::string &Text, MetricsSnapshot &Snap,
     }
     if (S.Name == "atc_need_task") {
       Ws.NeedTask = S.Value != 0;
-      continue;
-    }
-    if (S.Name == "atc_tune_cutoff") {
-      Ws.TuneCutoff = static_cast<std::uint32_t>(S.Value);
-      continue;
-    }
-    if (S.Name == "atc_tune_max_stolen_num") {
-      Ws.TuneMaxStolen = static_cast<std::uint32_t>(S.Value);
-      continue;
-    }
-    if (S.Name == "atc_tune_backoff_shift") {
-      Ws.TuneBackoffShift = static_cast<std::uint32_t>(S.Value);
-      continue;
-    }
-    if (S.Name == "atc_tune_adjustments_total") {
-      Ws.TuneAdjustments = S.asU64();
-      continue;
-    }
-    if (S.Name == "atc_tune_windows_total") {
-      Ws.TuneWindows = S.asU64();
       continue;
     }
     if (S.Name == "atc_mode_ns_total") {

@@ -23,14 +23,12 @@ Usage (from the repo root, after a Release build):
     # or compare an atc_loadgen --json report against the server baseline:
     python3 tools/bench_compare.py --server-json fresh_load.json
 
-    # or gate an ablation_tuning --json report against BENCH_tuning.json:
-    python3 tools/bench_compare.py --tuning-json fresh_tuning.json
-
-The tuning family is special: ablation_tuning runs on the simulator's
-virtual clock, so its numbers are deterministic and machine-independent.
-It is gated on absolute acceptance criteria (settled_over_best <= 1.05,
-controller actually adjusted) plus a tight drift check against the
-committed baseline (--tuning-tolerance, default 1.01).
+Normalization cannot absorb a change in CPU count: multi-thief drain
+throughput scales with the cores the thieves actually get, not with the
+machine's single-thread speed. When the fresh run's context.num_cpus
+differs from the baseline's host.num_cpus, the DrainSteal*/N rows with
+N > 1 thieves are skipped and listed with the reason; single-thread rows
+and one-thief drains still gate.
 
 Exit status: 0 when every compared benchmark is within tolerance,
 1 on regression, 2 on usage/run errors.
@@ -58,6 +56,7 @@ SKIP_PREFIXES = (
     "BM_ContendedStealAtomic/",
     "BM_ContendedStealChaseLev/",
 )
+PREEMPTION_BOUND = "preemption-bound on shared runners"
 
 
 # BM_DrainSteal<Kind>/ benchmark name -> drain.<kind> baseline key.
@@ -124,20 +123,33 @@ def spawn_pairs(fresh, baseline):
     return pairs, missing
 
 
-def deque_pairs(fresh, baseline):
+def deque_pairs(fresh, baseline, fresh_cpus=None):
     """Pairs for micro_deque: single-thread per-op times by stripping the
-    BM_ prefix, and DrainSteal* throughput via drain.<kind>.thieves_<n>."""
+    BM_ prefix, and DrainSteal* throughput via drain.<kind>.thieves_<n>.
+    Multi-thief drains are skipped when fresh_cpus (the fresh run's
+    context.num_cpus) is known and differs from the baseline host's.
+    Returns (pairs, missing, skipped), skipped as (name, reason)."""
     pairs, missing, skipped = [], [], []
     single = baseline.get("single_thread_ns", {})
     drain = baseline.get("drain", {})
+    base_cpus = baseline.get("host", {}).get("num_cpus")
+    cpus_differ = (
+        fresh_cpus is not None and base_cpus is not None
+        and fresh_cpus != base_cpus
+    )
     for name, (ns, ips) in sorted(fresh.items()):
         if name.startswith(SKIP_PREFIXES):
-            skipped.append(name)
+            skipped.append((name, PREEMPTION_BOUND))
             continue
         if name.startswith(DRAIN_PREFIXES):
             # "BM_DrainStealThe/4/manual_time" -> kind "the", thieves "4".
             kind = drain_kind(name)
             thieves = name.split("/")[1]
+            if cpus_differ and thieves.isdigit() and int(thieves) > 1:
+                skipped.append((name, "{} thieves on {} CPUs vs a {}-CPU "
+                                "baseline".format(thieves, fresh_cpus,
+                                                  base_cpus)))
+                continue
             base_ips = drain.get(kind, {}).get("thieves_" + thieves)
             if base_ips is None or not ips:
                 missing.append(name)
@@ -182,51 +194,6 @@ def server_pairs(fresh, baseline):
             ("JobThroughput", float(fresh_tp), float(base_tp), "throughput")
         )
     return pairs, missing
-
-
-def tuning_check(fresh, baseline, tolerance):
-    """Gates on an ablation_tuning --json report (BENCH_tuning.json
-    schema). The simulator runs on virtual clocks, so the record is
-    deterministic: unlike the host-timed families there is no machine-
-    speed normalization, and the baseline comparison can be tight.
-
-    Hard gates (per family): settled_over_best <= 1.05 (the acceptance
-    bar: the settled controller reaches within 5% of the best static
-    grid point) and tuned_adjustments > 0 (the controller actually
-    acted). The baseline comparison then flags any settled makespan
-    drifting past --tuning-tolerance of the committed record — a rule
-    change that moves the numbers must re-record the baseline."""
-    bad, rows = [], []
-    base_fams = baseline.get("families", {}) if baseline else {}
-    scale_match = not baseline or fresh.get("scale") == baseline.get("scale")
-    for name, fam in sorted(fresh.get("families", {}).items()):
-        ratio = fam.get("settled_over_best")
-        adjusts = fam.get("tuned_adjustments", 0)
-        if ratio is None or ratio > 1.05:
-            bad.append("{}: settled_over_best={} exceeds 1.05".format(name, ratio))
-        if not adjusts:
-            bad.append("{}: controller made no adjustments".format(name))
-        verdict = "ok"
-        base_ns = base_fams.get(name, {}).get("tuned_settled_ns")
-        fresh_ns = fam.get("tuned_settled_ns")
-        drift = None
-        if base_ns and fresh_ns and scale_match:
-            drift = float(fresh_ns) / float(base_ns)
-            if drift > tolerance:
-                verdict = "REGRESSION"
-                bad.append(
-                    "{}: settled {:.1f}ns vs baseline {:.1f}ns "
-                    "({:.3f}x > {:.3f}x)".format(
-                        name, fresh_ns, base_ns, drift, tolerance
-                    )
-                )
-            elif drift < 1.0 / tolerance:
-                verdict = "improved"
-        rows.append((name, ratio, adjusts, fam.get("final", {}), drift, verdict))
-    if not scale_match:
-        rows.append(("(scale mismatch: baseline comparison skipped)",
-                     None, None, {}, None, ""))
-    return rows, bad
 
 
 def server_health(fresh):
@@ -278,37 +245,8 @@ def report(title, rows, speed, missing, skipped):
         )
     for name in missing:
         print("{:<42} (no baseline entry: skipped)".format(name))
-    for name in skipped:
-        print("{:<42} (preemption-bound on shared runners: skipped)".format(name))
-    print()
-
-
-def tuning_report(title, rows):
-    print("== {} (virtual-time, no machine normalization) ==".format(title))
-    print(
-        "{:<10} {:>14} {:>8} {:>7} {:>14}  {}".format(
-            "family", "settled/best", "adjusts", "drift", "final c/m/b", "verdict"
-        )
-    )
-    for name, ratio, adjusts, final, drift, verdict in rows:
-        if ratio is None and adjusts is None:
-            print(name)
-            continue
-        knobs = "{}/{}/{}".format(
-            final.get("cutoff", "?"),
-            final.get("max_stolen_num", "?"),
-            final.get("backoff_shift", "?"),
-        )
-        print(
-            "{:<10} {:>13.4f}x {:>8} {:>7} {:>14}  {}".format(
-                name,
-                ratio if ratio is not None else float("nan"),
-                adjusts,
-                "{:.3f}x".format(drift) if drift is not None else "-",
-                knobs,
-                verdict,
-            )
-        )
+    for name, reason in skipped:
+        print("{:<42} ({}: skipped)".format(name, reason))
     print()
 
 
@@ -337,23 +275,6 @@ def main():
         "--server-baseline",
         default="BENCH_server.json",
         help="committed server-layer baseline",
-    )
-    ap.add_argument(
-        "--tuning-json", help="ablation_tuning --json report to gate"
-    )
-    ap.add_argument(
-        "--tuning-baseline",
-        default="BENCH_tuning.json",
-        help="committed tuning-ablation baseline",
-    )
-    ap.add_argument(
-        "--tuning-tolerance",
-        type=float,
-        default=1.01,
-        help="max allowed settled-makespan drift vs the tuning baseline "
-        "(default 1.01; the simulator is deterministic, so any drift "
-        "means the rules or the model changed and the baseline should "
-        "be re-recorded)",
     )
     ap.add_argument(
         "--tolerance",
@@ -390,12 +311,14 @@ def main():
     if args.deque_bench or args.deque_json:
         if args.deque_json:
             with open(args.deque_json) as f:
-                fresh = fresh_results(json.load(f))
+                doc = json.load(f)
         else:
-            fresh = fresh_results(run_benchmark(args.deque_bench, args.min_time))
+            doc = run_benchmark(args.deque_bench, args.min_time)
+        fresh = fresh_results(doc)
         with open(args.deque_baseline) as f:
             baseline = json.load(f)
-        pairs, missing, skipped = deque_pairs(fresh, baseline)
+        pairs, missing, skipped = deque_pairs(
+            fresh, baseline, doc.get("context", {}).get("num_cpus"))
         rows, regressions, speed = compare(pairs, args.tolerance)
         report("micro_deque vs " + args.deque_baseline, rows, speed, missing, skipped)
         failed += regressions
@@ -416,24 +339,9 @@ def main():
         failed += regressions
         any_compared = any_compared or bool(pairs)
 
-    if args.tuning_json:
-        with open(args.tuning_json) as f:
-            fresh = json.load(f)
-        try:
-            with open(args.tuning_baseline) as f:
-                baseline = json.load(f)
-        except OSError:
-            baseline = None
-        rows, bad = tuning_check(fresh, baseline, args.tuning_tolerance)
-        tuning_report("ablation_tuning vs " + args.tuning_baseline, rows)
-        if bad:
-            print("FAILED: tuning gate: " + "; ".join(bad))
-            return 1
-        any_compared = any_compared or bool(rows)
-
     if not any_compared:
         sys.exit("error: nothing compared; pass --spawn-bench/--deque-bench "
-                 "(or --spawn-json/--deque-json/--server-json/--tuning-json)")
+                 "(or --spawn-json/--deque-json/--server-json)")
     if failed:
         print("FAILED: {} benchmark(s) regressed: {}".format(
             len(failed), ", ".join(failed)))
