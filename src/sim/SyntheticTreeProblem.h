@@ -17,15 +17,28 @@
 /// machinery (taskprivate, including the per-depth liveBytes hint) is
 /// exercised exactly as for the puzzle benchmarks.
 ///
+/// A node's children are generated once per visit: numChoices expands
+/// them into a per-thread, per-depth memo, and each applyChoice reads
+/// its child from there in O(1). The memo is keyed by this instance's id
+/// and the node's seed and size, so a continuation resumed on another
+/// thread, or a thread that ran other work at the same depth in between,
+/// finds no match and regenerates. The per-node cost is then the spin
+/// plus one expansion, as in the paper, where a node's only cost is its
+/// execution time.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ATC_SIM_SYNTHETICTREEPROBLEM_H
 #define ATC_SIM_SYNTHETICTREEPROBLEM_H
 
 #include "sim/TreeGen.h"
+#include "support/Error.h"
 
+#include <atomic>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
+#include <string>
 
 namespace atc {
 
@@ -44,8 +57,11 @@ public:
   /// \p SpinPerNode: iterations of a side-effect-free spin charged at
   /// every node visit (0 = pure scheduling stress).
   explicit SyntheticTreeProblem(TreeSpec Spec, int SpinPerNode = 0)
-      : Tree(Spec), Spin(SpinPerNode) {
-    assert(Spec.MaxFanout <= MaxFan && "fanout above problem limit");
+      : Tree(std::move(Spec)), Spin(SpinPerNode) {
+    // The memo's inline child storage holds MaxFan nodes.
+    if (Tree.maxChildren() > MaxFan)
+      reportFatalError("tree fanout " + std::to_string(Tree.maxChildren()) +
+                       " above the problem limit " + std::to_string(MaxFan));
   }
 
   State makeRoot() const {
@@ -69,16 +85,14 @@ public:
   }
 
   int numChoices(const State &S, int Depth) const {
-    Tree.children(S.Node[Depth], scratch());
-    return static_cast<int>(scratch().size());
+    return expand(S.Node[Depth], Depth).Count;
   }
 
   bool applyChoice(State &S, int Depth, int K) const {
     assert(Depth + 1 < MaxDepth && "tree deeper than problem limit");
-    // Regenerate deterministically; the scratch buffer may have been
-    // clobbered by a sibling's recursion between numChoices and here.
-    Tree.children(S.Node[Depth], scratch());
-    S.Node[Depth + 1] = scratch()[static_cast<std::size_t>(K)];
+    const Expansion &E = expand(S.Node[Depth], Depth);
+    assert(K < E.Count && "choice out of range");
+    S.Node[Depth + 1] = E.Kids[K];
     if (K == 0)
       spin(); // charge the internal node's work once, on its first child
     return true;
@@ -103,15 +117,38 @@ private:
       Sink = Sink + I;
   }
 
-  /// Per-thread expansion buffer: the problem object is shared by all
-  /// workers.
-  static std::vector<SimTreeNode> &scratch() {
-    thread_local std::vector<SimTreeNode> Buf;
-    return Buf;
+  /// One thread's last expansion at one depth. Trivially destructible
+  /// and zero-initialized, so the thread_local array needs no init guard;
+  /// Id 0 is never handed out, so an unused entry matches no node.
+  struct Expansion {
+    std::uint64_t Id;
+    std::uint64_t Seed;
+    long long Size;
+    int Count;
+    SimTreeNode Kids[MaxFan];
+  };
+
+  /// The children of \p Node (which sits at \p Depth), expanded on this
+  /// thread unless its memo entry for Depth already holds them. The key
+  /// carries the instance id rather than the address: a problem built
+  /// where another one was freed must not read that one's expansions.
+  const Expansion &expand(const SimTreeNode &Node, int Depth) const {
+    thread_local Expansion Memo[MaxDepth];
+    Expansion &E = Memo[Depth];
+    if (E.Id != Id || E.Seed != Node.Seed || E.Size != Node.Size) {
+      E.Count = Tree.children(Node, E.Kids);
+      E.Id = Id;
+      E.Seed = Node.Seed;
+      E.Size = Node.Size;
+    }
+    return E;
   }
+
+  inline static std::atomic<std::uint64_t> NextId{1};
 
   SimTree Tree;
   int Spin;
+  std::uint64_t Id = NextId.fetch_add(1, std::memory_order_relaxed);
 };
 
 } // namespace atc

@@ -13,14 +13,24 @@
 
 using namespace atc;
 
+int SimTree::maxChildren() const {
+  return std::max(Spec.MaxFanout,
+                  static_cast<int>(Spec.Depth1SharesPercent.size()));
+}
+
 void SimTree::children(const SimTreeNode &Node,
                        std::vector<SimTreeNode> &Out) const {
-  Out.clear();
+  Out.resize(static_cast<std::size_t>(maxChildren()));
+  Out.resize(static_cast<std::size_t>(children(Node, Out.data())));
+}
+
+int SimTree::children(const SimTreeNode &Node, SimTreeNode *Out) const {
   if (Node.Size <= 1)
-    return;
+    return 0;
 
   Lcg Rng(Node.Seed);
   long long Budget = Node.Size - 1;
+  int N = 0;
 
   // Depth-1 override: reproduce the published first-level splits. The
   // sizes must partition the budget exactly — the simulator's termination
@@ -29,26 +39,29 @@ void SimTree::children(const SimTreeNode &Node,
     double Total = 0;
     for (double S : Spec.Depth1SharesPercent)
       Total += S;
-    std::vector<long long> Sizes;
+    const int Shares = static_cast<int>(Spec.Depth1SharesPercent.size());
     long long Assigned = 0;
-    for (double Share : Spec.Depth1SharesPercent) {
+    for (int I = 0; I < Shares; ++I) {
       long long Sz = static_cast<long long>(
-          static_cast<double>(Budget) * Share / Total);
+          static_cast<double>(Budget) *
+          Spec.Depth1SharesPercent[static_cast<std::size_t>(I)] / Total);
       Sz = std::min(Sz, Budget - Assigned);
-      Sizes.push_back(Sz);
+      Out[I].Size = Sz;
       Assigned += Sz;
     }
     // Rounding leftover goes to the largest child.
-    if (Assigned < Budget && !Sizes.empty()) {
-      std::size_t Largest = 0;
-      for (std::size_t I = 1; I < Sizes.size(); ++I)
-        if (Sizes[I] > Sizes[Largest])
+    if (Assigned < Budget && Shares > 0) {
+      int Largest = 0;
+      for (int I = 1; I < Shares; ++I)
+        if (Out[I].Size > Out[Largest].Size)
           Largest = I;
-      Sizes[Largest] += Budget - Assigned;
+      Out[Largest].Size += Budget - Assigned;
     }
-    for (std::size_t I = 0; I < Sizes.size(); ++I)
-      if (Sizes[I] >= 1)
-        Out.push_back({mix64(Node.Seed + 0x9e37 * (I + 1)), Sizes[I], 1});
+    // Empty shares are dropped; the survivors keep their share's seed.
+    for (int I = 0; I < Shares; ++I)
+      if (Out[I].Size >= 1)
+        Out[N++] = {mix64(Node.Seed + 0x9e37 * std::uint64_t(I + 1)),
+                    Out[I].Size, 1};
   } else {
     int Span = Spec.MaxFanout - Spec.MinFanout + 1;
     int Fanout = Spec.MinFanout +
@@ -74,19 +87,23 @@ void SimTree::children(const SimTreeNode &Node,
         Sz = std::min(Sz, Remaining);
       }
       Remaining -= Sz;
-      Out.push_back({mix64(Node.Seed + 0xA11CE * (I + 1)), Sz,
-                     Node.Depth + 1});
+      Out[N++] = {mix64(Node.Seed + 0xA11CE * (I + 1)), Sz, Node.Depth + 1};
     }
     // Largest-first by construction is only a tendency; enforce it so
-    // Mirror gives a strict left/right-heavy pair.
-    std::stable_sort(Out.begin(), Out.end(),
-                     [](const SimTreeNode &A, const SimTreeNode &B) {
-                       return A.Size > B.Size;
-                     });
+    // Mirror gives a strict left/right-heavy pair. A stable insertion
+    // sort: at most MaxFanout elements, and no allocation.
+    for (int I = 1; I < N; ++I) {
+      const SimTreeNode Kid = Out[I];
+      int J = I;
+      for (; J > 0 && Out[J - 1].Size < Kid.Size; --J)
+        Out[J] = Out[J - 1];
+      Out[J] = Kid;
+    }
   }
 
   if (Spec.Mirror)
-    std::reverse(Out.begin(), Out.end());
+    std::reverse(Out, Out + N);
+  return N;
 }
 
 SimTree::WalkStats SimTree::walk() const {

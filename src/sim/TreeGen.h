@@ -81,9 +81,16 @@ public:
 
   SimTreeNode root() const { return {Spec.Seed, Spec.TotalNodes, 0}; }
 
-  /// Expands \p Node's children into \p Out (cleared first). Leaves
-  /// (Size == 1) produce none. Deterministic in Node.Seed.
+  /// Expands \p Node's children into \p Out (replacing its contents).
+  /// Leaves (Size == 1) produce none. Deterministic in Node.Seed.
   void children(const SimTreeNode &Node, std::vector<SimTreeNode> &Out) const;
+
+  /// The same expansion into caller storage of at least maxChildren()
+  /// entries; returns the child count. Allocates nothing.
+  int children(const SimTreeNode &Node, SimTreeNode *Out) const;
+
+  /// Upper bound on the children of any node of this tree.
+  int maxChildren() const;
 
   /// Walks the whole tree, returning (nodes, leaves, max depth). O(size);
   /// intended for tests and for validating presets at small scales.

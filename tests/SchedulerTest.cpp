@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <new>
 #include <vector>
 
 using namespace atc;
@@ -492,6 +493,96 @@ TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
           EXPECT_EQ(R.Stats.DequeOverflows, 0u) << Where;
         }
       }
+}
+
+namespace {
+
+/// Leaves below (S, Depth) of \p P, with \p Q expanding its own node at
+/// the same depth (from QPath, one of Q's root-to-leaf paths) between
+/// P's numChoices and each of P's applyChoice calls. Both problems then
+/// share this thread's memo entry for that depth throughout.
+long long leavesAgainstRival(const SyntheticTreeProblem &P,
+                             SyntheticTreeProblem::State &S, int Depth,
+                             const SyntheticTreeProblem &Q,
+                             const SyntheticTreeProblem::State &QPath,
+                             int QLen) {
+  if (P.isLeaf(S, Depth))
+    return 1;
+  long long Leaves = 0;
+  const int N = P.numChoices(S, Depth);
+  for (int K = 0; K < N; ++K) {
+    if (Depth < QLen)
+      (void)Q.numChoices(QPath, Depth);
+    P.applyChoice(S, Depth, K);
+    Leaves += leavesAgainstRival(P, S, Depth + 1, Q, QPath, QLen);
+  }
+  return Leaves;
+}
+
+/// Q's first-child path from the root, and its length.
+SyntheticTreeProblem::State firstChildPath(const SyntheticTreeProblem &Q,
+                                           int &Len) {
+  SyntheticTreeProblem::State S = Q.makeRoot();
+  Len = 0;
+  while (!Q.isLeaf(S, Len)) {
+    (void)Q.numChoices(S, Len);
+    Q.applyChoice(S, Len, 0);
+    ++Len;
+  }
+  return S;
+}
+
+} // namespace
+
+TEST(SyntheticTree, MemoIsPerInstance) {
+  // Each thread memoizes its last expansion per depth. Two problems that
+  // share a seed have the same root (seed, size) key but different
+  // children, so an entry that did not carry the instance would hand one
+  // problem the other's children.
+  auto Spec = [](const char *Preset) {
+    TreeSpec T = SimTree::preset(Preset, 5'000);
+    T.Seed = 0x5EED;
+    return T;
+  };
+  SyntheticTreeProblem A(Spec("tree2l"));
+  SyntheticTreeProblem B(Spec("tree3l"));
+  const long long ExpectA = A.expectedLeaves();
+  const long long ExpectB = B.expectedLeaves();
+  ASSERT_NE(ExpectA, ExpectB);
+
+  int LenA = 0, LenB = 0;
+  const SyntheticTreeProblem::State PathA = firstChildPath(A, LenA);
+  const SyntheticTreeProblem::State PathB = firstChildPath(B, LenB);
+  SyntheticTreeProblem::State SA = A.makeRoot();
+  SyntheticTreeProblem::State SB = B.makeRoot();
+  EXPECT_EQ(leavesAgainstRival(A, SA, 0, B, PathB, LenB), ExpectA);
+  EXPECT_EQ(leavesAgainstRival(B, SB, 0, A, PathA, LenA), ExpectB);
+
+  SchedulerConfig Cfg;
+  Cfg.Kind = SchedulerKind::AdaptiveTC;
+  Cfg.NumWorkers = 4;
+  for (SyntheticTreeProblem *P : {&A, &B, &A}) {
+    SyntheticTreeProblem::State Root = P->makeRoot();
+    EXPECT_EQ(runSequential(*P, Root), P->expectedLeaves());
+    EXPECT_EQ(runProblem(*P, P->makeRoot(), Cfg).Value, P->expectedLeaves());
+  }
+
+  // A new problem built where a freed one lived (same address, same root
+  // key) must not read the freed one's expansions.
+  alignas(SyntheticTreeProblem) unsigned char Storage[sizeof(
+      SyntheticTreeProblem)];
+  auto *First = new (Storage) SyntheticTreeProblem(Spec("tree3l"));
+  SyntheticTreeProblem::State Root = First->makeRoot();
+  EXPECT_EQ(runSequential(*First, Root), ExpectB);
+  First->~SyntheticTreeProblem();
+  auto *Second = new (Storage) SyntheticTreeProblem(Spec("tree1l"));
+  ASSERT_EQ(static_cast<void *>(Second), static_cast<void *>(First));
+  const long long ExpectSecond = Second->expectedLeaves();
+  ASSERT_NE(ExpectSecond, ExpectB);
+  Root = Second->makeRoot();
+  EXPECT_EQ(runSequential(*Second, Root), ExpectSecond);
+  EXPECT_EQ(runProblem(*Second, Second->makeRoot(), Cfg).Value, ExpectSecond);
+  Second->~SyntheticTreeProblem();
 }
 
 TEST(SchedulerBehaviour, StealHalfBatchesAndStaysExact) {

@@ -7,10 +7,14 @@
 #include "metrics/MetricsRegistry.h"
 #include "sim/SimEngine.h"
 #include "sim/TreeGen.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <vector>
 
 using namespace atc;
 
@@ -100,6 +104,113 @@ TEST(TreeGen, LeafHasNoChildren) {
   std::vector<SimTreeNode> Kids;
   Tree.children({123, 1, 5}, Kids);
   EXPECT_TRUE(Kids.empty());
+}
+
+namespace {
+
+/// The expansion as first written: sizes into a vector, then
+/// std::stable_sort. SimTree::children must stay bit-identical to it, or
+/// every oracle, preset share and simulator record moves.
+std::vector<SimTreeNode> referenceChildren(const TreeSpec &Spec,
+                                           const SimTreeNode &Node) {
+  std::vector<SimTreeNode> Out;
+  if (Node.Size <= 1)
+    return Out;
+  Lcg Rng(Node.Seed);
+  long long Budget = Node.Size - 1;
+  if (Node.Depth == 0 && !Spec.Depth1SharesPercent.empty()) {
+    double Total = 0;
+    for (double S : Spec.Depth1SharesPercent)
+      Total += S;
+    std::vector<long long> Sizes;
+    long long Assigned = 0;
+    for (double Share : Spec.Depth1SharesPercent) {
+      long long Sz = static_cast<long long>(
+          static_cast<double>(Budget) * Share / Total);
+      Sz = std::min(Sz, Budget - Assigned);
+      Sizes.push_back(Sz);
+      Assigned += Sz;
+    }
+    if (Assigned < Budget && !Sizes.empty()) {
+      std::size_t Largest = 0;
+      for (std::size_t I = 1; I < Sizes.size(); ++I)
+        if (Sizes[I] > Sizes[Largest])
+          Largest = I;
+      Sizes[Largest] += Budget - Assigned;
+    }
+    for (std::size_t I = 0; I < Sizes.size(); ++I)
+      if (Sizes[I] >= 1)
+        Out.push_back({mix64(Node.Seed + 0x9e37 * (I + 1)), Sizes[I], 1});
+  } else {
+    int Span = Spec.MaxFanout - Spec.MinFanout + 1;
+    int Fanout = Spec.MinFanout +
+                 static_cast<int>(Rng.nextBelow(
+                     static_cast<std::uint64_t>(Span)));
+    long long Remaining = Budget;
+    for (int I = 0; I < Fanout && Remaining > 0; ++I) {
+      long long Sz;
+      if (I + 1 == Fanout) {
+        Sz = Remaining;
+      } else if (Spec.EvenSplit) {
+        Sz = std::max<long long>(Budget / Fanout, 1);
+        Sz = std::min(Sz, Remaining);
+      } else {
+        double U = Rng.nextDouble();
+        if (U <= 0)
+          U = 1e-9;
+        Sz = static_cast<long long>(static_cast<double>(Remaining) *
+                                    std::pow(U, Spec.Skew));
+        Sz = std::max<long long>(Sz, 1);
+        Sz = std::min(Sz, Remaining);
+      }
+      Remaining -= Sz;
+      Out.push_back({mix64(Node.Seed + 0xA11CE * (I + 1)), Sz,
+                     Node.Depth + 1});
+    }
+    std::stable_sort(Out.begin(), Out.end(),
+                     [](const SimTreeNode &A, const SimTreeNode &B) {
+                       return A.Size > B.Size;
+                     });
+  }
+  if (Spec.Mirror)
+    std::reverse(Out.begin(), Out.end());
+  return Out;
+}
+
+bool sameNode(const SimTreeNode &A, const SimTreeNode &B) {
+  return A.Seed == B.Seed && A.Size == B.Size && A.Depth == B.Depth;
+}
+
+} // namespace
+
+TEST(TreeGen, ChildrenMatchStableSortReference) {
+  for (const std::string &Name : SimTree::presetNames()) {
+    SimTree Tree(SimTree::preset(Name, 20'000));
+    std::vector<SimTreeNode> Stack{Tree.root()};
+    std::vector<SimTreeNode> Kids;
+    std::vector<SimTreeNode> Raw(
+        static_cast<std::size_t>(Tree.maxChildren()));
+    long long Nodes = 0;
+    // The same traversal as walk(): every node of the tree is checked.
+    while (!Stack.empty()) {
+      SimTreeNode N = Stack.back();
+      Stack.pop_back();
+      ++Nodes;
+      const std::vector<SimTreeNode> Ref = referenceChildren(Tree.spec(), N);
+      Tree.children(N, Kids);
+      const int Count = Tree.children(N, Raw.data());
+      ASSERT_EQ(Kids.size(), Ref.size()) << Name << " node " << Nodes;
+      ASSERT_EQ(static_cast<std::size_t>(Count), Ref.size()) << Name;
+      for (std::size_t I = 0; I < Ref.size(); ++I) {
+        ASSERT_TRUE(sameNode(Kids[I], Ref[I]))
+            << Name << " node " << Nodes << " child " << I;
+        ASSERT_TRUE(sameNode(Raw[I], Ref[I]))
+            << Name << " node " << Nodes << " child " << I;
+      }
+      Stack.insert(Stack.end(), Ref.begin(), Ref.end());
+    }
+    EXPECT_EQ(Nodes, Tree.walk().Nodes) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,10 +25,13 @@ Usage (from the repo root, after a Release build):
 
 Normalization cannot absorb a change in CPU count: multi-thief drain
 throughput scales with the cores the thieves actually get, not with the
-machine's single-thread speed. When the fresh run's context.num_cpus
-differs from the baseline's host.num_cpus, the DrainSteal*/N rows with
-N > 1 thieves are skipped and listed with the reason; single-thread rows
-and one-thief drains still gate.
+machine's single-thread speed. BENCH_deque.json's drain rows therefore
+carry their own host block (drain.host), recorded on the CPU count of
+the CI runner; the single-thread rows keep the top-level host block.
+When the fresh run's context.num_cpus differs from the drain block's
+num_cpus, the DrainSteal*/N rows with N > 1 thieves are skipped and
+listed with the reason; single-thread rows and one-thief drains still
+gate.
 
 Exit status: 0 when every compared benchmark is within tolerance,
 1 on regression, 2 on usage/run errors.
@@ -127,12 +130,13 @@ def deque_pairs(fresh, baseline, fresh_cpus=None):
     """Pairs for micro_deque: single-thread per-op times by stripping the
     BM_ prefix, and DrainSteal* throughput via drain.<kind>.thieves_<n>.
     Multi-thief drains are skipped when fresh_cpus (the fresh run's
-    context.num_cpus) is known and differs from the baseline host's.
+    context.num_cpus) is known and differs from the CPU count the drain
+    rows were recorded on (drain.host, else the top-level host).
     Returns (pairs, missing, skipped), skipped as (name, reason)."""
     pairs, missing, skipped = [], [], []
     single = baseline.get("single_thread_ns", {})
     drain = baseline.get("drain", {})
-    base_cpus = baseline.get("host", {}).get("num_cpus")
+    base_cpus = drain.get("host", baseline.get("host", {})).get("num_cpus")
     cpus_differ = (
         fresh_cpus is not None and base_cpus is not None
         and fresh_cpus != base_cpus
