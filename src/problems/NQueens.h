@@ -9,7 +9,8 @@
 ///
 ///  * Nqueen-array:   "uses an array to record whether conflicts occur, and
 ///                     is more time efficient" — O(1) conflict tests via
-///                     column/diagonal occupancy arrays.
+///                     column/diagonal occupancy arrays, joined with `|`
+///                     into one branch per candidate.
 ///  * Nqueen-compute: "traverses the chessboard to find out whether
 ///                     conflicts occur, and is more memory efficient" —
 ///                     O(depth) conflict scan over the placed queens.
@@ -39,7 +40,7 @@ public:
     signed char Col[MaxN];          ///< Queen column per row.
     signed char ColUsed[MaxN];      ///< Column occupancy.
     signed char Diag1[2 * MaxN];    ///< "/" diagonals, indexed by r + c.
-    signed char Diag2[2 * MaxN];    ///< "\" diagonals, indexed r - c + N-1.
+    signed char Diag2[2 * MaxN];    ///< "\" diagonals, indexed r - c + MaxN-1.
   };
   using Result = long long;
 
@@ -56,12 +57,18 @@ public:
   Result leafResult(const State &, int) const { return 1; }
   int numChoices(const State &S, int) const { return S.N; }
 
+  // One branch per candidate: the three occupancy bytes are or-ed, not
+  // tested with `||`, whose up to three data-dependent branches
+  // mispredict often on this search. The "\" index uses MaxN, not S.N:
+  // the scheduler's check loop must reload S.N after every recursive
+  // call (the call may publish a special task through arbitrary
+  // pointers), so an S.N-based index would cost a load per child there.
   bool applyChoice(State &S, int Depth, int K) const {
-    if (S.ColUsed[K] || S.Diag1[Depth + K] || S.Diag2[Depth - K + S.N - 1])
+    if (S.ColUsed[K] | S.Diag1[Depth + K] | S.Diag2[diag2(Depth, K)])
       return false;
     S.ColUsed[K] = 1;
     S.Diag1[Depth + K] = 1;
-    S.Diag2[Depth - K + S.N - 1] = 1;
+    S.Diag2[diag2(Depth, K)] = 1;
     S.Col[Depth] = static_cast<signed char>(K);
     return true;
   }
@@ -69,8 +76,12 @@ public:
   void undoChoice(State &S, int Depth, int K) const {
     S.ColUsed[K] = 0;
     S.Diag1[Depth + K] = 0;
-    S.Diag2[Depth - K + S.N - 1] = 0;
+    S.Diag2[diag2(Depth, K)] = 0;
   }
+
+  /// Index of the "\" diagonal through row \p R, column \p C: a bijection
+  /// onto [0, 2 * MaxN - 2] for any board with N <= MaxN.
+  static constexpr int diag2(int R, int C) { return R - C + MaxN - 1; }
 
   // No liveBytes hint: the occupancy arrays are live at every depth
   // (conflict tests index them by column, not by row), so a sound bound

@@ -84,6 +84,101 @@ TEST(NQueens, ConflictingChoiceRejected) {
   EXPECT_TRUE(Prob.applyChoice(S, 1, 2));
 }
 
+/// Walks the array and compute variants in lockstep from (\p SA, \p SC) at
+/// \p Depth: every choice must get the same verdict from both. Returns the
+/// number of verdicts compared.
+long long walkInLockstep(NQueensArray &A, NQueensArray::State &SA,
+                         NQueensCompute &C, NQueensCompute::State &SC,
+                         int Depth) {
+  if (A.isLeaf(SA, Depth))
+    return 0;
+  long long Compared = 0;
+  for (int K = 0; K < A.numChoices(SA, Depth); ++K) {
+    bool InArray = A.applyChoice(SA, Depth, K);
+    bool InCompute = C.applyChoice(SC, Depth, K);
+    ++Compared;
+    EXPECT_EQ(InArray, InCompute) << "N=" << SA.N << " depth " << Depth
+                                  << " column " << K;
+    if (InArray && InCompute)
+      Compared += walkInLockstep(A, SA, C, SC, Depth + 1);
+    if (InArray)
+      A.undoChoice(SA, Depth, K);
+    if (InCompute)
+      C.undoChoice(SC, Depth, K);
+  }
+  return Compared;
+}
+
+TEST(NQueens, ArrayAgreesWithComputeOnEveryChoice) {
+  // The compute variant scans the placed queens and shares no state or
+  // index arithmetic with the array variant, so it is an independent
+  // oracle for every occupancy-array test.
+  NQueensArray A;
+  NQueensCompute C;
+  for (int N = 1; N <= 11; ++N) {
+    auto SA = NQueensArray::makeRoot(N);
+    auto SC = NQueensCompute::makeRoot(N);
+    EXPECT_GT(walkInLockstep(A, SA, C, SC, 0), 0) << "N=" << N;
+
+    TreeProfile PA, PC;
+    SA = NQueensArray::makeRoot(N);
+    SC = NQueensCompute::makeRoot(N);
+    profileTree(A, SA, PA);
+    profileTree(C, SC, PC);
+    EXPECT_EQ(PA.Nodes, PC.Nodes) << "N=" << N;
+    EXPECT_EQ(PA.Leaves, PC.Leaves) << "N=" << N;
+    EXPECT_EQ(PA.Pruned, PC.Pruned) << "N=" << N;
+    EXPECT_EQ(PA.MaxDepth, PC.MaxDepth) << "N=" << N;
+  }
+}
+
+TEST(NQueens, UndoRestoresStateAtMaxN) {
+  constexpr int M = NQueensArray::MaxN;
+  NQueensArray Prob;
+  // Everything but Col[], which keeps the scratch placement, must come
+  // back bit-exactly.
+  auto ExpectRestored = [](NQueensArray::State Got,
+                           const NQueensArray::State &Want, int D, int K) {
+    std::memcpy(Got.Col, Want.Col, sizeof(Got.Col));
+    EXPECT_EQ(std::memcmp(&Got, &Want, sizeof(Got)), 0)
+        << "depth " << D << " column " << K;
+  };
+  // One queen on an empty board, every square: exactly its column and
+  // its two diagonals are marked, then cleared again.
+  auto S = NQueensArray::makeRoot(M);
+  const auto Root = S;
+  for (int D = 0; D < M; ++D)
+    for (int K = 0; K < M; ++K) {
+      ASSERT_TRUE(Prob.applyChoice(S, D, K));
+      EXPECT_EQ(S.ColUsed[K], 1);
+      EXPECT_EQ(S.Diag1[D + K], 1);
+      EXPECT_EQ(S.Diag2[NQueensArray::diag2(D, K)], 1);
+      Prob.undoChoice(S, D, K);
+      ExpectRestored(S, Root, D, K);
+    }
+  // The "\" diagonal index reaches both ends of Diag2 at N = MaxN: the
+  // top-right corner is 0 and the bottom-left is 2 * MaxN - 2. Round trips
+  // on top of a queen in each corner restore that one-queen state.
+  const int Corners[2][3] = {{0, M - 1, 0}, {M - 1, 0, 2 * M - 2}};
+  for (const auto &Corner : Corners) {
+    const int CD = Corner[0], CK = Corner[1];
+    ASSERT_TRUE(Prob.applyChoice(S, CD, CK));
+    EXPECT_EQ(S.Diag2[Corner[2]], 1);
+    const auto OneQueen = S;
+    for (int D = 0; D < M; ++D) {
+      if (D == CD)
+        continue;
+      for (int K = 0; K < M; ++K) {
+        if (Prob.applyChoice(S, D, K))
+          Prob.undoChoice(S, D, K);
+        ExpectRestored(S, OneQueen, D, K);
+      }
+    }
+    Prob.undoChoice(S, CD, CK);
+    ExpectRestored(S, Root, CD, CK);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Fib / Comp
 //===----------------------------------------------------------------------===//

@@ -33,12 +33,21 @@ num_cpus, the DrainSteal*/N rows with N > 1 thieves are skipped and
 listed with the reason; single-thread rows and one-thief drains still
 gate.
 
+A single pass can read one row far off on a busy host (a ~2 ns probe
+at the timer's resolution, a preempted thread). So when a benchmark
+binary is given, each row over tolerance is re-measured on its own
+(--benchmark_filter=^name$ --benchmark_repetitions=3) and its fastest
+repetition (highest throughput for drain rows) is judged again, against
+the same tolerance and the first pass's machine-speed factor. A real
+regression is slow in every repetition and still fails.
+
 Exit status: 0 when every compared benchmark is within tolerance,
 1 on regression, 2 on usage/run errors.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -75,13 +84,17 @@ def drain_kind(name):
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def run_benchmark(binary, min_time):
+# Repetitions when a row over tolerance is re-measured on its own.
+REMEASURE_REPETITIONS = 3
+
+
+def run_benchmark(binary, min_time, extra_args=()):
     """Runs a google-benchmark binary and returns its parsed JSON."""
     cmd = [
         binary,
         "--benchmark_format=json",
         "--benchmark_min_time={}".format(min_time),
-    ]
+    ] + list(extra_args)
     try:
         out = subprocess.run(
             cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=True
@@ -104,6 +117,37 @@ def fresh_results(bench_json):
             b.get("items_per_second"),
         )
     return res
+
+
+def remeasure(binary, min_time, name, kind):
+    """Re-runs benchmark `name` alone, REMEASURE_REPETITIONS times, and
+    returns its best repetition: the lowest time in ns for a "time" row,
+    the highest items/s for a "throughput" row (None if it did not run)."""
+    exact = "^" + re.sub(r"([.^$|()\[\]{}*+?\\])", r"\\\1", name) + "$"
+    doc = run_benchmark(binary, min_time, [
+        "--benchmark_filter=" + exact,
+        "--benchmark_repetitions={}".format(REMEASURE_REPETITIONS),
+    ])
+    values = []
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type") == "aggregate" or b.get("name") != name:
+            continue
+        if kind == "time":
+            unit = TIME_UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
+            values.append(float(b["real_time"]) * unit)
+        elif b.get("items_per_second"):
+            values.append(float(b["items_per_second"]))
+    if not values:
+        return None
+    return min(values) if kind == "time" else max(values)
+
+
+def rerunner(binary, min_time):
+    """compare()'s rerun callback for `binary`; None without a binary
+    (pre-recorded JSON cannot be re-measured)."""
+    if not binary:
+        return None
+    return lambda name, kind: remeasure(binary, min_time, name, kind)
 
 
 def spawn_pairs(fresh, baseline):
@@ -210,26 +254,38 @@ def server_health(fresh):
     return bad
 
 
-def compare(pairs, tolerance):
-    """Returns (rows, regressions). ratio > 1 always means 'fresh is
-    slower than baseline'; normalization divides out the pack's median."""
-    ratios = []
-    for _, fresh_v, base_v, kind in pairs:
-        if kind == "time":
-            ratios.append(fresh_v / base_v)
-        else:  # throughput: higher is better, invert
-            ratios.append(base_v / fresh_v)
+def slowdown(fresh_v, base_v, kind):
+    """fresh/baseline ratio, > 1 meaning fresh is slower."""
+    if kind == "time":
+        return fresh_v / base_v
+    return base_v / fresh_v  # throughput: higher is better, invert
+
+
+def compare(pairs, tolerance, rerun=None):
+    """Returns (rows, regressions, speed). ratio > 1 always means 'fresh
+    is slower than baseline'; normalization divides out the pack's median.
+    rerun(name, kind), when given, re-measures a row over tolerance and
+    returns its best value (or None); that value is judged instead."""
+    ratios = [slowdown(f, b, kind) for _, f, b, kind in pairs]
     speed = statistics.median(ratios) if ratios else 1.0
     rows, regressions = [], []
     for (name, fresh_v, base_v, kind), ratio in zip(pairs, ratios):
         norm = ratio / speed if speed > 0 else ratio
+        note = ""
+        if norm > tolerance and rerun is not None:
+            best = rerun(name, kind)
+            if best is not None:
+                note = " (re-measured, best of {}; first pass {:.2f}x)".format(
+                    REMEASURE_REPETITIONS, norm)
+                fresh_v, ratio = best, slowdown(best, base_v, kind)
+                norm = ratio / speed if speed > 0 else ratio
         verdict = "ok"
         if norm > tolerance:
             verdict = "REGRESSION"
             regressions.append(name)
         elif norm < 1.0 / tolerance:
             verdict = "improved"
-        rows.append((name, base_v, fresh_v, kind, ratio, norm, verdict))
+        rows.append((name, base_v, fresh_v, kind, ratio, norm, verdict + note))
     return rows, regressions, speed
 
 
@@ -307,7 +363,10 @@ def main():
         with open(args.spawn_baseline) as f:
             baseline = json.load(f)
         pairs, missing = spawn_pairs(fresh, baseline)
-        rows, regressions, speed = compare(pairs, args.tolerance)
+        rows, regressions, speed = compare(
+            pairs, args.tolerance,
+            rerunner(None if args.spawn_json else args.spawn_bench,
+                     args.min_time))
         report("micro_spawn vs " + args.spawn_baseline, rows, speed, missing, [])
         failed += regressions
         any_compared = any_compared or bool(pairs)
@@ -323,7 +382,10 @@ def main():
             baseline = json.load(f)
         pairs, missing, skipped = deque_pairs(
             fresh, baseline, doc.get("context", {}).get("num_cpus"))
-        rows, regressions, speed = compare(pairs, args.tolerance)
+        rows, regressions, speed = compare(
+            pairs, args.tolerance,
+            rerunner(None if args.deque_json else args.deque_bench,
+                     args.min_time))
         report("micro_deque vs " + args.deque_baseline, rows, speed, missing, skipped)
         failed += regressions
         any_compared = any_compared or bool(pairs)
