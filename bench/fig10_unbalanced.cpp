@@ -43,8 +43,8 @@ int main(int argc, char **argv) {
   Opts.addInt("scale", &Scale, "tree size in nodes");
   Opts.addFlag("quick", &Quick, "thread counts {1,2,4,8} only");
   Opts.addString("deque", &Deque,
-                 "modelled ready-deque: the (lock round trip per steal), "
-                 "atomic or chaselev (lock-free CAS claim)");
+                 "modelled ready-deque: the (lock round trip per steal) "
+                 "or chaselev (lock-free CAS claim)");
   Opts.addString("steal-policy", &StealPol,
                  "one continuation per raid (one) or batch up to half the "
                  "victim's stealable frames (half)");

@@ -41,9 +41,8 @@ int main(int argc, char **argv) {
   Opts.addString("csv", &CsvPath, "also write results as CSV to this file");
   std::string Deque = "the";
   Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity), "
-                 "atomic (lock-free CAS), or chaselev (lock-free, "
-                 "growable ring)");
+                 "ready-deque implementation: the (mutex, paper-fidelity) "
+                 "or chaselev (lock-free CAS, growable ring)");
   Opts.parse(argc, argv);
   DequeKind DQ;
   if (!parseDequeKind(Deque, DQ))

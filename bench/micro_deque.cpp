@@ -6,11 +6,10 @@
 ///
 /// \file
 /// google-benchmark micro-benchmarks of the deque implementations: the
-/// fixed-array THE-protocol deque (Cilk 5.4.6 / AdaptiveTC) and the
-/// lock-free special-task ChaseLevDeque in both ring modes — growth off
-/// for the *Atomic rows (SchedulerConfig::Deque = atomic) and growth on
-/// for the *ChaseLev rows (SchedulerConfig::Deque = chaselev,
-/// overflow-free). The single-thread benches
+/// fixed-array THE-protocol deque (Cilk 5.4.6 / AdaptiveTC, the *The
+/// rows) and the lock-free, growable special-task ChaseLevDeque (the
+/// *ChaseLev rows, SchedulerConfig::Deque = chaselev). The single-thread
+/// benches
 /// are the unit costs the simulator's CostModel is calibrated against;
 /// the Contended* benches measure steal throughput with 1/2/4/8 thief
 /// threads hammering one owner — the scenario the lock-free steal path
@@ -31,12 +30,6 @@
 #include <vector>
 
 using namespace atc;
-
-/// The atomic kind's deque: a ChaseLevDeque whose ring does not grow.
-struct FixedChaseLevDeque : ChaseLevDeque {
-  explicit FixedChaseLevDeque(int Capacity)
-      : ChaseLevDeque(Capacity, /*Growable=*/false) {}
-};
 
 static void BM_TheDequePushPop(benchmark::State &State) {
   TheDeque D(1024);
@@ -77,45 +70,6 @@ static void BM_TheDequeSpecialRoundTrip(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TheDequeSpecialRoundTrip);
-
-static void BM_AtomicDequePushPop(benchmark::State &State) {
-  FixedChaseLevDeque D(1024);
-  int Dummy = 0;
-  for (auto _ : State) {
-    D.tryPush(&Dummy);
-    benchmark::DoNotOptimize(D.pop());
-  }
-}
-BENCHMARK(BM_AtomicDequePushPop);
-
-static void BM_AtomicDequePushStealBatch(benchmark::State &State) {
-  FixedChaseLevDeque D(1024);
-  int Dummy = 0;
-  for (auto _ : State) {
-    for (int I = 0; I < 64; ++I)
-      D.tryPush(&Dummy);
-    for (int I = 0; I < 64; ++I)
-      benchmark::DoNotOptimize(D.steal());
-  }
-  State.SetItemsProcessed(State.iterations() * 64);
-}
-BENCHMARK(BM_AtomicDequePushStealBatch);
-
-static void BM_AtomicDequeSpecialRoundTrip(benchmark::State &State) {
-  // Same protocol round-trip as BM_TheDequeSpecialRoundTrip: push special,
-  // push child, steal child via the Head += 2 jump, fail the child pop,
-  // fail the special pop (Tail restored to Head).
-  FixedChaseLevDeque D(1024);
-  int Special = 0, Child = 0;
-  for (auto _ : State) {
-    D.tryPush(&Special, /*Special=*/true);
-    D.tryPush(&Child);
-    benchmark::DoNotOptimize(D.steal());
-    benchmark::DoNotOptimize(D.pop());
-    benchmark::DoNotOptimize(D.popSpecial());
-  }
-}
-BENCHMARK(BM_AtomicDequeSpecialRoundTrip);
 
 /// Contended steal throughput: \p NumThieves thief threads spin on
 /// steal() while the owner (the benchmark thread) keeps the deque
@@ -172,12 +126,6 @@ static void BM_ContendedStealThe(benchmark::State &State) {
 BENCHMARK(BM_ContendedStealThe)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-static void BM_ContendedStealAtomic(benchmark::State &State) {
-  contendedSteal<FixedChaseLevDeque>(State);
-}
-BENCHMARK(BM_ContendedStealAtomic)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
 /// Pure thief-side contention: \p NumThieves drain a pre-filled deque
 /// with no owner interference, so items_per_second is the aggregate
 /// contended steal throughput. This is the benchmark that isolates the
@@ -219,12 +167,6 @@ static void BM_DrainStealThe(benchmark::State &State) {
 BENCHMARK(BM_DrainStealThe)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseManualTime()->Unit(benchmark::kMillisecond);
 
-static void BM_DrainStealAtomic(benchmark::State &State) {
-  drainSteal<FixedChaseLevDeque>(State);
-}
-BENCHMARK(BM_DrainStealAtomic)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseManualTime()->Unit(benchmark::kMillisecond);
-
 /// The emptiness probe: thieves hammering an empty deque. This is the
 /// dominant steal-path operation for AdaptiveTC (a victim busy in fake
 /// tasks has an empty deque) — the lock-free pre-check answers it without
@@ -240,11 +182,6 @@ static void BM_EmptyProbeThe(benchmark::State &State) {
   emptyProbe<TheDeque>(State);
 }
 BENCHMARK(BM_EmptyProbeThe);
-
-static void BM_EmptyProbeAtomic(benchmark::State &State) {
-  emptyProbe<FixedChaseLevDeque>(State);
-}
-BENCHMARK(BM_EmptyProbeAtomic);
 
 static void BM_EmptyProbeChaseLev(benchmark::State &State) {
   emptyProbe<ChaseLevDeque>(State);
@@ -275,7 +212,7 @@ static void BM_ChaseLevPushStealBatch(benchmark::State &State) {
 BENCHMARK(BM_ChaseLevPushStealBatch);
 
 static void BM_ChaseLevSpecialRoundTrip(benchmark::State &State) {
-  // Same protocol round-trip as the The/Atomic variants: push special,
+  // Same protocol round-trip as BM_TheDequeSpecialRoundTrip: push special,
   // push child, steal child via the Head += 2 jump, fail the child pop,
   // fail the special pop (Tail restored to Head).
   ChaseLevDeque D(1024);
@@ -319,7 +256,7 @@ BENCHMARK(BM_ChaseLevGrowth);
 /// a 16-frame batch from a 64-deep victim, one steal() round per frame.
 /// Items processed = frames claimed, so items_per_second is the batch
 /// acquisition bandwidth — the cost steal-half pays per extra frame,
-/// which the lock-free kinds answer with one uncontended CAS and
+/// which the lock-free deque answers with one uncontended CAS and
 /// TheDeque with a mutex round.
 template <typename DequeT>
 static void batchSteal(benchmark::State &State) {
@@ -342,11 +279,6 @@ static void BM_BatchStealThe(benchmark::State &State) {
   batchSteal<TheDeque>(State);
 }
 BENCHMARK(BM_BatchStealThe);
-
-static void BM_BatchStealAtomic(benchmark::State &State) {
-  batchSteal<FixedChaseLevDeque>(State);
-}
-BENCHMARK(BM_BatchStealAtomic);
 
 static void BM_BatchStealChaseLev(benchmark::State &State) {
   batchSteal<ChaseLevDeque>(State);

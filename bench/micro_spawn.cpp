@@ -157,10 +157,10 @@ BENCHMARK(BM_Fib1Thread<SchedulerKind::AdaptiveTC>)->Name("Fib20/AdaptiveTC");
 
 // Owner-side cost of the lock-free deque relative to the THE deque (the
 // steal-path benefits need thieves; see micro_deque for those).
-BENCHMARK(BM_Fib1Thread<SchedulerKind::Cilk, DequeKind::Atomic>)
-    ->Name("Fib20/Cilk-atomic-deque");
-BENCHMARK(BM_Fib1Thread<SchedulerKind::AdaptiveTC, DequeKind::Atomic>)
-    ->Name("Fib20/AdaptiveTC-atomic-deque");
+BENCHMARK(BM_Fib1Thread<SchedulerKind::Cilk, DequeKind::ChaseLev>)
+    ->Name("Fib20/Cilk-chaselev-deque");
+BENCHMARK(BM_Fib1Thread<SchedulerKind::AdaptiveTC, DequeKind::ChaseLev>)
+    ->Name("Fib20/AdaptiveTC-chaselev-deque");
 
 BENCHMARK(BM_NQueens1Thread<SchedulerKind::Sequential>)
     ->Name("NQueens9/Sequential");
@@ -171,8 +171,8 @@ BENCHMARK(BM_NQueens1Thread<SchedulerKind::Tascell>)
     ->Name("NQueens9/Tascell");
 BENCHMARK(BM_NQueens1Thread<SchedulerKind::AdaptiveTC>)
     ->Name("NQueens9/AdaptiveTC");
-BENCHMARK(BM_NQueens1Thread<SchedulerKind::CilkSynched, DequeKind::Atomic>)
-    ->Name("NQueens9/Cilk-SYNCHED-atomic-deque");
+BENCHMARK(BM_NQueens1Thread<SchedulerKind::CilkSynched, DequeKind::ChaseLev>)
+    ->Name("NQueens9/Cilk-SYNCHED-chaselev-deque");
 
 // Workspace-heavy spawn path (~1 KiB Nqueen-array-like State): the
 // owner-side cost here is dominated by the per-spawn workspace copy and
@@ -189,10 +189,10 @@ BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::AdaptiveTC>)
 BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::Tascell>)
     ->Name("BigWorkspace9/Tascell");
 BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::CilkSynched,
-                                 DequeKind::Atomic>)
-    ->Name("BigWorkspace9/Cilk-SYNCHED-atomic-deque");
+                                 DequeKind::ChaseLev>)
+    ->Name("BigWorkspace9/Cilk-SYNCHED-chaselev-deque");
 BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::AdaptiveTC,
-                                 DequeKind::Atomic>)
-    ->Name("BigWorkspace9/AdaptiveTC-atomic-deque");
+                                 DequeKind::ChaseLev>)
+    ->Name("BigWorkspace9/AdaptiveTC-chaselev-deque");
 
 BENCHMARK_MAIN();

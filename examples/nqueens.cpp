@@ -59,9 +59,8 @@ int main(int argc, char **argv) {
                  "sequential, cilk, cilk-synched, tascell, cutoff, or "
                  "adaptivetc");
   Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity), "
-                 "atomic (lock-free CAS), or chaselev (lock-free, growable "
-                 "ring)");
+                 "ready-deque implementation: the (mutex, paper-fidelity) "
+                 "or chaselev (lock-free CAS, growable ring)");
   Opts.addString("steal-policy", &StealPol,
                  "one frame per raid (one) or batch up to half the "
                  "victim's deque (half)");

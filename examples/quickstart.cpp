@@ -41,9 +41,8 @@ int main(int argc, char **argv) {
   std::string StealPol = "one";
   std::string Victim = "affinity";
   Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity), "
-                 "atomic (lock-free CAS), or chaselev (lock-free, growable "
-                 "ring)");
+                 "ready-deque implementation: the (mutex, paper-fidelity) "
+                 "or chaselev (lock-free CAS, growable ring)");
   Opts.addString("steal-policy", &StealPol,
                  "one frame per raid (one) or batch up to half the "
                  "victim's deque (half)");

@@ -44,9 +44,8 @@ int main(int argc, char **argv) {
                  "adaptivetc");
   std::string Deque = "the";
   Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity), "
-                 "atomic (lock-free CAS), or chaselev (lock-free, growable "
-                 "ring)");
+                 "ready-deque implementation: the (mutex, paper-fidelity) "
+                 "or chaselev (lock-free CAS, growable ring)");
   std::string StealPol = "one";
   Opts.addString("steal-policy", &StealPol,
                  "one frame per raid (one) or batch up to half the "

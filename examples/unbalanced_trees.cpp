@@ -54,8 +54,8 @@ int main(int argc, char **argv) {
   std::string StealPol = "one";
   std::string Victim = "random";
   Opts.addString("deque", &Deque,
-                 "modelled ready-deque: the (lock round trip per steal), "
-                 "atomic or chaselev (lock-free CAS claim)");
+                 "modelled ready-deque: the (lock round trip per steal) "
+                 "or chaselev (lock-free CAS claim)");
   Opts.addString("steal-policy", &StealPol,
                  "one continuation per raid (one) or batch up to half the "
                  "victim's stealable frames (half)");

@@ -120,7 +120,6 @@ RunResult<typename P::Result> runProblem(P &Prob,
     switch (Cfg.Deque) {
     case DequeKind::The:
       return detail::runDequeBased<P, TheDeque>(Prob, Root, Cfg);
-    case DequeKind::Atomic: // growth off, set per worker (WorkerContext.h)
     case DequeKind::ChaseLev:
       return detail::runDequeBased<P, ChaseLevDeque>(Prob, Root, Cfg);
     }

@@ -86,8 +86,6 @@ const char *atc::dequeKindName(DequeKind Kind) {
   switch (Kind) {
   case DequeKind::The:
     return "the";
-  case DequeKind::Atomic:
-    return "atomic";
   case DequeKind::ChaseLev:
     return "chaselev";
   }
@@ -100,10 +98,6 @@ bool atc::parseDequeKind(const std::string &Name, DequeKind &Out) {
     Out = DequeKind::The;
     return true;
   }
-  if (Key == "atomic" || Key == "cas" || Key == "lockfree") {
-    Out = DequeKind::Atomic;
-    return true;
-  }
   if (Key == "chaselev" || Key == "cl" || Key == "growable") {
     Out = DequeKind::ChaseLev;
     return true;
@@ -112,7 +106,7 @@ bool atc::parseDequeKind(const std::string &Name, DequeKind &Out) {
 }
 
 std::string atc::unknownDequeKindError(const std::string &Name) {
-  return "unknown deque kind '" + Name + "' (expected the|atomic|chaselev)";
+  return "unknown deque kind '" + Name + "' (expected the|chaselev)";
 }
 
 const char *atc::stealPolicyName(StealPolicy Policy) {

@@ -56,20 +56,17 @@ bool parseSchedulerKind(const std::string &Name, SchedulerKind &Out);
 ///  * The      - the paper's simplified Cilk THE-protocol deque (Fig. 3):
 ///               thieves serialize on the victim's mutex. The
 ///               paper-fidelity baseline and the default.
-///  * Atomic   - lock-free Chase-Lev deque with CAS-on-Head steals,
+///  * ChaseLev - lock-free Chase-Lev deque with CAS-on-Head steals,
 ///               extended with the special-task protocol
-///               (ChaseLevDeque.h), growth off: DequeCapacity is a hard
-///               bound, as with The.
-///  * ChaseLev - the same deque with a growable ring: never overflows,
-///               DequeCapacity is only the initial size. The fastest
-///               steal path.
+///               (ChaseLevDeque.h), over a growable ring: never
+///               overflows, DequeCapacity is only the initial size. The
+///               fastest steal path.
 enum class DequeKind {
   The,
-  Atomic,
   ChaseLev,
 };
 
-/// Returns the display name ("the" / "atomic" / "chaselev").
+/// Returns the display name ("the" / "chaselev").
 const char *dequeKindName(DequeKind Kind);
 
 /// Parses a deque kind name (case-insensitive). Returns true on success.
@@ -133,11 +130,11 @@ struct SchedulerConfig {
   /// N").
   int NumWorkers = 1;
 
-  /// Capacity of each worker's deque, in entries. For the fixed-array
-  /// kinds (The, Atomic) this is a hard limit — tryPush beyond it reports
-  /// overflow and the spawn degrades to a plain call. For ChaseLev it is
-  /// only the *initial* ring size (rounded up to a power of two); the
-  /// ring grows geometrically and never overflows.
+  /// Capacity of each worker's deque, in entries. For The this is a hard
+  /// limit — tryPush beyond it reports overflow and the spawn degrades to
+  /// a plain call. For ChaseLev it is only the *initial* ring size
+  /// (rounded up to a power of two); the ring grows geometrically and
+  /// never overflows.
   int DequeCapacity = 8192;
 
   /// Per-worker slab-arena capacity, in chunks, for the frame / workspace
@@ -147,8 +144,8 @@ struct SchedulerConfig {
   int PoolCap = 4096;
 
   /// Ready-deque implementation. The THE-protocol deque is the default
-  /// (paper fidelity); Atomic and ChaseLev select the lock-free steal
-  /// path (ChaseLev additionally grows instead of overflowing).
+  /// (paper fidelity); ChaseLev selects the lock-free steal path, whose
+  /// ring grows instead of overflowing.
   DequeKind Deque = DequeKind::The;
 
   /// Steal transfer width for the deque-based engines: steal-one (the

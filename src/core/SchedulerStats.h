@@ -48,7 +48,7 @@ struct alignas(ATC_CACHE_LINE_SIZE) SchedulerStats {
   std::uint64_t StealFails = 0;      ///< Failed steal attempts.
   std::uint64_t EmptyProbes = 0;     ///< Steal probes skipped: victim empty.
   std::uint64_t AffinityHits = 0;    ///< Steals from the remembered victim.
-  std::uint64_t CasRetries = 0;      ///< Lost steal CASes (atomic deque).
+  std::uint64_t CasRetries = 0;      ///< Lost steal CASes (chaselev deque).
   std::uint64_t LockAcquires = 0;    ///< Deque protocol-lock acquisitions.
   std::uint64_t HelpSteals = 0;      ///< Steals run while waiting at a sync.
   std::uint64_t BatchSteals = 0;     ///< Extra frames claimed by steal-half

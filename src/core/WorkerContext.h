@@ -15,31 +15,27 @@
 #ifndef ATC_CORE_WORKERCONTEXT_H
 #define ATC_CORE_WORKERCONTEXT_H
 
-#include "core/Scheduler.h"
 #include "core/kernel/KernelWorker.h"
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 #include "support/Compiler.h"
 
-#include <type_traits>
 #include <vector>
 
 namespace atc {
 
 /// Deque-engine worker state, parameterized by the ready-deque
-/// implementation (TheDeque or ChaseLevDeque — see SchedulerConfig::Deque;
-/// the atomic kind is a ChaseLevDeque with growth off). One instance per
-/// worker thread; the deque and the inherited need_task fields are the
-/// only members touched by other threads.
+/// implementation (TheDeque or ChaseLevDeque — see SchedulerConfig::Deque).
+/// One instance per worker thread; the deque and the inherited need_task
+/// fields are the only members touched by other threads.
 ///
 /// KernelWorker ends with the cache-line-padded Stats block, so the deque
 /// starts on a fresh line and the kernel's layout rule (each thief-
 /// written field on its own line) carries over unchanged.
 template <typename DequeT>
 struct alignas(ATC_CACHE_LINE_SIZE) WorkerContextT : KernelWorker {
-  WorkerContextT(int Id, int DequeCapacity, DequeKind Kind,
-                 std::uint64_t Seed)
-      : KernelWorker(Id, Seed), Deque(makeDeque(DequeCapacity, Kind)) {}
+  WorkerContextT(int Id, int DequeCapacity, std::uint64_t Seed)
+      : KernelWorker(Id, Seed), Deque(DequeCapacity) {}
 
   /// Ready-task deque ("d-e-que" in the paper).
   DequeT Deque;
@@ -50,14 +46,6 @@ struct alignas(ATC_CACHE_LINE_SIZE) WorkerContextT : KernelWorker {
   /// needs no synchronization; the run cannot terminate while it is
   /// non-empty (every stashed frame owes its parent a join deposit).
   std::vector<void *> Stash;
-
-private:
-  static DequeT makeDeque(int Capacity, DequeKind Kind) {
-    if constexpr (std::is_same_v<DequeT, ChaseLevDeque>)
-      return ChaseLevDeque(Capacity, /*Growable=*/Kind != DequeKind::Atomic);
-    else
-      return DequeT(Capacity);
-  }
 };
 
 /// The paper-fidelity default configuration.

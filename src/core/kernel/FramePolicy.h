@@ -131,8 +131,7 @@ public:
 
   std::unique_ptr<Worker> makeWorker(int Id) {
     return std::make_unique<Worker>(
-        Id, Cfg.DequeCapacity, Cfg.Deque,
-        Cfg.Seed + static_cast<std::uint64_t>(Id));
+        Id, Cfg.DequeCapacity, Cfg.Seed + static_cast<std::uint64_t>(Id));
   }
 
   void beginRun(Runtime &R) {

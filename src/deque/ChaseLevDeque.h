@@ -12,22 +12,14 @@
 /// taking the victim's mutex, so steal attempts — and in particular the
 /// very common probe of an *empty* deque — never serialize on a lock.
 ///
-/// One protocol, two ring modes (chosen at construction):
-///
-///  * Growable (SchedulerConfig::Deque = chaselev): the ring grows
-///    geometrically instead of rejecting pushes, the related-work answer
-///    to deque overflow the paper cites ("a work-stealing d-e-que using a
-///    buffer pool that does not have the overflow problem"). tryPush
-///    never fails, overflowCount() is always 0, and growCount() reports
-///    how many times a fixed array of the initial capacity would have
-///    overflowed. DequeCapacity is an *initial* capacity here (rounded up
-///    to a power of two), not a limit.
-///  * Fixed (SchedulerConfig::Deque = atomic): growth is off. tryPush
-///    rejects a push once Tail - Head reaches the requested capacity and
-///    counts it in overflowCount(), so the schedulers see overflow
-///    pressure — and degrade to a plain call — exactly as with the fixed
-///    THE array. capacity() is that exact bound even when the ring
-///    underneath is rounded up to a power of two; growCount() stays 0.
+/// The ring grows geometrically instead of rejecting pushes, the
+/// related-work answer to deque overflow the paper cites ("a
+/// work-stealing d-e-que using a buffer pool that does not have the
+/// overflow problem"). tryPush never fails, overflowCount() is always 0,
+/// and growCount() reports how many times a fixed array of the initial
+/// capacity would have overflowed. DequeCapacity is an *initial* capacity
+/// here (rounded up to a power of two), not a limit; the bounded,
+/// overflow-counting deque is TheDeque.
 ///
 /// Differences from the textbook Chase-Lev deque:
 ///
@@ -68,16 +60,16 @@
 /// jumps: claiming the bottom entry requires a thief to observe Head at
 /// T-1 (plain claim) or T-2-with-special (jump), and the monotonicity of
 /// Head makes either observation contradict the owner's fenced read.
-/// Every case carries over to the growable ring unchanged, because
-/// growth is owner-only and never moves a live entry to a new index.
+/// Every case carries over across a growth unchanged, because growth is
+/// owner-only and never moves a live entry to a new index.
 ///
-/// Ring-buffer reclamation (growable mode): a grown-out buffer may still
-/// be read by in-flight thieves (they loaded the buffer pointer before
-/// the owner swapped it), so old buffers are *retired* to a list owned by
-/// the deque and freed only at destruction — safe memory reclamation
-/// without an epoch/hazard scheme. Entries in [Head, Tail) are copied to
-/// the new buffer at the same indices, so a thief holding the old buffer
-/// still reads the correct entry for any index its CAS can certify; total
+/// Ring-buffer reclamation: a grown-out buffer may still be read by
+/// in-flight thieves (they loaded the buffer pointer before the owner
+/// swapped it), so old buffers are *retired* to a list owned by the deque
+/// and freed only at destruction — safe memory reclamation without an
+/// epoch/hazard scheme. Entries in [Head, Tail) are copied to the new
+/// buffer at the same indices, so a thief holding the old buffer still
+/// reads the correct entry for any index its CAS can certify; total
 /// retired memory is bounded by twice the final capacity (geometric
 /// growth).
 ///
@@ -112,20 +104,18 @@
 namespace atc {
 
 /// Lock-free work-stealing deque with AdaptiveTC special-task support.
-/// Drop-in replacement for TheDeque; growable or fixed (file comment).
+/// Drop-in replacement for TheDeque whose ring grows (file comment).
 class ChaseLevDeque {
 public:
-  /// Creates a deque of \p Capacity entries over a ring rounded up to a
-  /// power of two. When \p Growable, the capacity is only the initial
-  /// size and the ring grows on demand; otherwise it is a hard bound.
-  explicit ChaseLevDeque(int Capacity = 8192, bool Growable = true)
-      : Growable(Growable) {
+  /// Creates a deque over a ring of \p Capacity entries rounded up to a
+  /// power of two. The capacity is only the initial size; the ring grows
+  /// on demand.
+  explicit ChaseLevDeque(int Capacity = 8192) {
     assert(Capacity > 0 && "deque capacity must be positive");
     std::int64_t N = 2;
     while (N < Capacity)
       N *= 2;
-    Buffer.store(new RingBuffer(N, Growable ? N : Capacity),
-                 std::memory_order_relaxed);
+    Buffer.store(new RingBuffer(N), std::memory_order_relaxed);
   }
 
   ~ChaseLevDeque() {
@@ -137,18 +127,13 @@ public:
   ChaseLevDeque(const ChaseLevDeque &) = delete;
   ChaseLevDeque &operator=(const ChaseLevDeque &) = delete;
 
-  /// Owner: pushes \p Frame at the tail. A full growable ring grows (the
-  /// push always succeeds); a full fixed ring rejects the push (returns
-  /// false and counts an overflow).
+  /// Owner: pushes \p Frame at the tail. A full ring grows, so the push
+  /// always succeeds.
   bool tryPush(void *Frame, bool Special = false) {
     std::int64_t T = Tail.load(std::memory_order_relaxed);
     std::int64_t H = Head.load(std::memory_order_acquire);
     RingBuffer *RB = Buffer.load(std::memory_order_relaxed);
-    if (ATC_UNLIKELY(T - H >= RB->Limit)) {
-      if (!Growable) {
-        Overflows.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
+    if (ATC_UNLIKELY(T - H >= RB->Capacity)) {
       RB = grow(RB, H, T);
       Buffer.store(RB, std::memory_order_release);
     }
@@ -310,20 +295,17 @@ public:
     return T > H ? static_cast<int>(T - H) : 0;
   }
 
-  /// Push bound: the exact requested capacity of a fixed ring, the
-  /// current ring size (growing over the deque's lifetime) otherwise.
+  /// Current ring size (growing over the deque's lifetime).
   int capacity() const {
-    return static_cast<int>(Buffer.load(std::memory_order_relaxed)->Limit);
+    return static_cast<int>(Buffer.load(std::memory_order_relaxed)->Capacity);
   }
 
-  /// Number of tryPush calls rejected by a full fixed ring (always 0 when
-  /// growable — the ring grows instead; see growCount()).
-  std::uint64_t overflowCount() const {
-    return Overflows.load(std::memory_order_relaxed);
-  }
+  /// Rejected pushes — always 0, because the ring grows instead (see
+  /// growCount()); present, like lockAcquireCount(), for interface parity.
+  std::uint64_t overflowCount() const { return 0; }
 
   /// Number of ring growths performed (each one is an overflow a fixed
-  /// array of the initial capacity would have hit; always 0 when fixed).
+  /// array of the initial capacity would have hit).
   std::uint64_t growCount() const {
     return Grows.load(std::memory_order_relaxed);
   }
@@ -374,12 +356,10 @@ private:
   };
 
   /// Circular array with power-of-two capacity; slot(I) = Slots[I & Mask]
-  /// keeps indices monotonic across growths. A push at depth Limit finds
-  /// the ring full: Limit == Capacity except for a fixed ring, whose
-  /// bound is the requested (possibly non-power-of-two) capacity.
+  /// keeps indices monotonic across growths.
   struct RingBuffer {
-    RingBuffer(std::int64_t N, std::int64_t Limit)
-        : Capacity(N), Mask(N - 1), Limit(Limit),
+    explicit RingBuffer(std::int64_t N)
+        : Capacity(N), Mask(N - 1),
           Slots(new Slot[static_cast<std::size_t>(N)]) {}
     ~RingBuffer() { delete[] Slots; }
 
@@ -390,7 +370,6 @@ private:
 
     const std::int64_t Capacity;
     const std::int64_t Mask;
-    const std::int64_t Limit;
     Slot *Slots;
   };
 
@@ -399,7 +378,7 @@ private:
   /// buffer (in-flight thieves may still be reading it; see the file
   /// comment on reclamation).
   RingBuffer *grow(RingBuffer *Old, std::int64_t H, std::int64_t T) {
-    auto *New = new RingBuffer(Old->Capacity * 2, Old->Capacity * 2);
+    auto *New = new RingBuffer(Old->Capacity * 2);
     for (std::int64_t I = H; I < T; ++I) {
       New->slot(I).Frame.store(
           Old->slot(I).Frame.load(std::memory_order_relaxed),
@@ -417,15 +396,17 @@ private:
   alignas(ATC_CACHE_LINE_SIZE) std::atomic<std::int64_t> Head{0};
   alignas(ATC_CACHE_LINE_SIZE) std::atomic<std::int64_t> Tail{0};
 
-  const bool Growable;
   std::atomic<RingBuffer *> Buffer{nullptr};
   std::vector<RingBuffer *> Retired; ///< Owner-only; freed at destruction.
 
-  std::atomic<std::uint64_t> Overflows{0};
   std::atomic<std::uint64_t> Grows{0};
-  std::atomic<std::uint64_t> CasRetries{0};
   std::atomic<int> HighWater{0};
   std::atomic<std::int64_t> *DepthGauge = nullptr;
+
+  /// The one field thieves write besides Head. Its own line keeps lost-CAS
+  /// increments off the Tail/Buffer line that every steal reads (sharing
+  /// it halved 2-8 thief drain throughput).
+  alignas(ATC_CACHE_LINE_SIZE) std::atomic<std::uint64_t> CasRetries{0};
 };
 
 } // namespace atc

@@ -28,13 +28,14 @@
 /// the whole process (one worker track; spawn, special-task, FSM and
 /// need_task events) and writes a Chrome/Perfetto trace.json to <path>
 /// when the Worker is destroyed. ATCGEN_TRACE_CAP overrides the ring
-/// capacity (events; default 1M). Compiled out with ATC_OBSERVE=OFF builds
+/// capacity (events; default 1M); like ATCGEN_DEQUE_CAP below it must be
+/// a decimal integer in [1, INT_MAX], and anything else exits with
+/// status 2. Compiled out with ATC_OBSERVE=OFF builds
 /// (-DATC_OBSERVE_ENABLED=0).
 ///
-/// Deque knob: ATCGEN_DEQUE=the|atomic|chaselev mirrors every protocol
+/// Deque knob: ATCGEN_DEQUE=the|chaselev mirrors every protocol
 /// operation (push, pop, pushSpecial, popSpecial) into a real scheduler
-/// deque of that kind (atomic is a ChaseLevDeque with growth off, as in
-/// the core runtime), running alongside the shadow vector and asserted
+/// deque of that kind, running alongside the shadow vector and asserted
 /// to agree after every step — the single-worker executor becomes a
 /// protocol-conformance harness for the deque layer, driving the exact
 /// operation sequences atcc emits (including the special-task pushes the
@@ -137,8 +138,7 @@ public:
 
 template <class DequeT> class DequeMirrorOf final : public DequeMirror {
 public:
-  template <class... DequeArgs>
-  DequeMirrorOf(const char *Kind, DequeArgs... Args) : Kind(Kind), D(Args...) {}
+  DequeMirrorOf(const char *Kind, int Cap) : Kind(Kind), D(Cap) {}
   const char *kind() const override { return Kind; }
   void push(void *Frame, bool Special) override {
     bool Ok = D.tryPush(Frame, Special);
@@ -160,18 +160,19 @@ private:
   DequeT D;
 };
 
-/// Parses ATCGEN_DEQUE_CAP: a decimal integer in [1, INT_MAX]. Anything
-/// else is a usage error and exits with status 2.
-inline int parseDequeCap(const char *Str) {
+/// Parses the value \p Str of the count variable \p Var (ATCGEN_DEQUE_CAP,
+/// ATCGEN_TRACE_CAP): a decimal integer in [1, INT_MAX]. Anything else is
+/// a usage error and exits with status 2.
+inline int parseCountEnv(const char *Var, const char *Str) {
   char *End = nullptr;
   errno = 0;
   long long V = std::strtoll(Str, &End, 10);
   if (!std::isdigit(static_cast<unsigned char>(Str[0])) || *End != '\0' ||
       errno == ERANGE || V < 1 || V > INT_MAX) {
     std::fprintf(stderr,
-                 "atcgen: bad ATCGEN_DEQUE_CAP '%s' "
+                 "atcgen: bad %s '%s' "
                  "(expected a decimal integer in [1, %d])\n",
-                 Str, INT_MAX);
+                 Var, Str, INT_MAX);
     std::exit(2);
   }
   return static_cast<int>(V);
@@ -187,8 +188,8 @@ struct Worker {
     if (const char *Path = std::getenv("ATCGEN_TRACE")) {
       std::size_t Cap = 1u << 20;
       if (const char *CapStr = std::getenv("ATCGEN_TRACE_CAP"))
-        if (long V = std::atol(CapStr); V > 0)
-          Cap = static_cast<std::size_t>(V);
+        Cap = static_cast<std::size_t>(
+            parseCountEnv("ATCGEN_TRACE_CAP", CapStr));
       Trace = std::make_unique<atc::TraceLog>(1, Cap);
       Trace->Meta.Scheduler = "AdaptiveTC";
       Trace->Meta.Source = "genruntime";
@@ -201,20 +202,17 @@ struct Worker {
     if (const char *Kind = std::getenv("ATCGEN_DEQUE")) {
       int Cap = 8192;
       if (const char *CapStr = std::getenv("ATCGEN_DEQUE_CAP"))
-        Cap = parseDequeCap(CapStr);
+        Cap = parseCountEnv("ATCGEN_DEQUE_CAP", CapStr);
       std::string K(Kind);
       if (K == "the")
         Mirror = std::make_unique<DequeMirrorOf<atc::TheDeque>>("the", Cap);
-      else if (K == "atomic")
-        Mirror = std::make_unique<DequeMirrorOf<atc::ChaseLevDeque>>(
-            "atomic", Cap, /*Growable=*/false);
       else if (K == "chaselev")
         Mirror = std::make_unique<DequeMirrorOf<atc::ChaseLevDeque>>(
             "chaselev", Cap);
       else {
         std::fprintf(stderr,
                      "atcgen: unknown ATCGEN_DEQUE kind '%s' "
-                     "(expected the|atomic|chaselev)\n",
+                     "(expected the|chaselev)\n",
                      Kind);
         std::exit(2);
       }

@@ -64,7 +64,7 @@ struct CostModel {
   double StealNs = 400;
 
   /// Thief-side cost of a successful CAS-claim steal (the lock-free
-  /// deques: atomic, chaselev). One seq_cst compare-exchange plus the
+  /// deque, chaselev). One seq_cst compare-exchange plus the
   /// frame restore — no lock round trip, so cheaper than StealNs
   /// (micro_deque's contended-steal benches are the ballpark source).
   double CasStealNs = 250;

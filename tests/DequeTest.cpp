@@ -5,16 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Protocol tests shared by all three deque kinds (the mutex THE deque,
-/// and the lock-free ChaseLevDeque with growth off — the atomic kind — and
-/// on — the chaselev kind) run as a typed suite: the kinds must be
-/// behaviourally indistinguishable to the engine, including the
+/// Protocol tests shared by both deque kinds (the mutex THE deque and the
+/// lock-free, growable ChaseLevDeque) run as a typed suite: the kinds
+/// must be behaviourally indistinguishable to the engine, including the
 /// special-task H += 2 / pop_specialtask reset protocol and exactly-once
 /// consumption under owner-vs-many-thieves contention. The one sanctioned
-/// divergence is a full deque: the fixed kinds reject the push while the
-/// growable ring grows, so that test branches on the kind.
-/// Implementation-specific behaviour (locks, slot recycling, the fixed
-/// bound, ring growth) keeps its own tests at the bottom.
+/// divergence is a full deque: the fixed THE array rejects the push while
+/// the ring grows, so that test branches on the kind.
+/// Implementation-specific behaviour (locks, slot recycling, ring growth)
+/// keeps its own tests at the bottom.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,16 +29,6 @@
 #include <type_traits>
 #include <vector>
 
-namespace atc {
-/// The atomic kind's deque (SchedulerConfig::Deque = atomic): a
-/// ChaseLevDeque whose ring does not grow. Test-local, and named after
-/// the kind so the typed-suite rows keep their names.
-struct AtomicDeque : ChaseLevDeque {
-  explicit AtomicDeque(int Capacity = 8192)
-      : ChaseLevDeque(Capacity, /*Growable=*/false) {}
-};
-} // namespace atc
-
 using namespace atc;
 
 namespace {
@@ -47,7 +36,7 @@ namespace {
 void *ptr(std::uintptr_t V) { return reinterpret_cast<void *>(V); }
 
 template <typename DequeT> class WsDeque : public ::testing::Test {};
-using DequeKinds = ::testing::Types<TheDeque, AtomicDeque, ChaseLevDeque>;
+using DequeKinds = ::testing::Types<TheDeque, ChaseLevDeque>;
 TYPED_TEST_SUITE(WsDeque, DequeKinds);
 
 TYPED_TEST(WsDeque, PushPopLifo) {
@@ -172,8 +161,8 @@ TYPED_TEST(WsDeque, FullDequeOverflowsOrGrows) {
   EXPECT_TRUE(D.tryPush(ptr(1)));
   EXPECT_TRUE(D.tryPush(ptr(2)));
   if constexpr (std::is_same_v<TypeParam, ChaseLevDeque>) {
-    // Growable kind: the push past capacity succeeds by doubling the
-    // ring; nothing is ever rejected.
+    // The push past capacity succeeds by doubling the ring; nothing is
+    // ever rejected.
     EXPECT_TRUE(D.tryPush(ptr(3)));
     EXPECT_EQ(D.growCount(), 1u);
     EXPECT_EQ(D.overflowCount(), 0u);
@@ -341,60 +330,6 @@ TEST(TheDeque, EmptyProbeSkipsTheLock) {
   D.tryPush(ptr(1));
   EXPECT_EQ(D.steal().Status, StealResult::Status::Success);
   EXPECT_EQ(D.lockAcquireCount(), 1u);
-}
-
-TEST(AtomicDeque, NeverTakesALock) {
-  AtomicDeque D(16);
-  D.tryPush(ptr(1));
-  EXPECT_EQ(D.steal().Status, StealResult::Status::Success);
-  EXPECT_EQ(D.lockAcquireCount(), 0u);
-}
-
-TEST(AtomicDeque, CircularBufferRecyclesSlots) {
-  // Unlike TheDeque's absolute indices, the fixed ring maps monotonic
-  // indices onto a small circular buffer: steady-state churn far beyond
-  // the capacity needs no reset.
-  AtomicDeque D(4);
-  for (std::uintptr_t I = 1; I <= 100; ++I) {
-    ASSERT_TRUE(D.tryPush(ptr(I), /*Special=*/I % 5 == 0));
-    ASSERT_TRUE(D.tryPush(ptr(1000 + I)));
-    if (I % 2 == 0) {
-      StealResult R = D.steal();
-      ASSERT_EQ(R.Status, StealResult::Status::Success);
-      // The head entry, or — every tenth round — the special's child.
-      ASSERT_EQ(R.Frame, I % 5 == 0 ? ptr(1000 + I) : ptr(I));
-      ASSERT_EQ(D.pop(), I % 5 == 0 ? PopResult::Failure
-                                    : PopResult::Success);
-      if (I % 5 == 0) {
-        ASSERT_EQ(D.popSpecial(), PopResult::Failure);
-      }
-    } else {
-      // Popping the child jump-claims the special when one sits below it
-      // and re-publishes it; popSpecial then retires the re-published
-      // entry instead of a second pop.
-      ASSERT_EQ(D.pop(), PopResult::Success);
-      if (I % 5 == 0) {
-        ASSERT_EQ(D.popSpecial(), PopResult::Success);
-      } else {
-        ASSERT_EQ(D.pop(), PopResult::Success);
-      }
-    }
-    ASSERT_TRUE(D.empty()) << "round " << I;
-  }
-  EXPECT_EQ(D.overflowCount(), 0u);
-}
-
-TEST(AtomicDeque, BoundIsExactOverPowerOfTwoRing) {
-  // The fixed ring is rounded up to a power of two (8 slots here), but
-  // the push bound stays the requested capacity.
-  AtomicDeque D(5);
-  for (std::uintptr_t I = 1; I <= 5; ++I)
-    ASSERT_TRUE(D.tryPush(ptr(I))) << "push " << I;
-  EXPECT_FALSE(D.tryPush(ptr(6)));
-  EXPECT_EQ(D.capacity(), 5);
-  EXPECT_EQ(D.overflowCount(), 1u);
-  EXPECT_EQ(D.growCount(), 0u);
-  EXPECT_EQ(D.size(), 5);
 }
 
 TEST(ChaseLev, NeverTakesALock) {

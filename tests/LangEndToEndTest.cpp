@@ -151,7 +151,7 @@ TEST(LangEndToEnd, NQueensCorrectWithDequeMirror) {
   // ATCGEN_DEQUE mirrors every protocol operation into a real scheduler
   // deque with step-by-step agreement asserts; an abort (protocol
   // divergence) fails the exit-status check inside compileAndRun.
-  for (const char *Kind : {"the", "atomic", "chaselev"})
+  for (const char *Kind : {"the", "chaselev"})
     EXPECT_EQ(compileAndRun(NQueensSrc, std::string("ATCGEN_DEQUE=") + Kind),
               "92\n")
         << Kind;
@@ -160,13 +160,10 @@ TEST(LangEndToEnd, NQueensCorrectWithDequeMirror) {
 TEST(LangEndToEnd, DequeMirrorComposesWithForcedSpecialTasks) {
   // Forced need_task drives pushSpecial/popSpecial through the mirror;
   // a 2-entry initial capacity forces ChaseLev ring growth mid-run (the
-  // fixed-capacity kinds get the same protocol at default capacity).
+  // fixed THE array gets the same protocol at default capacity).
   EXPECT_EQ(compileAndRun(NQueensSrc, "ATCGEN_DEQUE=chaselev "
                                       "ATCGEN_DEQUE_CAP=2 "
                                       "ATCGEN_FORCE_NEEDTASK=3"),
-            "92\n");
-  EXPECT_EQ(compileAndRun(NQueensSrc,
-                          "ATCGEN_DEQUE=atomic ATCGEN_FORCE_NEEDTASK=3"),
             "92\n");
   EXPECT_EQ(compileAndRun(NQueensSrc,
                           "ATCGEN_DEQUE=the ATCGEN_FORCE_NEEDTASK=3"),
@@ -174,30 +171,48 @@ TEST(LangEndToEnd, DequeMirrorComposesWithForcedSpecialTasks) {
 }
 
 TEST(LangEndToEnd, BadDequeCapIsRejected) {
-  // ATCGEN_DEQUE_CAP takes a decimal integer in [1, INT_MAX]. A value
-  // that would wrap, go negative, or is no number at all is a usage
-  // error (exit 2, like an unknown ATCGEN_DEQUE kind), never a silently
-  // truncated or ignored capacity.
+  // ATCGEN_DEQUE_CAP and ATCGEN_TRACE_CAP take a decimal integer in
+  // [1, INT_MAX]. A value that would wrap, go negative, or is no number
+  // at all is a usage error (exit 2, like an unknown ATCGEN_DEQUE kind),
+  // never a silently truncated or ignored capacity.
   std::string BinPath = buildBinary(NQueensSrc);
   ASSERT_FALSE(BinPath.empty());
-  for (const char *Cap :
-       {"4294967297", "2147483648", "abc", "0", "-4", "12x", " 8", ""}) {
-    int Status = 0;
-    std::string Out = runBinary(
-        BinPath,
-        std::string("ATCGEN_DEQUE=atomic ATCGEN_DEQUE_CAP='") + Cap + "'",
-        Status, /*WithStderr=*/true);
-    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
-        << "cap '" << Cap << "' status " << Status;
-    EXPECT_NE(Out.find("bad ATCGEN_DEQUE_CAP"), std::string::npos)
-        << "cap '" << Cap << "': " << Out;
-  }
+  const std::string TracePath = ::testing::TempDir() + "atcgen_badcap.json";
+  const struct {
+    const char *Var;
+    std::string Env;
+  } Vars[] = {{"ATCGEN_DEQUE_CAP", "ATCGEN_DEQUE=chaselev"},
+              {"ATCGEN_TRACE_CAP", "ATCGEN_TRACE='" + TracePath + "'"}};
+  for (const auto &V : Vars)
+    for (const char *Cap : {"4294967297", "99999999999999999999",
+                            "2147483648", "abc", "0", "-4", "12x", " 8",
+                            ""}) {
+      int Status = 0;
+      std::string Out =
+          runBinary(BinPath, V.Env + " " + V.Var + "='" + Cap + "'", Status,
+                    /*WithStderr=*/true);
+      EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
+          << V.Var << " '" << Cap << "' status " << Status;
+      EXPECT_NE(Out.find(std::string("bad ") + V.Var), std::string::npos)
+          << V.Var << " '" << Cap << "': " << Out;
+    }
   int Status = 0;
-  EXPECT_EQ(runBinary(BinPath, "ATCGEN_DEQUE=atomic ATCGEN_DEQUE_CAP=64",
+  EXPECT_EQ(runBinary(BinPath, "ATCGEN_DEQUE=chaselev ATCGEN_DEQUE_CAP=64",
                       Status),
             "92\n");
   EXPECT_EQ(Status, 0);
+  // An unknown kind is the same usage error; the deleted "atomic" kind is
+  // unknown rather than remapped to the unbounded chaselev.
+  std::string Out =
+      runBinary(BinPath, "ATCGEN_DEQUE=atomic", Status, /*WithStderr=*/true);
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
+      << "status " << Status;
+  EXPECT_NE(Out.find("unknown ATCGEN_DEQUE kind 'atomic' "
+                     "(expected the|chaselev)"),
+            std::string::npos)
+      << Out;
   std::remove(BinPath.c_str());
+  std::remove(TracePath.c_str());
 }
 
 TEST(LangEndToEnd, FibComputesCorrectly) {

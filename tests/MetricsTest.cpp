@@ -201,7 +201,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CoherenceCase{SchedulerKind::Cutoff},
                       CoherenceCase{SchedulerKind::AdaptiveTC},
                       CoherenceCase{SchedulerKind::AdaptiveTC,
-                                    DequeKind::Atomic},
+                                    DequeKind::ChaseLev},
                       CoherenceCase{SchedulerKind::Tascell}),
     [](const ::testing::TestParamInfo<CoherenceCase> &Info) {
       std::string Name = schedulerKindName(Info.param.Kind);

@@ -120,8 +120,7 @@ TEST(PoolReuse, AllKindsAllDequesOnOnePool) {
   const SchedulerKind Kinds[] = {
       SchedulerKind::Cilk, SchedulerKind::CilkSynched, SchedulerKind::Cutoff,
       SchedulerKind::AdaptiveTC, SchedulerKind::Tascell};
-  const DequeKind Deques[] = {DequeKind::The, DequeKind::Atomic,
-                              DequeKind::ChaseLev};
+  const DequeKind Deques[] = {DequeKind::The, DequeKind::ChaseLev};
 
   int Jobs = 0;
   for (SchedulerKind Kind : Kinds)

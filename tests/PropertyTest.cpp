@@ -453,22 +453,18 @@ TEST(JoinProtocolStress, SuspensionsObservedAndResolved) {
 //===----------------------------------------------------------------------===//
 
 TEST(Overflow, TinyDequeStillProducesCorrectResults) {
-  // With a 4-entry deque, Cilk's every-spawn pushing overflows
-  // constantly; the engine degrades those spawns to plain calls and must
-  // still be correct. The overflow count is reported (the paper: fixed
-  // arrays are "prone to overflow"). Both fixed kinds: the THE array and
-  // the lock-free ring with growth off.
+  // With a 4-entry THE deque (the default), Cilk's every-spawn pushing
+  // overflows constantly; the engine degrades those spawns to plain calls
+  // and must still be correct. The overflow count is reported (the
+  // paper: fixed arrays are "prone to overflow").
   FibProblem Prob;
   SchedulerConfig Cfg;
   Cfg.Kind = SchedulerKind::Cilk;
   Cfg.NumWorkers = 4;
   Cfg.DequeCapacity = 4;
-  for (DequeKind Deque : {DequeKind::The, DequeKind::Atomic}) {
-    Cfg.Deque = Deque;
-    auto R = runProblem(Prob, FibProblem::makeRoot(20), Cfg);
-    EXPECT_EQ(R.Value, FibProblem::fibValue(20)) << dequeKindName(Deque);
-    EXPECT_GT(R.Stats.DequeOverflows, 0u) << dequeKindName(Deque);
-  }
+  auto R = runProblem(Prob, FibProblem::makeRoot(20), Cfg);
+  EXPECT_EQ(R.Value, FibProblem::fibValue(20));
+  EXPECT_GT(R.Stats.DequeOverflows, 0u);
 }
 
 TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
@@ -480,13 +476,12 @@ TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   // need_task pushes one special task, and its fast_2 child pushes only
   // below depth 2C before falling into sequence, which never pushes or
   // polls again; an owner helping at a stolen special's sync has an empty
-  // deque. So occupancy stays <= 6C + 1, which the fixed lock-free ring
-  // reports as its high-water mark (the THE array reports absolute
-  // indices, which grow with steals).
+  // deque. So occupancy stays <= 6C + 1. The Chase-Lev deque reports
+  // occupancy as its high-water mark; the THE array reports absolute
+  // indices, which equal occupancy only while no thief moves the head.
   FibProblem Prob;
   const long long Expected = FibProblem::fibValue(22);
   SchedulerConfig Cfg;
-  Cfg.Deque = DequeKind::Atomic;
   Cfg.NumWorkers = 4;
   const int Bound =
       AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes();
@@ -494,8 +489,9 @@ TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   Cfg.DequeCapacity = Bound;
 
   // One worker is deterministic: Cilk pushes a continuation per spawn
-  // level and fib(22) nests 21 levels, deeper than Bound; AdaptiveTC
-  // (cut-off log2(1) = 0, no thief to raise need_task) pushes nothing.
+  // level and fib(22) nests 21 levels, deeper than Bound, so the fixed
+  // THE array of that capacity overflows; AdaptiveTC (cut-off log2(1) =
+  // 0, no thief to raise need_task) pushes nothing.
   SchedulerConfig One = Cfg;
   One.NumWorkers = 1;
   One.Kind = SchedulerKind::Cilk;
@@ -508,14 +504,16 @@ TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   EXPECT_EQ(Cilk.Stats.DequeHighWater, Bound);
   EXPECT_EQ(Atc1.Stats.DequeHighWater, 0);
 
-  // Four workers: the same capacity never overflows for AdaptiveTC.
+  // Four workers: AdaptiveTC's occupancy never exceeds the same
+  // capacity, measured on the Chase-Lev deque, whose high-water mark is
+  // occupancy under steals too.
   Cfg.Kind = SchedulerKind::AdaptiveTC;
+  Cfg.Deque = DequeKind::ChaseLev;
   for (int Rep = 0; Rep < 10; ++Rep) {
     Cfg.Seed = 0x0f10 + static_cast<std::uint64_t>(Rep);
     auto Atc = runProblem(Prob, FibProblem::makeRoot(22), Cfg);
     EXPECT_EQ(Atc.Value, Expected);
     EXPECT_LE(Atc.Stats.DequeHighWater, Bound) << "rep " << Rep;
-    EXPECT_EQ(Atc.Stats.DequeOverflows, 0u) << "rep " << Rep;
   }
 }
 

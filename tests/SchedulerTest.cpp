@@ -35,10 +35,15 @@ using namespace atc;
 
 namespace {
 
+/// The matrix's deque setups: the two DequeKinds, plus the Chase-Lev
+/// deque started from a 2-slot ring, so a run that holds more than two
+/// entries grows the ring while thieves are stealing from it.
+enum class MatrixDeque { The, ChaseLev, SmallRing };
+
 struct MatrixCase {
   SchedulerKind Kind;
   int Threads;
-  DequeKind Deque = DequeKind::The;
+  MatrixDeque Deque = MatrixDeque::The;
   StealPolicy Steal = StealPolicy::One;
   VictimPolicy Victim = VictimPolicy::Affinity;
 };
@@ -48,8 +53,12 @@ std::string caseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
   for (char &C : Name)
     if (C == '-')
       C = '_';
-  if (Info.param.Deque != DequeKind::The)
-    Name += std::string("_") + dequeKindName(Info.param.Deque);
+  // Small-ring rows keep the label they had while the lock-free deque
+  // also had a growth-off ("atomic") mode.
+  if (Info.param.Deque == MatrixDeque::ChaseLev)
+    Name += "_chaselev";
+  else if (Info.param.Deque == MatrixDeque::SmallRing)
+    Name += "_atomic";
   if (Info.param.Steal != StealPolicy::One)
     Name += std::string("_steal") + stealPolicyName(Info.param.Steal);
   if (Info.param.Victim != VictimPolicy::Affinity)
@@ -61,14 +70,17 @@ SchedulerConfig makeConfig(const MatrixCase &MC) {
   SchedulerConfig Cfg;
   Cfg.Kind = MC.Kind;
   Cfg.NumWorkers = MC.Threads;
-  Cfg.Deque = MC.Deque;
+  Cfg.Deque = MC.Deque == MatrixDeque::The ? DequeKind::The
+                                           : DequeKind::ChaseLev;
+  if (MC.Deque == MatrixDeque::SmallRing)
+    Cfg.DequeCapacity = 2;
   Cfg.Steal = MC.Steal;
   Cfg.Victim = MC.Victim;
   return Cfg;
 }
 
-constexpr DequeKind AtomicDQ = DequeKind::Atomic;
-constexpr DequeKind ChaseLevDQ = DequeKind::ChaseLev;
+constexpr MatrixDeque ChaseLevDQ = MatrixDeque::ChaseLev;
+constexpr MatrixDeque SmallRingDQ = MatrixDeque::SmallRing;
 constexpr StealPolicy HalfSP = StealPolicy::Half;
 constexpr VictimPolicy RandomVP = VictimPolicy::Random;
 constexpr VictimPolicy PartitionedVP = VictimPolicy::Partitioned;
@@ -83,21 +95,21 @@ const MatrixCase AllCases[] = {
     {SchedulerKind::AdaptiveTC, 4},  {SchedulerKind::AdaptiveTC, 8},
     {SchedulerKind::Tascell, 1},     {SchedulerKind::Tascell, 2},
     {SchedulerKind::Tascell, 4},     {SchedulerKind::Tascell, 8},
-    // The same deque-backed engine kinds over the lock-free deque with
-    // growth off (the atomic kind): the deque choice must be invisible
-    // to the results.
-    {SchedulerKind::Cilk, 1, AtomicDQ},
-    {SchedulerKind::Cilk, 4, AtomicDQ},
-    {SchedulerKind::Cilk, 8, AtomicDQ},
-    {SchedulerKind::CilkSynched, 4, AtomicDQ},
-    {SchedulerKind::CilkSynched, 8, AtomicDQ},
-    {SchedulerKind::Cutoff, 4, AtomicDQ},
-    {SchedulerKind::Cutoff, 8, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 1, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 2, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 4, AtomicDQ},
-    {SchedulerKind::AdaptiveTC, 8, AtomicDQ},
-    // ... and over the growable ChaseLevDeque.
+    // The same deque-backed engine kinds over the lock-free, growable
+    // ChaseLevDeque: the deque choice must be invisible to the results,
+    // also when the ring starts at 2 slots and has to grow mid-run ...
+    {SchedulerKind::Cilk, 1, SmallRingDQ},
+    {SchedulerKind::Cilk, 4, SmallRingDQ},
+    {SchedulerKind::Cilk, 8, SmallRingDQ},
+    {SchedulerKind::CilkSynched, 4, SmallRingDQ},
+    {SchedulerKind::CilkSynched, 8, SmallRingDQ},
+    {SchedulerKind::Cutoff, 4, SmallRingDQ},
+    {SchedulerKind::Cutoff, 8, SmallRingDQ},
+    {SchedulerKind::AdaptiveTC, 1, SmallRingDQ},
+    {SchedulerKind::AdaptiveTC, 2, SmallRingDQ},
+    {SchedulerKind::AdaptiveTC, 4, SmallRingDQ},
+    {SchedulerKind::AdaptiveTC, 8, SmallRingDQ},
+    // ... and when it starts at the default size.
     {SchedulerKind::Cilk, 1, ChaseLevDQ},
     {SchedulerKind::Cilk, 4, ChaseLevDQ},
     {SchedulerKind::Cilk, 8, ChaseLevDQ},
@@ -112,14 +124,14 @@ const MatrixCase AllCases[] = {
     // Steal-half batch acquisition and the non-default victim orderings
     // must likewise be invisible to the results.
     {SchedulerKind::Cilk, 4, ChaseLevDQ, HalfSP},
-    {SchedulerKind::Cilk, 8, AtomicDQ, HalfSP},
+    {SchedulerKind::Cilk, 8, SmallRingDQ, HalfSP},
     {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, HalfSP},
-    {SchedulerKind::AdaptiveTC, 8, DequeKind::The, HalfSP},
+    {SchedulerKind::AdaptiveTC, 8, MatrixDeque::The, HalfSP},
     {SchedulerKind::Cilk, 4, ChaseLevDQ, HalfSP, RandomVP},
     {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, StealPolicy::One, RandomVP},
     {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ, HalfSP, PartitionedVP},
-    {SchedulerKind::Tascell, 4, DequeKind::The, StealPolicy::One, RandomVP},
-    {SchedulerKind::Tascell, 8, DequeKind::The, StealPolicy::One,
+    {SchedulerKind::Tascell, 4, MatrixDeque::The, StealPolicy::One, RandomVP},
+    {SchedulerKind::Tascell, 8, MatrixDeque::The, StealPolicy::One,
      PartitionedVP},
 };
 
@@ -421,27 +433,6 @@ TEST(SchedulerBehaviour, SpecialTasksFireUnderStealPressure) {
       << "check->fast_2 transition never fired under forced pressure";
 }
 
-TEST(SchedulerBehaviour, SpecialTasksFireWithAtomicDeque) {
-  // The same forced-pressure scenario over the lock-free deque: the CAS
-  // Head += 2 jump and the owner-side popSpecial accounting must carry
-  // the special-task protocol end to end.
-  NQueensArray Prob;
-  SchedulerConfig Cfg;
-  Cfg.Kind = SchedulerKind::AdaptiveTC;
-  Cfg.Deque = DequeKind::Atomic;
-  Cfg.NumWorkers = 4;
-  Cfg.MaxStolenNum = 0;
-  std::uint64_t Specials = 0;
-  for (int Attempt = 0; Attempt < 10 && Specials == 0; ++Attempt) {
-    Cfg.Seed = 177 + static_cast<std::uint64_t>(Attempt);
-    auto R = runProblem(Prob, NQueensArray::makeRoot(11), Cfg);
-    ASSERT_EQ(R.Value, 2680) << "attempt " << Attempt;
-    Specials = R.Stats.SpecialTasks;
-  }
-  EXPECT_GT(Specials, 0u)
-      << "special-task path never fired on the atomic deque";
-}
-
 TEST(SchedulerBehaviour, SpecialTasksFireWithChaseLevDeque) {
   // Forced pressure over the growable deque: the Head += 2 jump, the
   // owner-side popSpecial accounting AND ring growth (tiny initial
@@ -467,13 +458,12 @@ TEST(SchedulerBehaviour, SpecialTasksFireWithChaseLevDeque) {
 TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
   // The Spine variant's first-child chains are what thieves take on a
   // left-heavy tree. Every deque kind and steal policy must still sum the
-  // leaves exactly, and the fixed lock-free ring (which reports occupancy
-  // as its high-water mark) must stay within the FSM's bound of 6C + 1.
+  // leaves exactly, and the Chase-Lev deque (which reports occupancy as
+  // its high-water mark) must stay within the FSM's bound of 6C + 1.
   SyntheticTreeProblem Prob(SimTree::preset("tree3l", 20'000));
   const long long Expected = Prob.expectedLeaves();
   for (int Threads : {4, 8})
-    for (DequeKind DQ :
-         {DequeKind::The, DequeKind::Atomic, DequeKind::ChaseLev})
+    for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev})
       for (StealPolicy SP : {StealPolicy::One, StealPolicy::Half}) {
         SchedulerConfig Cfg;
         Cfg.Kind = SchedulerKind::AdaptiveTC;
@@ -485,12 +475,11 @@ TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
                                   dequeKindName(DQ) + ", steal " +
                                   stealPolicyName(SP);
         EXPECT_EQ(R.Value, Expected) << Where;
-        if (DQ == DequeKind::Atomic) {
+        if (DQ == DequeKind::ChaseLev) {
           EXPECT_LE(R.Stats.DequeHighWater,
                     AdaptiveTCTaskPolicy(Cfg.effectiveCutoff())
                         .Fsm.maxOwnerPushes())
               << Where;
-          EXPECT_EQ(R.Stats.DequeOverflows, 0u) << Where;
         }
       }
 }
@@ -626,8 +615,7 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
                                  SchedulerKind::CilkSynched,
                                  SchedulerKind::Cutoff,
                                  SchedulerKind::AdaptiveTC};
-  const DequeKind Deques[] = {DequeKind::The, DequeKind::Atomic,
-                              DequeKind::ChaseLev};
+  const DequeKind Deques[] = {DequeKind::The, DequeKind::ChaseLev};
   const StealPolicy Steals[] = {StealPolicy::One, StealPolicy::Half};
 
   NQueensArray NQ;
@@ -675,7 +663,7 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
         }
 
         // The heavier Sudoku tree only for steal-one: the batch path is
-        // already covered above and the matrix is 24 configs deep.
+        // already covered above and the matrix is 16 configs deep.
         if (SP != StealPolicy::One)
           continue;
         auto RS = runProblem(SU, Sudoku::makeInstance("balance"), Cfg);

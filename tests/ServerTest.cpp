@@ -169,11 +169,14 @@ TEST(JobSpecJson, RejectsBadSpecs) {
   EXPECT_FALSE(
       parseJobSpec(R"({"problem": "fib", "scheduler": "magic"})", S, Err));
   // An unknown deque kind's error (the server's 400 body) names the
-  // valid ones.
+  // valid ones. "atomic", the deleted bounded lock-free kind, is unknown
+  // too: remapping it to the unbounded chaselev would change the run.
   EXPECT_FALSE(
       parseJobSpec(R"({"problem": "fib", "deque": "lockless"})", S, Err));
-  EXPECT_EQ(Err,
-            "unknown deque kind 'lockless' (expected the|atomic|chaselev)");
+  EXPECT_EQ(Err, "unknown deque kind 'lockless' (expected the|chaselev)");
+  EXPECT_FALSE(
+      parseJobSpec(R"({"problem": "fib", "deque": "atomic"})", S, Err));
+  EXPECT_EQ(Err, "unknown deque kind 'atomic' (expected the|chaselev)");
   EXPECT_FALSE(parseJobSpec("not json at all", S, Err));
   EXPECT_FALSE(Err.empty());
 }

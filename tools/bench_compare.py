@@ -33,6 +33,14 @@ num_cpus, the DrainSteal*/N rows with N > 1 thieves are skipped and
 listed with the reason; single-thread rows and one-thief drains still
 gate.
 
+Timings move with the compiler flags, so a fresh binary must be built at
+the build type its record was: the record's host block names it
+(runs.current_host.build_type for micro_spawn; single_thread_ns.host and
+drain.host for micro_deque), and the fresh type is read from the
+CMakeCache.txt of the build tree holding --spawn-bench/--deque-bench (an
+empty CMAKE_BUILD_TYPE is the project default, RelWithDebInfo). A
+mismatch exits 2 naming both types; pre-recorded JSON is not checked.
+
 A single pass can read one row far off on a busy host (a ~2 ns probe
 at the timer's resolution, a preempted thread). So when a benchmark
 binary is given, each row over tolerance is re-measured on its own
@@ -47,6 +55,7 @@ Exit status: 0 when every compared benchmark is within tolerance,
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -56,7 +65,6 @@ import sys
 # higher is better) rather than per-op time.
 DRAIN_PREFIXES = (
     "BM_DrainStealThe/",
-    "BM_DrainStealAtomic/",
     "BM_DrainStealChaseLev/",
 )
 
@@ -65,14 +73,13 @@ DRAIN_PREFIXES = (
 # skipped and listed as such.
 SKIP_PREFIXES = (
     "BM_ContendedStealThe/",
-    "BM_ContendedStealAtomic/",
     "BM_ContendedStealChaseLev/",
 )
 PREEMPTION_BOUND = "preemption-bound on shared runners"
 
 
 # BM_DrainSteal<Kind>/ benchmark name -> drain.<kind> baseline key.
-DRAIN_KINDS = {"The": "the", "Atomic": "atomic", "ChaseLev": "chaselev"}
+DRAIN_KINDS = {"The": "the", "ChaseLev": "chaselev"}
 
 
 def drain_kind(name):
@@ -82,6 +89,44 @@ def drain_kind(name):
     return DRAIN_KINDS.get(kind)
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def usage_error(msg):
+    """Prints `msg` to stderr and exits 2 (usage/run error)."""
+    print("error: " + msg, file=sys.stderr)
+    sys.exit(2)
+
+
+# CMakeLists.txt builds at this type when CMAKE_BUILD_TYPE is empty.
+DEFAULT_BUILD_TYPE = "RelWithDebInfo"
+
+
+def fresh_build_type(binary):
+    """CMAKE_BUILD_TYPE of the nearest CMakeCache.txt above `binary` (an
+    empty value is the project default), or None when there is none."""
+    d = os.path.dirname(os.path.abspath(binary))
+    while not os.path.isfile(os.path.join(d, "CMakeCache.txt")):
+        if os.path.dirname(d) == d:
+            return None
+        d = os.path.dirname(d)
+    with open(os.path.join(d, "CMakeCache.txt")) as f:
+        for line in f:
+            if line.startswith("CMAKE_BUILD_TYPE:"):
+                return line.split("=", 1)[1].strip() or DEFAULT_BUILD_TYPE
+    return DEFAULT_BUILD_TYPE
+
+
+def check_build_type(binary, host_blocks):
+    """Exits 2 when `binary` was built at another build type than one of
+    its record's host blocks names ("RelWithDebInfo (the default ...")."""
+    fresh = fresh_build_type(binary)
+    for block in host_blocks:
+        recorded = (block or {}).get("build_type", "").split()[:1]
+        if fresh and recorded and recorded[0].lower() != fresh.lower():
+            usage_error(
+                "{} was built at CMAKE_BUILD_TYPE={} but its record was "
+                "measured at {}; rebuild at {} to compare".format(
+                    binary, fresh, recorded[0], recorded[0]))
 
 
 # Repetitions when a row over tolerance is re-measured on its own.
@@ -100,7 +145,7 @@ def run_benchmark(binary, min_time, extra_args=()):
             cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=True
         )
     except (OSError, subprocess.CalledProcessError) as e:
-        sys.exit("error: cannot run {}: {}".format(binary, e))
+        usage_error("cannot run {}: {}".format(binary, e))
     return json.loads(out.stdout.decode())
 
 
@@ -355,13 +400,15 @@ def main():
     failed = []
 
     if args.spawn_bench or args.spawn_json:
+        with open(args.spawn_baseline) as f:
+            baseline = json.load(f)
         if args.spawn_json:
             with open(args.spawn_json) as f:
                 fresh = fresh_results(json.load(f))
         else:
+            check_build_type(args.spawn_bench,
+                             [baseline.get("runs", {}).get("current_host")])
             fresh = fresh_results(run_benchmark(args.spawn_bench, args.min_time))
-        with open(args.spawn_baseline) as f:
-            baseline = json.load(f)
         pairs, missing = spawn_pairs(fresh, baseline)
         rows, regressions, speed = compare(
             pairs, args.tolerance,
@@ -372,14 +419,17 @@ def main():
         any_compared = any_compared or bool(pairs)
 
     if args.deque_bench or args.deque_json:
+        with open(args.deque_baseline) as f:
+            baseline = json.load(f)
         if args.deque_json:
             with open(args.deque_json) as f:
                 doc = json.load(f)
         else:
+            check_build_type(args.deque_bench,
+                             [baseline.get("single_thread_ns", {}).get("host"),
+                              baseline.get("drain", {}).get("host")])
             doc = run_benchmark(args.deque_bench, args.min_time)
         fresh = fresh_results(doc)
-        with open(args.deque_baseline) as f:
-            baseline = json.load(f)
         pairs, missing, skipped = deque_pairs(
             fresh, baseline, doc.get("context", {}).get("num_cpus"))
         rows, regressions, speed = compare(
@@ -406,8 +456,8 @@ def main():
         any_compared = any_compared or bool(pairs)
 
     if not any_compared:
-        sys.exit("error: nothing compared; pass --spawn-bench/--deque-bench "
-                 "(or --spawn-json/--deque-json/--server-json)")
+        usage_error("nothing compared; pass --spawn-bench/--deque-bench "
+                    "(or --spawn-json/--deque-json/--server-json)")
     if failed:
         print("FAILED: {} benchmark(s) regressed: {}".format(
             len(failed), ", ".join(failed)))
