@@ -37,7 +37,6 @@ int main(int argc, char **argv) {
   std::string Deque = "the";
   std::string StealPol = "one";
   std::string Victim = "random";
-  long long VictimGroup = 4;
   std::string Fsm = "paper";
   OptionSet Opts("Figure 10: speedup on unbalanced trees");
   Opts.addInt("scale", &Scale, "tree size in nodes");
@@ -49,10 +48,8 @@ int main(int argc, char **argv) {
                  "one continuation per raid (one) or batch up to half the "
                  "victim's stealable frames (half)");
   Opts.addString("victim", &Victim,
-                 "victim ordering: random (the sim's historical default), "
-                 "affinity, or partitioned");
-  Opts.addInt("victim-group", &VictimGroup,
-              "group width for --victim partitioned (default 4)");
+                 "victim ordering: random (the sim's historical default) "
+                 "or affinity");
   Opts.addString("fsm", &Fsm,
                  "AdaptiveTC edge table: paper (Figure 2 as published, "
                  "the committed records) or spine (the real runtime's)");
@@ -75,9 +72,9 @@ int main(int argc, char **argv) {
   if (!parseDequeKind(Deque, DQ))
     reportFatalError(unknownDequeKindError(Deque));
   if (!parseStealPolicy(StealPol, SP))
-    reportFatalError("unknown steal policy '" + StealPol + "'");
+    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, VP))
-    reportFatalError("unknown victim policy '" + Victim + "'");
+    reportFatalError(unknownVictimPolicyError(Victim));
   if (Fsm != "paper" && Fsm != "spine")
     reportFatalError("unknown fsm variant '" + Fsm +
                      "' (expected paper|spine)");
@@ -87,7 +84,6 @@ int main(int argc, char **argv) {
     O.Deque = DQ;
     O.Steal = SP;
     O.Victim = VP;
-    O.VictimGroupSize = static_cast<int>(VictimGroup);
     O.Fsm = Fsm == "spine" ? FsmVariant::Spine : FsmVariant::Paper;
   };
 

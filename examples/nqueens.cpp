@@ -65,8 +65,8 @@ int main(int argc, char **argv) {
                  "one frame per raid (one) or batch up to half the "
                  "victim's deque (half)");
   Opts.addString("victim", &Victim,
-                 "victim ordering: affinity (retry last success), random, "
-                 "or partitioned (group-first)");
+                 "victim ordering: affinity (retry last success) or "
+                 "random");
   Opts.addString("trace", &TracePath,
                  "record a scheduler event trace to this file "
                  "(Chrome/Perfetto trace.json)");
@@ -84,13 +84,12 @@ int main(int argc, char **argv) {
   if (!parseDequeKind(Deque, Cfg.Deque))
     reportFatalError(unknownDequeKindError(Deque));
   if (!parseStealPolicy(StealPol, Cfg.Steal))
-    reportFatalError("unknown steal policy '" + StealPol + "'");
+    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, Cfg.Victim))
-    reportFatalError("unknown victim policy '" + Victim + "'");
+    reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Workers);
   Cfg.Trace = !TracePath.empty();
   Cfg.TraceCap = static_cast<int>(TraceCap);
-  observeCompiledOut("nqueens", Cfg.Trace || MOpt.wantsMetrics());
 
   ProblemRunner Prob;
   std::string Err;
@@ -110,7 +109,7 @@ int main(int argc, char **argv) {
   if (!TracePath.empty()) {
     if (!R.Trace) {
       std::fprintf(stderr, "nqueens: no trace was recorded (sequential "
-                           "scheduler or tracing compiled out)\n");
+                           "scheduler)\n");
       return 1;
     }
     R.Trace->Meta.Workload = Prob.Workload;

@@ -47,7 +47,7 @@ int main(int argc, char **argv) {
                  "one frame per raid (one) or batch up to half the "
                  "victim's deque (half)");
   Opts.addString("victim", &Victim,
-                 "victim ordering: affinity, random, or partitioned");
+                 "victim ordering: affinity or random");
   Opts.addString("trace", &TracePath,
                  "record the AdaptiveTC run's event trace to this file "
                  "(Chrome/Perfetto trace.json)");
@@ -58,9 +58,9 @@ int main(int argc, char **argv) {
   if (!parseDequeKind(Deque, DQ))
     reportFatalError(unknownDequeKindError(Deque));
   if (!parseStealPolicy(StealPol, SP))
-    reportFatalError("unknown steal policy '" + StealPol + "'");
+    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, VP))
-    reportFatalError("unknown victim policy '" + Victim + "'");
+    reportFatalError(unknownVictimPolicyError(Victim));
 
   // 1. A problem is a type with the choice-loop shape: isLeaf /
   //    leafResult / numChoices / applyChoice / undoChoice over a

@@ -52,7 +52,7 @@ int main(int argc, char **argv) {
                  "victim's deque (half)");
   std::string Victim = "affinity";
   Opts.addString("victim", &Victim,
-                 "victim ordering: affinity, random, or partitioned");
+                 "victim ordering: affinity or random");
   Opts.addInt("threads", &Threads, "worker threads", 1, MaxThreadsFlag);
   std::string TracePath;
   Opts.addString("trace", &TracePath,
@@ -68,12 +68,11 @@ int main(int argc, char **argv) {
   if (!parseDequeKind(Deque, Cfg.Deque))
     reportFatalError(unknownDequeKindError(Deque));
   if (!parseStealPolicy(StealPol, Cfg.Steal))
-    reportFatalError("unknown steal policy '" + StealPol + "'");
+    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, Cfg.Victim))
-    reportFatalError("unknown victim policy '" + Victim + "'");
+    reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Threads);
   Cfg.Trace = !TracePath.empty();
-  observeCompiledOut("sudoku_solver", Cfg.Trace || MOpt.wantsMetrics());
 
   Sudoku Prob;
   Sudoku::State Root = Grid.empty() ? Sudoku::makeInstance(Instance)
@@ -94,8 +93,7 @@ int main(int argc, char **argv) {
   if (!TracePath.empty()) {
     if (!R.Trace) {
       std::fprintf(stderr, "sudoku_solver: no trace was recorded "
-                           "(sequential scheduler or tracing compiled "
-                           "out)\n");
+                           "(sequential scheduler)\n");
       return 1;
     }
     R.Trace->Meta.Workload =

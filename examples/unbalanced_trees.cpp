@@ -60,7 +60,7 @@ int main(int argc, char **argv) {
                  "one continuation per raid (one) or batch up to half the "
                  "victim's stealable frames (half)");
   Opts.addString("victim", &Victim,
-                 "victim ordering: random, affinity, or partitioned");
+                 "victim ordering: random or affinity");
   MetricsCliOptions MOpt;
   addMetricsOptions(Opts, MOpt);
   Opts.parse(argc, argv);
@@ -71,9 +71,9 @@ int main(int argc, char **argv) {
   if (!parseDequeKind(Deque, DQ))
     reportFatalError(unknownDequeKindError(Deque));
   if (!parseStealPolicy(StealPol, SP))
-    reportFatalError("unknown steal policy '" + StealPol + "'");
+    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, VP))
-    reportFatalError("unknown victim policy '" + Victim + "'");
+    reportFatalError(unknownVictimPolicyError(Victim));
   auto applyPolicies = [&](SimOptions &O) {
     O.Deque = DQ;
     O.Steal = SP;

@@ -45,14 +45,12 @@ template <typename ResultT> struct RunResult {
   ResultT Value{};
   SchedulerStats Stats;
 
-  /// The run's event trace when SchedulerConfig::Trace was armed (and
-  /// the build has ATC_OBSERVE=ON); null otherwise. Export with
-  /// writeChromeTraceFile (trace/TraceJson.h).
+  /// The run's event trace when SchedulerConfig::Trace was armed; null
+  /// otherwise. Export with writeChromeTraceFile (trace/TraceJson.h).
   std::shared_ptr<TraceLog> Trace;
 
   /// The run's live-metrics registry when SchedulerConfig::Metrics (or a
-  /// MetricsSink) was armed and the build has ATC_OBSERVE=ON; null
-  /// otherwise. After the run the cells hold the final, exact per-worker
+  /// MetricsSink) was armed; null otherwise. After the run the cells hold the final, exact per-worker
   /// state — sample() it for a post-run snapshot, or export with
   /// renderPrometheus / renderJsonSeries (metrics/Exposition.h).
   std::shared_ptr<MetricsRegistry> Metrics;

@@ -132,14 +132,16 @@ bool atc::parseStealPolicy(const std::string &Name, StealPolicy &Out) {
   return false;
 }
 
+std::string atc::unknownStealPolicyError(const std::string &Name) {
+  return "unknown steal policy '" + Name + "' (expected one|half)";
+}
+
 const char *atc::victimPolicyName(VictimPolicy Policy) {
   switch (Policy) {
   case VictimPolicy::Affinity:
     return "affinity";
   case VictimPolicy::Random:
     return "random";
-  case VictimPolicy::Partitioned:
-    return "partitioned";
   }
   ATC_UNREACHABLE("unhandled victim policy");
 }
@@ -154,12 +156,11 @@ bool atc::parseVictimPolicy(const std::string &Name, VictimPolicy &Out) {
     Out = VictimPolicy::Random;
     return true;
   }
-  if (Key == "partitioned" || Key == "near" || Key == "group" ||
-      Key == "nearfirst") {
-    Out = VictimPolicy::Partitioned;
-    return true;
-  }
   return false;
+}
+
+std::string atc::unknownVictimPolicyError(const std::string &Name) {
+  return "unknown victim policy '" + Name + "' (expected affinity|random)";
 }
 
 int SchedulerConfig::effectiveCutoff() const {

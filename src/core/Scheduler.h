@@ -99,28 +99,31 @@ const char *stealPolicyName(StealPolicy Policy);
 /// success.
 bool parseStealPolicy(const std::string &Name, StealPolicy &Out);
 
+/// Error text for a name parseStealPolicy rejected; names the valid
+/// policies.
+std::string unknownStealPolicyError(const std::string &Name);
+
 /// Victim ordering for the kernel's steal loop (all scheduler kinds).
 ///
-///  * Affinity    - retry the last successful victim first, random
-///                  otherwise (the default; locality of work chains).
-///  * Random      - uniform random victim every attempt (the textbook
-///                  work-stealing baseline).
-///  * Partitioned - near-first: pick within the thief's worker group
-///                  (VictimGroupSize consecutive ids) until a failure
-///                  streak shows the group has run dry, then go global —
-///                  the localized work stealing of Suksompong et al.
+///  * Affinity - retry the last successful victim first, random otherwise
+///               (the default; locality of work chains).
+///  * Random   - uniform random victim every attempt (the textbook
+///               work-stealing baseline).
 enum class VictimPolicy {
   Affinity,
   Random,
-  Partitioned,
 };
 
-/// Returns the display name ("affinity" / "random" / "partitioned").
+/// Returns the display name ("affinity" / "random").
 const char *victimPolicyName(VictimPolicy Policy);
 
 /// Parses a victim policy name (case-insensitive). Returns true on
 /// success.
 bool parseVictimPolicy(const std::string &Name, VictimPolicy &Out);
+
+/// Error text for a name parseVictimPolicy rejected; names the valid
+/// policies.
+std::string unknownVictimPolicyError(const std::string &Name);
 
 /// Shared scheduler configuration.
 struct SchedulerConfig {
@@ -157,11 +160,6 @@ struct SchedulerConfig {
   /// scheduler kind (the kernel owns victim selection).
   VictimPolicy Victim = VictimPolicy::Affinity;
 
-  /// Worker-group size for VictimPolicy::Partitioned: workers with ids
-  /// [k*G, (k+1)*G) form a locality group that near-first stealing
-  /// prefers.
-  int VictimGroupSize = 4;
-
   /// Task-creation cut-off. -1 selects the paper's default of log2(N)
   /// ("the cut-off ... is initially set to log N by the runtime system").
   /// For Kind == Cutoff this is the programmer-specified depth.
@@ -176,8 +174,7 @@ struct SchedulerConfig {
 
   /// Arm the event tracer (src/trace) for this run: each worker gets a
   /// fixed-size ring buffer and the run's RunResult carries the TraceLog
-  /// out for export. Requires a build with ATC_OBSERVE=ON (the default);
-  /// when tracing is compiled out this flag is ignored.
+  /// out for export.
   bool Trace = false;
 
   /// Per-worker trace ring capacity, in events (16 bytes each). On
@@ -187,9 +184,7 @@ struct SchedulerConfig {
 
   /// Arm the live-metrics layer (src/metrics) for this run: each worker
   /// gets a cache-line-isolated metric cell and the run's RunResult
-  /// carries the MetricsRegistry out for exposition. Requires a build
-  /// with ATC_OBSERVE=ON (the default); when metrics are compiled out
-  /// this flag is ignored.
+  /// carries the MetricsRegistry out for exposition.
   bool Metrics = false;
 
   /// Externally owned registry to publish into instead of a run-private

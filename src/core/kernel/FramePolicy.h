@@ -136,7 +136,6 @@ public:
 
   void beginRun(Runtime &R) {
     Rt = &R;
-#if ATC_OBSERVE_ENABLED
     // Metrics arming (WorkerRuntime::run) precedes beginRun, so the
     // cells exist by now: point each deque at its worker's depth gauge
     // (pushes, pops and thief-side steals all store the new size).
@@ -145,7 +144,6 @@ public:
       W.Deque.attachDepthGauge(
           W.Metrics != nullptr ? &W.Metrics->dequeDepthGauge() : nullptr);
     }
-#endif
     StateArenas.clear();
     FrameArenas.clear();
     for (int I = 0; I < Cfg.NumWorkers; ++I) {
@@ -573,7 +571,7 @@ FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
   // One spawn-fake per subtree: per-node volume would drown the ring in
   // events carrying no extra information (SchedulerStats::FakeTasks has
   // the exact count).
-  if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(W.Trace != nullptr) &&
+  if (ATC_UNLIKELY(W.Trace != nullptr) &&
       W.Trace->mode() != TraceMode::Check)
     W.Trace->emit(TraceEventKind::SpawnFake, 0,
                   static_cast<std::uint16_t>(Depth));

@@ -112,7 +112,6 @@ public:
       Workers.push_back(Pol.makeWorker(I));
     Log.reset();
     Reg.reset();
-#if ATC_OBSERVE_ENABLED
     if (Cfg.Trace) {
       Log = std::make_shared<TraceLog>(
           Cfg.NumWorkers, static_cast<std::size_t>(Cfg.TraceCap));
@@ -145,7 +144,6 @@ public:
         Workers[static_cast<std::size_t>(I)]->Metrics = &Cell;
       }
     }
-#endif
     Pol.beginRun(*this);
 
     if (Cfg.NumWorkers == 1) {
@@ -189,14 +187,13 @@ public:
   /// Aggregated statistics of the last run().
   const SchedulerStats &stats() const { return Total; }
 
-  /// The last run's event trace, or null when untraced (Cfg.Trace off or
-  /// the ATC_OBSERVE=OFF build). Shared so RunResult can outlive this
-  /// runtime.
+  /// The last run's event trace, or null when untraced (Cfg.Trace off).
+  /// Shared so RunResult can outlive this runtime.
   std::shared_ptr<TraceLog> traceLog() const { return Log; }
 
   /// The last run's metrics registry, or null when unmetered (Cfg.Metrics
-  /// off or the ATC_OBSERVE=OFF build). Non-owning alias when the run
-  /// published into an external Cfg.MetricsSink.
+  /// off). Non-owning alias when the run published into an external
+  /// Cfg.MetricsSink.
   std::shared_ptr<MetricsRegistry> metricsRegistry() const { return Reg; }
 
   //===--------------------------------------------------------------------===//
@@ -237,7 +234,7 @@ public:
     while (NeedHelp()) {
       if (Cfg.NumWorkers > 1) {
         Task T;
-        if (acquireOnce(W, /*Helping=*/true, T, FailStreak) ==
+        if (acquireOnce(W, /*Helping=*/true, T) ==
             AcquireOutcome::Acquired) {
           Pol.execute(W, T);
           FailStreak = 0;
@@ -273,7 +270,7 @@ private:
     std::uint64_t IdleBegin = nowNanos();
     while (!Done.load(std::memory_order_acquire)) {
       Task T;
-      AcquireOutcome O = acquireOnce(W, /*Helping=*/false, T, FailStreak);
+      AcquireOutcome O = acquireOnce(W, /*Helping=*/false, T);
       if (O == AcquireOutcome::Acquired) {
         FailStreak = 0;
         std::uint64_t Waited = nowNanos() - IdleBegin;
@@ -318,11 +315,8 @@ private:
   /// signalling. A failed attempt (including a policy-side emptiness
   /// probe) counts as a failed steal for that protocol, since an
   /// AdaptiveTC victim busy in fake tasks has an *empty* deque precisely
-  /// when it needs to be told to publish special tasks. \p FailStreak is
-  /// the caller's consecutive-failure count (Partitioned selection widens
-  /// once it shows the local group is dry).
-  AcquireOutcome acquireOnce(Worker &W, bool Helping, Task &Out,
-                             int FailStreak) {
+  /// when it needs to be told to publish special tasks.
+  AcquireOutcome acquireOnce(Worker &W, bool Helping, Task &Out) {
     assert(Cfg.NumWorkers > 1 && "acquire with no possible victim");
     // A stashed frame from an earlier steal-half batch is work this
     // thief already claimed (join counts were bumped at claim time):
@@ -338,8 +332,7 @@ private:
     }
 
     const auto [V, Affine] =
-        chooseVictim(Cfg.Victim, Cfg.VictimGroupSize, Cfg.NumWorkers, W.Id,
-                     W.LastVictim, FailStreak, W.Rng);
+        chooseVictim(Cfg.Victim, Cfg.NumWorkers, W.Id, W.LastVictim, W.Rng);
     Worker &Victim = *Workers[static_cast<std::size_t>(V)];
 
     ++W.Stats.StealAttempts;

@@ -343,7 +343,7 @@ public:
 private:
   /// Publishes size() to the attached gauge (see attachDepthGauge).
   void publishDepth() {
-    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(DepthGauge != nullptr))
+    if (ATC_UNLIKELY(DepthGauge != nullptr))
       DepthGauge->store(size(), std::memory_order_relaxed);
   }
 

@@ -278,8 +278,7 @@ public:
   /// Live-metrics hook (src/metrics): when attached, every size-changing
   /// operation stores the new occupancy into \p Gauge with a relaxed
   /// atomic store — owner pushes/pops and thief steals alike. Null (the
-  /// default) costs one predictable untaken branch per operation; with
-  /// ATC_OBSERVE=OFF builds the stores are compiled out entirely.
+  /// default) costs one predictable untaken branch per operation.
   void attachDepthGauge(std::atomic<std::int64_t> *Gauge) {
     DepthGauge = Gauge;
   }
@@ -287,7 +286,7 @@ public:
 private:
   /// Publishes size() to the attached gauge (see attachDepthGauge).
   void publishDepth() {
-    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY(DepthGauge != nullptr))
+    if (ATC_UNLIKELY(DepthGauge != nullptr))
       DepthGauge->store(size(), std::memory_order_relaxed);
   }
 

@@ -30,8 +30,7 @@
 /// when the Worker is destroyed. ATCGEN_TRACE_CAP overrides the ring
 /// capacity (events; default 1M); like ATCGEN_DEQUE_CAP below it must be
 /// a decimal integer in [1, INT_MAX], and anything else exits with
-/// status 2. Compiled out with ATC_OBSERVE=OFF builds
-/// (-DATC_OBSERVE_ENABLED=0).
+/// status 2.
 ///
 /// Deque knob: ATCGEN_DEQUE=the|chaselev mirrors every protocol
 /// operation (push, pop, pushSpecial, popSpecial) into a real scheduler
@@ -53,8 +52,7 @@
 /// single-worker executor can observe. Generated binaries link only
 /// atc_lang/atc_support, so the writer here is self-contained rather
 /// than routed through the atc_metrics library; MetricsTest round-trips
-/// the output through the shared parser to pin the format. Compiled out
-/// with ATC_OBSERVE=OFF builds (-DATC_OBSERVE_ENABLED=0).
+/// the output through the shared parser to pin the format.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,8 +69,6 @@
 // nothing, can instantiate them — see the ATCGEN_DEQUE knob).
 #include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
-// ATC_OBSERVE_ENABLED, defaulting to 1 without the CMake definition.
-#include "support/Compiler.h"
 
 #include <cassert>
 #include <cctype>
@@ -184,7 +180,6 @@ struct Worker {
   // do not track which child is the first applied one.
   explicit Worker(int CutoffDepth = 0)
       : Fsm(CutoffDepth, atc::FsmVariant::Paper) {
-#if ATC_OBSERVE_ENABLED
     if (const char *Path = std::getenv("ATCGEN_TRACE")) {
       std::size_t Cap = 1u << 20;
       if (const char *CapStr = std::getenv("ATCGEN_TRACE_CAP"))
@@ -198,7 +193,6 @@ struct Worker {
     }
     if (const char *Path = std::getenv("ATCGEN_METRICS"))
       MetricsPath = Path;
-#endif
     if (const char *Kind = std::getenv("ATCGEN_DEQUE")) {
       int Cap = 8192;
       if (const char *CapStr = std::getenv("ATCGEN_DEQUE_CAP"))
@@ -243,7 +237,7 @@ struct Worker {
     // Approximate span attribution for the one-worker executor: the
     // mode follows each dispatch edge (there is no scope-exit hook in
     // the generated code to restore the parent's mode on return).
-    if (ATC_OBSERVE_ENABLED && TB)
+    if (TB)
       TB->setMode(atc::traceModeFor(T.Child));
     return T.Child;
   }
@@ -450,7 +444,7 @@ struct Worker {
                    static_cast<unsigned long long>(Stats.Pops),
                    static_cast<unsigned long long>(Stats.SpecialPops),
                    static_cast<unsigned long long>(Mirror->growCount()));
-    // Both stay unset when observability is compiled out.
+    // Both stay unset unless ATCGEN_TRACE / ATCGEN_METRICS asked for them.
     if (Trace && !atc::writeChromeTraceFile(*Trace, TracePath))
       std::fprintf(stderr, "atcgen: cannot write trace to %s\n",
                    TracePath.c_str());

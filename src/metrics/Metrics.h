@@ -20,11 +20,9 @@
 /// the NeedTask flag itself) and the deque-depth gauge (stores from
 /// successful thieves) — both plain atomic stores.
 ///
-/// Gates, mirroring trace/TraceEvent.h exactly: building with
-/// -DATC_OBSERVE=OFF (support/Compiler.h) compiles every emission site
-/// away, together with tracing; with metrics compiled in, the
-/// runtime gate is SchedulerConfig::Metrics — off costs one predictable
-/// untaken branch on a worker-local pointer per site.
+/// The gate, mirroring trace/TraceEvent.h exactly, is
+/// SchedulerConfig::Metrics: off costs one predictable untaken branch on
+/// a worker-local pointer per site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -253,21 +251,19 @@ private:
 //
 // Each costs one predictable null test on the worker's cell pointer (the
 // runtime gate: the pointer is null unless SchedulerConfig::Metrics armed
-// the run). With ATC_OBSERVE_ENABLED=0 the test folds to false and the
-// site compiles away (the compile-time gate).
+// the run).
 
 /// Invokes a member expression on the cell when armed:
 ///   ATC_METRIC(MC, StealLatencyNs.record(Ns));
 #define ATC_METRIC(MC, ...)                                                  \
   do {                                                                       \
-    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((MC) != nullptr))                \
+    if (ATC_UNLIKELY((MC) != nullptr))                                       \
       (MC)->__VA_ARGS__;                                                     \
   } while (false)
 /// Reads the monotonic clock only when the cell is armed (0 otherwise);
 /// pairs with a later ATC_METRIC(..., Hist.record(...)) at the same site.
 #define ATC_METRIC_NOW(MC)                                                   \
-  (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((MC) != nullptr) ? ::atc::nowNanos()  \
-                                                        : std::uint64_t{0})
+  (ATC_UNLIKELY((MC) != nullptr) ? ::atc::nowNanos() : std::uint64_t{0})
 
 /// Mode span for residency accounting on a worker's cell (see
 /// ModeScope in trace/TraceEvent.h).

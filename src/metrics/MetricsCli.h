@@ -36,26 +36,12 @@
 #include "metrics/Exposition.h"
 #include "metrics/MetricsRegistry.h"
 #include "metrics/Sampler.h"
-#include "support/Compiler.h"
 #include "support/Options.h"
 
 #include <cstdio>
 #include <string>
 
 namespace atc {
-
-/// True when \p Requested observability flags (trace, metrics) reach a
-/// build with ATC_OBSERVE=OFF, after saying so on stderr: such a build
-/// records no trace and publishes empty snapshots.
-inline bool observeCompiledOut(const char *Tool, bool Requested) {
-  if (ATC_OBSERVE_ENABLED || !Requested)
-    return false;
-  std::fprintf(stderr,
-               "%s: built with ATC_OBSERVE=OFF; trace and metrics flags "
-               "have no effect\n",
-               Tool);
-  return true;
-}
 
 /// Storage for the shared metrics/stats flags.
 struct MetricsCliOptions {

@@ -128,12 +128,12 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
   }
   S = Doc["steal"].stringOr("one");
   if (!parseStealPolicy(S, Spec.Steal)) {
-    Error = "unknown steal policy '" + S + "'";
+    Error = unknownStealPolicyError(S);
     return false;
   }
   S = Doc["victim"].stringOr("affinity");
   if (!parseVictimPolicy(S, Spec.Victim)) {
-    Error = "unknown victim policy '" + S + "'";
+    Error = unknownVictimPolicyError(S);
     return false;
   }
 

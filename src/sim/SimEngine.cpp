@@ -107,7 +107,6 @@ public:
       : Tree(Tree), Opts(Opts), C(Costs), CutoffDepth(Opts.effectiveCutoff()) {
     for (int I = 0; I < Opts.NumWorkers; ++I)
       Workers.emplace_back(Opts.Seed + static_cast<std::uint64_t>(I));
-#if ATC_OBSERVE_ENABLED
     if (Log && Log->numWorkers() >= Opts.NumWorkers) {
       Log->Meta.Scheduler = schedulerKindName(Opts.Kind);
       Log->Meta.Source = "sim";
@@ -124,10 +123,6 @@ public:
         Workers[static_cast<std::size_t>(I)].MC = &Cell;
       }
     }
-#else
-    (void)Log;
-    (void)Metrics;
-#endif
   }
 
   SimReport run();
@@ -160,12 +155,12 @@ private:
   void chargeSpawn(SimWorker &W, bool IsSpecial);
 
   /// Worker \p Wi's next victim, chosen by the runtime kernel's own
-  /// function (core/kernel/StealDecisions.h) from the worker's PRNG, last
-  /// victim and failure streak.
+  /// function (core/kernel/StealDecisions.h) from the worker's PRNG and
+  /// last victim.
   VictimChoice nextVictim(int Wi) {
     SimWorker &W = Workers[static_cast<std::size_t>(Wi)];
-    return chooseVictim(Opts.Victim, Opts.VictimGroupSize, Opts.NumWorkers,
-                        Wi, W.LastVictim, W.FailStreak, W.Rng);
+    return chooseVictim(Opts.Victim, Opts.NumWorkers, Wi, W.LastVictim,
+                        W.Rng);
   }
 
   /// Thief-side cost of a successful claim for the configured deque kind
@@ -184,10 +179,8 @@ private:
   }
 
   /// Emits \p K on \p W's ring stamped with its virtual clock.
-  void emit([[maybe_unused]] SimWorker &W,
-            [[maybe_unused]] TraceEventKind K,
-            [[maybe_unused]] std::uint32_t A = 0,
-            [[maybe_unused]] std::uint16_t B = 0) {
+  void emit(SimWorker &W, TraceEventKind K, std::uint32_t A = 0,
+            std::uint16_t B = 0) {
     ATC_TRACE_EVENT_AT(W.TB, static_cast<std::uint64_t>(W.Now), K, A, B);
   }
 
@@ -196,8 +189,7 @@ private:
   /// step so virtual-time spans track the frame structure the way
   /// TraceModeScope tracks the real call structure.
   void syncTraceMode(SimWorker &W) {
-    if (ATC_OBSERVE_ENABLED &&
-        ATC_UNLIKELY(W.TB != nullptr || W.MC != nullptr)) {
+    if (ATC_UNLIKELY(W.TB != nullptr || W.MC != nullptr)) {
       TraceMode M;
       if (W.Stack.empty()) {
         M = TraceMode::Idle;

@@ -83,9 +83,6 @@ struct SimOptions {
   /// default here even though the real runtime defaults to Affinity.
   VictimPolicy Victim = VictimPolicy::Random;
 
-  /// Group width for VictimPolicy::Partitioned.
-  int VictimGroupSize = 4;
-
   /// AdaptiveTC edge table. The committed fig records and the SimPolicies
   /// golden were produced with Figure 2 as published, so Paper stays the
   /// default here even though the real runtime runs Spine

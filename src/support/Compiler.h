@@ -19,14 +19,6 @@
 #define ATC_LIKELY(x) (__builtin_expect(!!(x), 1))
 #define ATC_UNLIKELY(x) (__builtin_expect(!!(x), 0))
 
-/// Compile-time observability gate: trace emission (src/trace) and metrics
-/// publication (src/metrics) are compiled in or out together. The build defines ATC_OBSERVE_ENABLED=0|1
-/// via the ATC_OBSERVE CMake option; standalone consumers (atcc-generated
-/// code compiled with only -I <repo>/src) default to enabled.
-#ifndef ATC_OBSERVE_ENABLED
-#define ATC_OBSERVE_ENABLED 1
-#endif
-
 /// Inlining control for the allocator fast/cold path split: the per-spawn
 /// alloc/free fast paths must inline into the spawn loop (a call spills
 /// the loop's live registers), while the cold refill/teardown paths must

@@ -126,22 +126,21 @@ private:
 //
 // Each costs one predictable null test on the worker's buffer pointer
 // (the runtime gate: the pointer is null unless SchedulerConfig::Trace
-// armed the run). With ATC_OBSERVE_ENABLED=0 the test folds to false and
-// the site compiles away (the compile-time gate).
+// armed the run).
 
 #define ATC_TRACE_EVENT(TB, ...)                                             \
   do {                                                                       \
-    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((TB) != nullptr))                \
+    if (ATC_UNLIKELY((TB) != nullptr))                                       \
       (TB)->emit(__VA_ARGS__);                                               \
   } while (false)
 #define ATC_TRACE_EVENT_AT(TB, ...)                                          \
   do {                                                                       \
-    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((TB) != nullptr))                \
+    if (ATC_UNLIKELY((TB) != nullptr))                                       \
       (TB)->emitAt(__VA_ARGS__);                                             \
   } while (false)
 #define ATC_TRACE_MODE_AT(TB, ...)                                           \
   do {                                                                       \
-    if (ATC_OBSERVE_ENABLED && ATC_UNLIKELY((TB) != nullptr))                \
+    if (ATC_UNLIKELY((TB) != nullptr))                                       \
       (TB)->setModeAt(__VA_ARGS__);                                          \
   } while (false)
 

@@ -13,12 +13,9 @@
 /// (GenRuntime) — emits this same 16-byte record, so one exporter and one
 /// summarizer serve them all.
 ///
-/// The compile-time gate: building with -DATC_OBSERVE=OFF (CMake option;
-/// see support/Compiler.h) compiles every emission site away
-/// entirely (the ATC_TRACE_EVENT macros below expand to nothing). With
-/// tracing compiled in, the runtime gate is SchedulerConfig::Trace — when
-/// it is off, each emission site costs exactly one predictable
-/// branch-not-taken on a worker-local pointer.
+/// The gate is SchedulerConfig::Trace: when it is off, each emission site
+/// costs exactly one predictable branch-not-taken on a worker-local
+/// pointer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -185,7 +182,6 @@ static_assert(sizeof(TraceEvent) == 16, "trace events are 16 bytes");
 /// WorkerMetricsCell) to \p M for the scope, restoring the previous mode
 /// on every exit path (taskBody's stolen-unwind returns included). An
 /// unarmed (null) sink costs one predictable branch.
-#if ATC_OBSERVE_ENABLED
 template <typename SinkT> class ModeScope {
 public:
   ModeScope(SinkT *Sink, TraceMode M) : Sink(Sink) {
@@ -205,16 +201,6 @@ private:
   SinkT *Sink;
   TraceMode Prev = TraceMode::Idle;
 };
-#else
-// Compiled out: an empty object with a trivial destructor, so the hot
-// recursions that hold one carry no cleanup at all.
-template <typename SinkT> class ModeScope {
-public:
-  ModeScope(SinkT *, TraceMode) {}
-  ModeScope(const ModeScope &) = delete;
-  ModeScope &operator=(const ModeScope &) = delete;
-};
-#endif
 
 } // namespace atc
 

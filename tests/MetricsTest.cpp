@@ -9,7 +9,7 @@
 /// the coherence contract (a post-join registry snapshot aggregates to
 /// exactly the run's SchedulerStats, for every scheduler kind and for the
 /// simulator), the Prometheus exposition round-trip including the
-/// generated-code runtime's standalone writer, and the compile-time gate.
+/// generated-code runtime's standalone writer, and the Cfg.Metrics arm.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,10 +159,8 @@ TEST(MetricsCell, PublishStatsMirrorsEveryField) {
 }
 
 //===----------------------------------------------------------------------===//
-// Snapshot-vs-SchedulerStats coherence (the CI metrics-smoke contract)
+// Snapshot-vs-SchedulerStats coherence (the CI observe-smoke contract)
 //===----------------------------------------------------------------------===//
-
-#if ATC_OBSERVE_ENABLED
 
 struct CoherenceCase {
   SchedulerKind Kind;
@@ -259,14 +257,11 @@ TEST(MetricsSim, StealHalfAndAffinityCountersSurfaceInSnapshot) {
             Snap.total(StatField::Steals) + Snap.total(StatField::StealFails));
 }
 
-#endif // ATC_OBSERVE_ENABLED
-
 //===----------------------------------------------------------------------===//
 // Prometheus exposition round-trip
 //===----------------------------------------------------------------------===//
 
-// Fills a registry with hand-written per-worker values; independent of
-// the compile-time gate (cells and the exposition layer always exist).
+// Fills a registry with hand-written per-worker values; no run needed.
 void fillRegistry(MetricsRegistry &Reg) {
   Reg.reset(2);
   Reg.Meta.Scheduler = "AdaptiveTC";
@@ -406,7 +401,7 @@ TEST(Exposition, GenRuntimeMetricsFileParses) {
 }
 
 //===----------------------------------------------------------------------===//
-// Compile-time gate
+// The metrics gate: Cfg.Metrics arms a registry
 //===----------------------------------------------------------------------===//
 
 TEST(MetricsGate, CompileTimeGate) {
@@ -418,13 +413,8 @@ TEST(MetricsGate, CompileTimeGate) {
   Cfg.Metrics = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 92);
-#if !ATC_OBSERVE_ENABLED
-  // Built with -DATC_OBSERVE=OFF: asking for metrics must yield none.
-  EXPECT_EQ(R.Metrics, nullptr);
-#else
   ASSERT_NE(R.Metrics, nullptr);
   EXPECT_GT(R.Metrics->sample().total(StatField::TasksCreated), 0u);
-#endif
 }
 
 } // namespace

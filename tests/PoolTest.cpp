@@ -190,8 +190,6 @@ TEST(PoolReuse, MixedWidthJobsShareOnePool) {
   EXPECT_EQ(Pool.threadIds(), Ids);
 }
 
-#if ATC_OBSERVE_ENABLED
-
 // A long-lived registry shared across pool jobs: the runtime re-arms it
 // at the top of every run, so the epoch ticks once per job and the
 // post-run cells mirror exactly that job's stats — the isolation the
@@ -220,8 +218,6 @@ TEST(PoolReuse, SharedRegistryTicksEpochAndIsolatesStats) {
     EXPECT_EQ(S.Spawns, R.Stats.Spawns) << "job " << Job;
   }
 }
-
-#endif // ATC_OBSERVE_ENABLED
 
 //===----------------------------------------------------------------------===//
 // SchedulerStats / MetricsRegistry reset and epoch regression

@@ -83,7 +83,6 @@ constexpr MatrixDeque ChaseLevDQ = MatrixDeque::ChaseLev;
 constexpr MatrixDeque SmallRingDQ = MatrixDeque::SmallRing;
 constexpr StealPolicy HalfSP = StealPolicy::Half;
 constexpr VictimPolicy RandomVP = VictimPolicy::Random;
-constexpr VictimPolicy PartitionedVP = VictimPolicy::Partitioned;
 
 const MatrixCase AllCases[] = {
     {SchedulerKind::Cilk, 1},        {SchedulerKind::Cilk, 2},
@@ -129,10 +128,9 @@ const MatrixCase AllCases[] = {
     {SchedulerKind::AdaptiveTC, 8, MatrixDeque::The, HalfSP},
     {SchedulerKind::Cilk, 4, ChaseLevDQ, HalfSP, RandomVP},
     {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, StealPolicy::One, RandomVP},
-    {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ, HalfSP, PartitionedVP},
+    {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ, HalfSP, RandomVP},
     {SchedulerKind::Tascell, 4, MatrixDeque::The, StealPolicy::One, RandomVP},
-    {SchedulerKind::Tascell, 8, MatrixDeque::The, StealPolicy::One,
-     PartitionedVP},
+    {SchedulerKind::Tascell, 8, MatrixDeque::The, StealPolicy::One, RandomVP},
 };
 
 class SchedulerMatrix : public ::testing::TestWithParam<MatrixCase> {};
@@ -462,6 +460,20 @@ TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
   // its high-water mark) must stay within the FSM's bound of 6C + 1.
   SyntheticTreeProblem Prob(SimTree::preset("tree3l", 20'000));
   const long long Expected = Prob.expectedLeaves();
+  // The bound's first term is the spine: one entry per spawn depth below
+  // 4C. With one worker no thief raises need_task, so the spine is all
+  // the deque holds, and the tree's leftmost path (deeper than 12) fills
+  // it exactly. The cut-off is explicit because the default, log2 of
+  // the worker count, is 0 at one worker.
+  for (int Cutoff : {1, 2, 3}) {
+    SchedulerConfig Cfg;
+    Cfg.Kind = SchedulerKind::AdaptiveTC;
+    Cfg.NumWorkers = 1;
+    Cfg.Cutoff = Cutoff;
+    auto R = runProblem(Prob, Prob.makeRoot(), Cfg);
+    EXPECT_EQ(R.Value, Expected) << "cut-off " << Cutoff;
+    EXPECT_EQ(R.Stats.DequeHighWater, 4 * Cutoff) << "cut-off " << Cutoff;
+  }
   for (int Threads : {4, 8})
     for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev})
       for (StealPolicy SP : {StealPolicy::One, StealPolicy::Half}) {
@@ -770,15 +782,13 @@ TEST(CheckPath, ExactAccountingForEveryRegistryProblem) {
 
 // Victim ordering is kernel-owned, so every scheduler kind — Tascell's
 // mailbox engine included — must accept every VictimPolicy and produce
-// the same result. Partitioned runs with a group smaller than the worker
-// count so both the in-group and the escalation path execute.
+// the same result.
 TEST(PolicyMatrix, VictimPoliciesAreResultInvisible) {
   const SchedulerKind Kinds[] = {SchedulerKind::Cilk,
                                  SchedulerKind::AdaptiveTC,
                                  SchedulerKind::Tascell};
   const VictimPolicy Victims[] = {VictimPolicy::Affinity,
-                                  VictimPolicy::Random,
-                                  VictimPolicy::Partitioned};
+                                  VictimPolicy::Random};
   NQueensArray Prob;
   auto Root = NQueensArray::makeRoot(9);
   long long Expected = runSequential(Prob, Root);
@@ -787,7 +797,6 @@ TEST(PolicyMatrix, VictimPoliciesAreResultInvisible) {
       SchedulerConfig Cfg;
       Cfg.Kind = Kind;
       Cfg.Victim = VP;
-      Cfg.VictimGroupSize = 2;
       Cfg.NumWorkers = 4;
       auto R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
       EXPECT_EQ(R.Value, Expected) << schedulerKindName(Kind) << "/"
@@ -805,61 +814,29 @@ TEST(PolicyMatrix, VictimPoliciesAreResultInvisible) {
 
 TEST(StealDecisions, ChoiceNeverReturnsSelf) {
   SplitMix64 Rng(42);
-  for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Random,
-                          VictimPolicy::Partitioned})
+  for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Random})
     for (int N : {2, 3, 5, 8})
       for (int Self = 0; Self < N; ++Self)
         for (int Last : {-1, Self, (Self + 1) % N})
-          for (int Streak = 0; Streak < 20; ++Streak) {
-            VictimChoice C = chooseVictim(VP, /*GroupSize=*/4, N, Self, Last,
-                                          Streak, Rng);
+          for (int Draw = 0; Draw < 20; ++Draw) {
+            VictimChoice C = chooseVictim(VP, N, Self, Last, Rng);
             ASSERT_NE(C.Victim, Self) << victimPolicyName(VP) << " N=" << N;
             ASSERT_GE(C.Victim, 0);
             ASSERT_LT(C.Victim, N);
           }
 }
 
-TEST(StealDecisions, PartitionedStaysInGroupUntilTwoSweeps) {
-  SplitMix64 Rng(7);
-  // Worker 5 of 8 in groups of 4: group [4, 8), span 4, so the first
-  // 2 * 4 failures stay local and the ninth attempt may go anywhere.
-  for (int Streak = 0; Streak < 8; ++Streak)
-    for (int I = 0; I < 64; ++I) {
-      int V = chooseVictim(VictimPolicy::Partitioned, 4, 8, 5, -1, Streak, Rng)
-                  .Victim;
-      ASSERT_GE(V, 4) << "streak " << Streak;
-      ASSERT_LT(V, 8) << "streak " << Streak;
-    }
-  bool LeftGroup = false;
-  for (int I = 0; I < 64; ++I)
-    LeftGroup |=
-        chooseVictim(VictimPolicy::Partitioned, 4, 8, 5, -1, 8, Rng).Victim < 4;
-  EXPECT_TRUE(LeftGroup) << "a dry group must escalate to global stealing";
-  // A ragged tail group (workers 4..5 of 6) has span 2: its one peer
-  // until the streak reaches 4.
-  for (int Streak = 0; Streak < 4; ++Streak)
-    EXPECT_EQ(
-        chooseVictim(VictimPolicy::Partitioned, 4, 6, 5, -1, Streak, Rng)
-            .Victim,
-        4);
-}
-
 TEST(StealDecisions, AffineOnlyOnLastVictimRetry) {
   SplitMix64 Rng(9);
-  VictimChoice C = chooseVictim(VictimPolicy::Affinity, 4, 8, 2, 6, 0, Rng);
+  VictimChoice C = chooseVictim(VictimPolicy::Affinity, 8, 2, 6, Rng);
   EXPECT_EQ(C.Victim, 6);
   EXPECT_TRUE(C.Affine);
   for (int I = 0; I < 32; ++I) {
     // No last victim, or a stale self-reference: a random draw.
-    EXPECT_FALSE(
-        chooseVictim(VictimPolicy::Affinity, 4, 8, 2, -1, 0, Rng).Affine);
-    EXPECT_FALSE(
-        chooseVictim(VictimPolicy::Affinity, 4, 8, 2, 2, 0, Rng).Affine);
-    // The other policies never retry, last victim or not.
-    EXPECT_FALSE(
-        chooseVictim(VictimPolicy::Random, 4, 8, 2, 6, 0, Rng).Affine);
-    EXPECT_FALSE(
-        chooseVictim(VictimPolicy::Partitioned, 4, 8, 2, 6, 0, Rng).Affine);
+    EXPECT_FALSE(chooseVictim(VictimPolicy::Affinity, 8, 2, -1, Rng).Affine);
+    EXPECT_FALSE(chooseVictim(VictimPolicy::Affinity, 8, 2, 2, Rng).Affine);
+    // Random never retries, last victim or not.
+    EXPECT_FALSE(chooseVictim(VictimPolicy::Random, 8, 2, 6, Rng).Affine);
   }
 }
 

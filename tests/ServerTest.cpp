@@ -177,6 +177,12 @@ TEST(JobSpecJson, RejectsBadSpecs) {
   EXPECT_FALSE(
       parseJobSpec(R"({"problem": "fib", "deque": "atomic"})", S, Err));
   EXPECT_EQ(Err, "unknown deque kind 'atomic' (expected the|chaselev)");
+  // Likewise the victim policies; "partitioned", the deleted near-first
+  // policy, is rejected rather than remapped to another ordering.
+  EXPECT_FALSE(
+      parseJobSpec(R"({"problem": "fib", "victim": "partitioned"})", S, Err));
+  EXPECT_EQ(Err,
+            "unknown victim policy 'partitioned' (expected affinity|random)");
   EXPECT_FALSE(parseJobSpec("not json at all", S, Err));
   EXPECT_FALSE(Err.empty());
 }
@@ -296,10 +302,8 @@ TEST(JobServer, NarrowJobsNeverShrinkTheSharedRegistry) {
   EXPECT_EQ(Rec.State, JobState::Done) << Rec.Error;
   EXPECT_EQ(Server.registry().numWorkers(), 2)
       << "narrow job must re-arm cells in place, not resize";
-#if ATC_OBSERVE_ENABLED
   EXPECT_EQ(Server.registry().Meta.Source, "server")
       << "the runtime must not stomp the owner's Meta";
-#endif
   Server.stop();
 }
 

@@ -278,7 +278,6 @@ SimReport runSimPolicies(const std::string &Preset, SchedulerKind Kind,
   Opts.Deque = DQ;
   Opts.Steal = SP;
   Opts.Victim = VP;
-  Opts.VictimGroupSize = 2;
   CostModel Costs;
   return simulate(Tree, Opts, Costs);
 }
@@ -288,8 +287,7 @@ TEST(SimPolicies, EveryCombinationProcessesEveryNode) {
                              SchedulerKind::Tascell})
     for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev})
       for (StealPolicy SP : {StealPolicy::One, StealPolicy::Half})
-        for (VictimPolicy VP : {VictimPolicy::Random, VictimPolicy::Affinity,
-                                VictimPolicy::Partitioned}) {
+        for (VictimPolicy VP : {VictimPolicy::Random, VictimPolicy::Affinity}) {
           SimReport R = runSimPolicies("tree2l", Kind, 8, DQ, SP, VP);
           EXPECT_EQ(R.NodesProcessed, TestScale)
               << schedulerKindName(Kind) << "/" << dequeKindName(DQ) << "/"
@@ -298,7 +296,7 @@ TEST(SimPolicies, EveryCombinationProcessesEveryNode) {
 }
 
 TEST(SimPolicies, PolicyRunsAreDeterministic) {
-  for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Partitioned}) {
+  for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Random}) {
     SimReport A = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8,
                                  DequeKind::ChaseLev, StealPolicy::Half, VP);
     SimReport B = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8,
@@ -334,20 +332,12 @@ TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
        0, 0},
       {SK::AdaptiveTC, VP::Random, SP::Half, 0x1.67765999999bap+20, 242, 2695,
        0, 69},
-      {SK::AdaptiveTC, VP::Partitioned, SP::One, 0x1.c3e4c666666bdp+20, 162,
-       5090, 0, 0},
-      {SK::AdaptiveTC, VP::Partitioned, SP::Half, 0x1.8aa9570a3d731p+20, 281,
-       3856, 0, 60},
       {SK::Tascell, VP::Affinity, SP::One, 0x1.f3034147ae148p+20, 32, 36, 15,
        0},
       {SK::Tascell, VP::Affinity, SP::Half, 0x1.f3034147ae148p+20, 32, 36, 15,
        0},
       {SK::Tascell, VP::Random, SP::One, 0x1.f8dc7851eb852p+20, 40, 32, 0, 0},
       {SK::Tascell, VP::Random, SP::Half, 0x1.f8dc7851eb852p+20, 40, 32, 0, 0},
-      {SK::Tascell, VP::Partitioned, SP::One, 0x1.63131c28f5c29p+21, 41, 114,
-       0, 0},
-      {SK::Tascell, VP::Partitioned, SP::Half, 0x1.63131c28f5c29p+21, 41, 114,
-       0, 0},
   };
   SimTree Tree(SimTree::preset("fig8", TestScale));
   CostModel Costs;
@@ -365,13 +355,11 @@ TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
     EXPECT_EQ(R.MakespanNs, G.MakespanNs) << What;
     EXPECT_EQ(R.Steals, G.Steals) << What;
     EXPECT_EQ(R.StealFails, G.StealFails) << What;
-#if ATC_OBSERVE_ENABLED
     // The per-worker affinity and batch counters live in the cells only.
     MetricsSnapshot Snap =
         Reg.sample(static_cast<std::uint64_t>(R.MakespanNs));
     EXPECT_EQ(Snap.total(StatField::AffinityHits), G.AffinityHits) << What;
     EXPECT_EQ(Snap.total(StatField::BatchSteals), G.BatchSteals) << What;
-#endif
   }
 }
 

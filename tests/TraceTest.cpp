@@ -9,7 +9,7 @@
 /// overflow semantics, per-worker event ordering, the Chrome-trace
 /// exporter's JSON validity and schema round-trip, the JSON parser, the
 /// text summarizer, end-to-end traces from the real runtime and the
-/// virtual-time simulator, and the compile-time gate.
+/// virtual-time simulator, and the runtime gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,7 +90,6 @@ TEST(TraceBuffer, NullPointerMacroIsSafe) {
 }
 
 TEST(TraceModeScope, SavesAndRestores) {
-#if ATC_OBSERVE_ENABLED
   TraceBuffer TB;
   TB.init(16);
   TB.setModeAt(1, TraceMode::Check);
@@ -101,7 +100,6 @@ TEST(TraceModeScope, SavesAndRestores) {
   EXPECT_EQ(TB.mode(), TraceMode::Check);
   // check -> fast_2 -> check: three mode events.
   EXPECT_EQ(TB.size(), 3u);
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -263,7 +261,6 @@ TEST(TraceRuntime, AdaptiveTcRunProducesCoherentTrace) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_OBSERVE_ENABLED
   ASSERT_NE(R.Trace, nullptr);
   EXPECT_EQ(R.Trace->numWorkers(), 4);
   EXPECT_EQ(R.Trace->Meta.Scheduler, "AdaptiveTC");
@@ -296,7 +293,6 @@ TEST(TraceRuntime, AdaptiveTcRunProducesCoherentTrace) {
   EXPECT_GT(Busy, 0.0);
   EXPECT_EQ(Steals, R.Stats.Steals);
   EXPECT_FALSE(formatSummary(S).empty());
-#endif
 }
 
 // The check version does its trace work once per fake-task subtree, not
@@ -313,7 +309,6 @@ TEST(TraceRuntime, CheckSubtreeSpansNestInRootFastSpan) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_OBSERVE_ENABLED
   const std::size_t RootChildren = 9;
   ASSERT_NE(R.Trace, nullptr);
   const TraceBuffer &TB = R.Trace->buffer(0);
@@ -357,7 +352,6 @@ TEST(TraceRuntime, CheckSubtreeSpansNestInRootFastSpan) {
   EXPECT_EQ(SpawnFakes, RootChildren);
   EXPECT_EQ(CheckSpans, RootChildren);
   EXPECT_EQ(R.Stats.TasksCreated, 1u);
-#endif
 }
 
 TEST(TraceRuntime, DisabledByDefault) {
@@ -371,23 +365,6 @@ TEST(TraceRuntime, DisabledByDefault) {
   EXPECT_EQ(R.Trace, nullptr);
 }
 
-TEST(TraceRuntime, CompileTimeGate) {
-#if !ATC_OBSERVE_ENABLED
-  // Built with -DATC_OBSERVE=OFF: asking for a trace must yield none.
-  NQueensArray Prob;
-  auto Root = NQueensArray::makeRoot(8);
-  SchedulerConfig Cfg;
-  Cfg.Kind = SchedulerKind::AdaptiveTC;
-  Cfg.NumWorkers = 2;
-  Cfg.Trace = true;
-  RunResult<long long> R = runProblem(Prob, Root, Cfg);
-  EXPECT_EQ(R.Value, 92);
-  EXPECT_EQ(R.Trace, nullptr);
-#else
-  GTEST_SKIP() << "tracing compiled in (ATC_OBSERVE=ON)";
-#endif
-}
-
 TEST(TraceRuntime, TascellRunTracesDonations) {
   NQueensArray Prob;
   auto Root = NQueensArray::makeRoot(9);
@@ -397,7 +374,6 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
   Cfg.Trace = true;
   RunResult<long long> R = runProblem(Prob, Root, Cfg);
   EXPECT_EQ(R.Value, 352);
-#if ATC_OBSERVE_ENABLED
   ASSERT_NE(R.Trace, nullptr);
   std::uint64_t Donations = 0;
   for (int W = 0; W < R.Trace->numWorkers(); ++W) {
@@ -407,7 +383,6 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
         ++Donations;
   }
   EXPECT_EQ(Donations, R.Stats.Steals);
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -415,8 +390,6 @@ TEST(TraceRuntime, TascellRunTracesDonations) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceSim, EmitsSameSchemaInVirtualTime) {
-  if (!ATC_OBSERVE_ENABLED)
-    GTEST_SKIP() << "tracing compiled out (ATC_OBSERVE=OFF)";
   SimTree Tree(SimTree::preset("tree3r", 50'000));
   SimOptions Opts;
   Opts.Kind = SchedulerKind::AdaptiveTC;
@@ -456,8 +429,6 @@ TEST(TraceSim, EmitsSameSchemaInVirtualTime) {
 }
 
 TEST(TraceSim, Deterministic) {
-  if (!ATC_OBSERVE_ENABLED)
-    GTEST_SKIP() << "tracing compiled out (ATC_OBSERVE=OFF)";
   SimTree Tree(SimTree::preset("tree1l", 20'000));
   SimOptions Opts;
   Opts.Kind = SchedulerKind::Tascell;

@@ -499,10 +499,6 @@ int main(int argc, char **argv) {
                  "(http://127.0.0.1:<port>[/path])\n");
     return 2;
   }
-  // --demo would show an empty registry.
-  if (observeCompiledOut("atc_top", Demo))
-    return 1;
-
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
