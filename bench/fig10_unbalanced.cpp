@@ -35,7 +35,6 @@ int main(int argc, char **argv) {
   std::string TraceSystem = "adaptivetc";
   long long TraceThreads = 8;
   std::string Deque = "the";
-  std::string StealPol = "one";
   std::string Victim = "random";
   std::string Fsm = "paper";
   OptionSet Opts("Figure 10: speedup on unbalanced trees");
@@ -44,9 +43,6 @@ int main(int argc, char **argv) {
   Opts.addString("deque", &Deque,
                  "modelled ready-deque: the (lock round trip per steal) "
                  "or chaselev (lock-free CAS claim)");
-  Opts.addString("steal-policy", &StealPol,
-                 "one continuation per raid (one) or batch up to half the "
-                 "victim's stealable frames (half)");
   Opts.addString("victim", &Victim,
                  "victim ordering: random (the sim's historical default) "
                  "or affinity");
@@ -67,12 +63,9 @@ int main(int argc, char **argv) {
   Opts.parse(argc, argv);
 
   DequeKind DQ;
-  StealPolicy SP;
   VictimPolicy VP;
   if (!parseDequeKind(Deque, DQ))
     reportFatalError(unknownDequeKindError(Deque));
-  if (!parseStealPolicy(StealPol, SP))
-    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, VP))
     reportFatalError(unknownVictimPolicyError(Victim));
   if (Fsm != "paper" && Fsm != "spine")
@@ -82,7 +75,6 @@ int main(int argc, char **argv) {
   // and the optional traced replay).
   auto applyPolicies = [&](SimOptions &O) {
     O.Deque = DQ;
-    O.Steal = SP;
     O.Victim = VP;
     O.Fsm = Fsm == "spine" ? FsmVariant::Spine : FsmVariant::Paper;
   };
@@ -173,7 +165,7 @@ int main(int argc, char **argv) {
   if (!TracePath.empty()) {
     SimOptions SimOpts;
     if (!parseSchedulerKind(TraceSystem, SimOpts.Kind))
-      reportFatalError("unknown scheduler '" + TraceSystem + "'");
+      reportFatalError(unknownSchedulerKindError(TraceSystem));
     SimOpts.NumWorkers = static_cast<int>(TraceThreads);
     applyPolicies(SimOpts);
     SimTree Tree(SimTree::preset(TraceTree, Scale));

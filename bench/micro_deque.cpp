@@ -13,8 +13,7 @@
 /// are the unit costs the simulator's CostModel is calibrated against;
 /// the Contended* benches measure steal throughput with 1/2/4/8 thief
 /// threads hammering one owner — the scenario the lock-free steal path
-/// exists for; the BatchSteal* benches are the per-frame claim cost of a
-/// steal-half batch (SchedulerConfig::Steal = half).
+/// exists for.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -251,38 +250,5 @@ static void BM_ChaseLevGrowth(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 512);
 }
 BENCHMARK(BM_ChaseLevGrowth);
-
-/// The steal-half claim loop (FramePolicy::stealExtra): one thief claims
-/// a 16-frame batch from a 64-deep victim, one steal() round per frame.
-/// Items processed = frames claimed, so items_per_second is the batch
-/// acquisition bandwidth — the cost steal-half pays per extra frame,
-/// which the lock-free deque answers with one uncontended CAS and
-/// TheDeque with a mutex round.
-template <typename DequeT>
-static void batchSteal(benchmark::State &State) {
-  constexpr int Depth = 64, Batch = 16;
-  DequeT D(4096);
-  int Dummy = 0;
-  for (auto _ : State) {
-    for (int I = 0; I < Depth; ++I)
-      D.tryPush(&Dummy);
-    for (int I = 0; I < Batch; ++I)
-      benchmark::DoNotOptimize(D.steal());
-    while (D.pop() == PopResult::Success) {
-    }
-    D.reset();
-  }
-  State.SetItemsProcessed(State.iterations() * Batch);
-}
-
-static void BM_BatchStealThe(benchmark::State &State) {
-  batchSteal<TheDeque>(State);
-}
-BENCHMARK(BM_BatchStealThe);
-
-static void BM_BatchStealChaseLev(benchmark::State &State) {
-  batchSteal<ChaseLevDeque>(State);
-}
-BENCHMARK(BM_BatchStealChaseLev);
 
 BENCHMARK_MAIN();

@@ -42,7 +42,6 @@ int main(int argc, char **argv) {
   std::string Problem = "nqueens-array";
   std::string Scheduler = "adaptivetc";
   std::string Deque = "the";
-  std::string StealPol = "one";
   std::string Victim = "affinity";
   std::string TracePath;
   long long TraceCap = 1 << 20;
@@ -61,9 +60,6 @@ int main(int argc, char **argv) {
   Opts.addString("deque", &Deque,
                  "ready-deque implementation: the (mutex, paper-fidelity) "
                  "or chaselev (lock-free CAS, growable ring)");
-  Opts.addString("steal-policy", &StealPol,
-                 "one frame per raid (one) or batch up to half the "
-                 "victim's deque (half)");
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity (retry last success) or "
                  "random");
@@ -80,11 +76,9 @@ int main(int argc, char **argv) {
 
   SchedulerConfig Cfg;
   if (!parseSchedulerKind(Scheduler, Cfg.Kind))
-    reportFatalError("unknown scheduler '" + Scheduler + "'");
+    reportFatalError(unknownSchedulerKindError(Scheduler));
   if (!parseDequeKind(Deque, Cfg.Deque))
     reportFatalError(unknownDequeKindError(Deque));
-  if (!parseStealPolicy(StealPol, Cfg.Steal))
-    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, Cfg.Victim))
     reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Workers);

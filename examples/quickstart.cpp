@@ -38,14 +38,10 @@ int main(int argc, char **argv) {
   Opts.addInt("threads", &Threads, "worker threads (default 4)", 1,
               MaxThreadsFlag);
   Opts.addInt("n", &BoardSize, "board size (default 11)");
-  std::string StealPol = "one";
   std::string Victim = "affinity";
   Opts.addString("deque", &Deque,
                  "ready-deque implementation: the (mutex, paper-fidelity) "
                  "or chaselev (lock-free CAS, growable ring)");
-  Opts.addString("steal-policy", &StealPol,
-                 "one frame per raid (one) or batch up to half the "
-                 "victim's deque (half)");
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity or random");
   Opts.addString("trace", &TracePath,
@@ -53,12 +49,9 @@ int main(int argc, char **argv) {
                  "(Chrome/Perfetto trace.json)");
   Opts.parse(argc, argv);
   DequeKind DQ;
-  StealPolicy SP;
   VictimPolicy VP;
   if (!parseDequeKind(Deque, DQ))
     reportFatalError(unknownDequeKindError(Deque));
-  if (!parseStealPolicy(StealPol, SP))
-    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, VP))
     reportFatalError(unknownVictimPolicyError(Victim));
 
@@ -88,7 +81,6 @@ int main(int argc, char **argv) {
     SchedulerConfig Cfg;
     Cfg.Kind = Kind;
     Cfg.Deque = DQ;
-    Cfg.Steal = SP;
     Cfg.Victim = VP;
     Cfg.NumWorkers = static_cast<int>(Threads);
     Cfg.Trace = !TracePath.empty() && Kind == SchedulerKind::AdaptiveTC;

@@ -46,10 +46,6 @@ int main(int argc, char **argv) {
   Opts.addString("deque", &Deque,
                  "ready-deque implementation: the (mutex, paper-fidelity) "
                  "or chaselev (lock-free CAS, growable ring)");
-  std::string StealPol = "one";
-  Opts.addString("steal-policy", &StealPol,
-                 "one frame per raid (one) or batch up to half the "
-                 "victim's deque (half)");
   std::string Victim = "affinity";
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity or random");
@@ -64,11 +60,9 @@ int main(int argc, char **argv) {
 
   SchedulerConfig Cfg;
   if (!parseSchedulerKind(Scheduler, Cfg.Kind))
-    reportFatalError("unknown scheduler '" + Scheduler + "'");
+    reportFatalError(unknownSchedulerKindError(Scheduler));
   if (!parseDequeKind(Deque, Cfg.Deque))
     reportFatalError(unknownDequeKindError(Deque));
-  if (!parseStealPolicy(StealPol, Cfg.Steal))
-    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, Cfg.Victim))
     reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Threads);

@@ -51,14 +51,10 @@ int main(int argc, char **argv) {
                  "which system the trace records: cilk-synched, tascell, "
                  "or adaptivetc");
   std::string Deque = "the";
-  std::string StealPol = "one";
   std::string Victim = "random";
   Opts.addString("deque", &Deque,
                  "modelled ready-deque: the (lock round trip per steal) "
                  "or chaselev (lock-free CAS claim)");
-  Opts.addString("steal-policy", &StealPol,
-                 "one continuation per raid (one) or batch up to half the "
-                 "victim's stealable frames (half)");
   Opts.addString("victim", &Victim,
                  "victim ordering: random or affinity");
   MetricsCliOptions MOpt;
@@ -66,17 +62,13 @@ int main(int argc, char **argv) {
   Opts.parse(argc, argv);
 
   DequeKind DQ;
-  StealPolicy SP;
   VictimPolicy VP;
   if (!parseDequeKind(Deque, DQ))
     reportFatalError(unknownDequeKindError(Deque));
-  if (!parseStealPolicy(StealPol, SP))
-    reportFatalError(unknownStealPolicyError(StealPol));
   if (!parseVictimPolicy(Victim, VP))
     reportFatalError(unknownVictimPolicyError(Victim));
   auto applyPolicies = [&](SimOptions &O) {
     O.Deque = DQ;
-    O.Steal = SP;
     O.Victim = VP;
   };
 
@@ -122,7 +114,7 @@ int main(int argc, char **argv) {
     // table reported.
     SimOptions SimOpts;
     if (!parseSchedulerKind(TraceSystem, SimOpts.Kind))
-      reportFatalError("unknown scheduler '" + TraceSystem + "'");
+      reportFatalError(unknownSchedulerKindError(TraceSystem));
     SimOpts.NumWorkers = static_cast<int>(MaxThreads);
     applyPolicies(SimOpts);
     TraceLog Log(SimOpts.NumWorkers, 1u << 20);
@@ -146,7 +138,7 @@ int main(int argc, char **argv) {
     // live run to sample, so the periodic sampler flags are moot here).
     SimOptions SimOpts;
     if (!parseSchedulerKind(TraceSystem, SimOpts.Kind))
-      reportFatalError("unknown scheduler '" + TraceSystem + "'");
+      reportFatalError(unknownSchedulerKindError(TraceSystem));
     SimOpts.NumWorkers = static_cast<int>(MaxThreads);
     applyPolicies(SimOpts);
     MetricsRegistry Reg;

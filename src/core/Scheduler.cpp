@@ -12,6 +12,23 @@
 
 using namespace atc;
 
+namespace {
+
+/// Shared name normalization for the option parsers: strip "-"/"_" and
+/// lowercase.
+std::string normalizeKey(const std::string &Name) {
+  std::string Key;
+  Key.reserve(Name.size());
+  for (char C : Name) {
+    if (C == '-' || C == '_')
+      continue;
+    Key += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+  }
+  return Key;
+}
+
+} // namespace
+
 const char *atc::schedulerKindName(SchedulerKind Kind) {
   switch (Kind) {
   case SchedulerKind::Sequential:
@@ -31,13 +48,7 @@ const char *atc::schedulerKindName(SchedulerKind Kind) {
 }
 
 bool atc::parseSchedulerKind(const std::string &Name, SchedulerKind &Out) {
-  std::string Key;
-  Key.reserve(Name.size());
-  for (char C : Name) {
-    if (C == '-' || C == '_')
-      continue;
-    Key += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-  }
+  std::string Key = normalizeKey(Name);
   if (Key == "sequential" || Key == "serial" || Key == "seq") {
     Out = SchedulerKind::Sequential;
     return true;
@@ -65,22 +76,10 @@ bool atc::parseSchedulerKind(const std::string &Name, SchedulerKind &Out) {
   return false;
 }
 
-namespace {
-
-/// Shared name normalization for the option parsers: strip "-"/"_" and
-/// lowercase.
-std::string normalizeKey(const std::string &Name) {
-  std::string Key;
-  Key.reserve(Name.size());
-  for (char C : Name) {
-    if (C == '-' || C == '_')
-      continue;
-    Key += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-  }
-  return Key;
+std::string atc::unknownSchedulerKindError(const std::string &Name) {
+  return "unknown scheduler kind '" + Name +
+         "' (expected sequential|cilk|cilk-synched|cutoff|adaptivetc|tascell)";
 }
-
-} // namespace
 
 const char *atc::dequeKindName(DequeKind Kind) {
   switch (Kind) {
@@ -107,33 +106,6 @@ bool atc::parseDequeKind(const std::string &Name, DequeKind &Out) {
 
 std::string atc::unknownDequeKindError(const std::string &Name) {
   return "unknown deque kind '" + Name + "' (expected the|chaselev)";
-}
-
-const char *atc::stealPolicyName(StealPolicy Policy) {
-  switch (Policy) {
-  case StealPolicy::One:
-    return "one";
-  case StealPolicy::Half:
-    return "half";
-  }
-  ATC_UNREACHABLE("unhandled steal policy");
-}
-
-bool atc::parseStealPolicy(const std::string &Name, StealPolicy &Out) {
-  std::string Key = normalizeKey(Name);
-  if (Key == "one" || Key == "single" || Key == "stealone") {
-    Out = StealPolicy::One;
-    return true;
-  }
-  if (Key == "half" || Key == "batch" || Key == "stealhalf") {
-    Out = StealPolicy::Half;
-    return true;
-  }
-  return false;
-}
-
-std::string atc::unknownStealPolicyError(const std::string &Name) {
-  return "unknown steal policy '" + Name + "' (expected one|half)";
 }
 
 const char *atc::victimPolicyName(VictimPolicy Policy) {

@@ -51,6 +51,10 @@ const char *schedulerKindName(SchedulerKind Kind);
 /// Returns true on success.
 bool parseSchedulerKind(const std::string &Name, SchedulerKind &Out);
 
+/// Error text for a name parseSchedulerKind rejected; names the valid
+/// kinds.
+std::string unknownSchedulerKindError(const std::string &Name);
+
 /// The ready-deque implementation used by the deque-based engines.
 ///
 ///  * The      - the paper's simplified Cilk THE-protocol deque (Fig. 3):
@@ -74,34 +78,6 @@ bool parseDequeKind(const std::string &Name, DequeKind &Out);
 
 /// Error text for a name parseDequeKind rejected; names the valid kinds.
 std::string unknownDequeKindError(const std::string &Name);
-
-/// How much work one successful steal transfers (deque-based engines).
-///
-///  * One  - the classic continuation steal: one frame per acquire (the
-///           paper's protocol and the default).
-///  * Half - batch acquisition: the thief keeps claiming frames after the
-///           first — up to half of the victim's observed depth, bounded
-///           by SchedulerConfig::MaxStolenNum — and stashes the surplus
-///           for its next acquires. Each frame is still claimed by an
-///           individual CAS / lock round (a wider bulk claim would race
-///           with the owner's pop arbitration), which is why the
-///           lock-free deques make batching cheap and TheDeque pays a
-///           mutex round per extra frame.
-enum class StealPolicy {
-  One,
-  Half,
-};
-
-/// Returns the display name ("one" / "half").
-const char *stealPolicyName(StealPolicy Policy);
-
-/// Parses a steal policy name (case-insensitive). Returns true on
-/// success.
-bool parseStealPolicy(const std::string &Name, StealPolicy &Out);
-
-/// Error text for a name parseStealPolicy rejected; names the valid
-/// policies.
-std::string unknownStealPolicyError(const std::string &Name);
 
 /// Victim ordering for the kernel's steal loop (all scheduler kinds).
 ///
@@ -150,11 +126,6 @@ struct SchedulerConfig {
   /// (paper fidelity); ChaseLev selects the lock-free steal path, whose
   /// ring grows instead of overflowing.
   DequeKind Deque = DequeKind::The;
-
-  /// Steal transfer width for the deque-based engines: steal-one (the
-  /// paper's protocol, default) or steal-half batch acquisition. Ignored
-  /// by Sequential and Tascell (which donates half by construction).
-  StealPolicy Steal = StealPolicy::One;
 
   /// Victim ordering for the kernel's steal loop; applies to every
   /// scheduler kind (the kernel owns victim selection).

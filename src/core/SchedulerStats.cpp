@@ -27,7 +27,7 @@ std::string SchedulerStats::summary() const {
       "steal_attempts=%llu steals=%llu "
       "steal_fails=%llu empty_probes=%llu affinity_hits=%llu "
       "cas_retries=%llu lock_acquires=%llu help_steals=%llu "
-      "batch_steals=%llu copies=%llu copied_bytes=%llu suspensions=%llu "
+      "copies=%llu copied_bytes=%llu suspensions=%llu "
       "overflows=%llu pool_overflows=%llu deque_hw=%d arena_hw=%d "
       "wait_children_ms=%.2f steal_wait_ms=%.2f",
       static_cast<unsigned long long>(TasksCreated),
@@ -42,7 +42,6 @@ std::string SchedulerStats::summary() const {
       static_cast<unsigned long long>(CasRetries),
       static_cast<unsigned long long>(LockAcquires),
       static_cast<unsigned long long>(HelpSteals),
-      static_cast<unsigned long long>(BatchSteals),
       static_cast<unsigned long long>(WorkspaceCopies),
       static_cast<unsigned long long>(CopiedBytes),
       static_cast<unsigned long long>(Suspensions),

@@ -51,9 +51,6 @@ struct alignas(ATC_CACHE_LINE_SIZE) SchedulerStats {
   std::uint64_t CasRetries = 0;      ///< Lost steal CASes (chaselev deque).
   std::uint64_t LockAcquires = 0;    ///< Deque protocol-lock acquisitions.
   std::uint64_t HelpSteals = 0;      ///< Steals run while waiting at a sync.
-  std::uint64_t BatchSteals = 0;     ///< Extra frames claimed by steal-half
-                                     ///  batches beyond the first (each later
-                                     ///  drains as a stash-hit Steal).
   std::uint64_t WorkspaceCopies = 0; ///< Workspace (taskprivate) copies.
   std::uint64_t CopiedBytes = 0;     ///< Bytes memcpy'd for workspaces.
   std::uint64_t Suspensions = 0;     ///< Tasks suspended at a sync point.

@@ -20,8 +20,6 @@
 #include "deque/TheDeque.h"
 #include "support/Compiler.h"
 
-#include <vector>
-
 namespace atc {
 
 /// Deque-engine worker state, parameterized by the ready-deque
@@ -39,13 +37,6 @@ struct alignas(ATC_CACHE_LINE_SIZE) WorkerContextT : KernelWorker {
 
   /// Ready-task deque ("d-e-que" in the paper).
   DequeT Deque;
-
-  /// Surplus frames from a steal-half batch acquisition
-  /// (SchedulerConfig::Steal == StealPolicy::Half), drained before the
-  /// next victim round. Thief-local — only this worker touches it, so it
-  /// needs no synchronization; the run cannot terminate while it is
-  /// non-empty (every stashed frame owes its parent a join deposit).
-  std::vector<void *> Stash;
 };
 
 /// The paper-fidelity default configuration.

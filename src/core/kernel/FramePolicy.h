@@ -205,41 +205,7 @@ public:
     if (SR.Status != StealResult::Status::Success)
       return AcquireOutcome::Failed;
     Out = static_cast<Frame *>(SR.Frame);
-    if (Cfg.Steal == StealPolicy::Half)
-      stealExtra(W, Victim);
     return AcquireOutcome::Acquired;
-  }
-
-  /// Steal-half batch tail (StealPolicy::Half): after the first frame,
-  /// keep claiming up to half of the victim's remaining depth — bounded
-  /// to MaxStolenNum frames per acquisition in total — and stash the
-  /// surplus for this thief's next acquires (the kernel drains the stash
-  /// through takeStashed before picking another victim). Each frame is
-  /// still claimed by its own steal() round: a bulk Head jump would race
-  /// with the owner's pop arbitration (the owner can plain-pop an index
-  /// inside the claimed span and recycle its slot), so batching saves
-  /// the per-frame victim-selection / signalling / backoff rounds — the
-  /// part that is expensive — while the claim cost stays one CAS (or one
-  /// mutex round with TheDeque) per frame.
-  void stealExtra(Worker &W, Worker &Victim) {
-    const int Extra = stealHalfWidth(Victim.Deque.size(), Cfg.MaxStolenNum);
-    for (int I = 0; I < Extra; ++I) {
-      StealResult SR = Victim.Deque.steal(&FramePolicy::onSteal, nullptr);
-      if (SR.Status != StealResult::Status::Success)
-        break;
-      W.Stash.push_back(SR.Frame);
-      ++W.Stats.BatchSteals;
-    }
-  }
-
-  /// Hands back a frame stashed by an earlier steal-half batch. The
-  /// stash is thief-local, so this is plain vector access.
-  bool takeStashed(Worker &W, Frame *&Out) {
-    if (W.Stash.empty())
-      return false;
-    Out = static_cast<Frame *>(W.Stash.back());
-    W.Stash.pop_back();
-    return true;
   }
 
   void execute(Worker &W, Frame *F) { runContinuation(W, F); }

@@ -7,12 +7,11 @@
 /// \file
 /// The decisions a thief makes on every steal round, as pure functions
 /// of the worker's state and its PRNG: which victim to try
-/// (VictimPolicy), how many extra frames a steal-half raid claims
-/// (StealPolicy::Half), whether a failed attempt raises the victim's
+/// (VictimPolicy), whether a failed attempt raises the victim's
 /// need_task (needTaskSignal), and how many failures it retries at yield
 /// speed before it backs off into sleeps (idleSpinBudget). The runtime
-/// kernel (WorkerRuntime, FramePolicy) and the virtual-time simulator
-/// (sim/SimEngine.cpp) both call the first three, so one implementation
+/// kernel (WorkerRuntime) and the virtual-time simulator
+/// (sim/SimEngine.cpp) both call the first two, so one implementation
 /// of each rule serves both and a simulated run draws exactly the victim
 /// sequence a real worker with the same seed and steal outcomes would.
 /// The yield budget is the kernel's alone: the simulator models retries
@@ -55,14 +54,6 @@ inline VictimChoice chooseVictim(VictimPolicy Policy, int NumWorkers,
   const int V = static_cast<int>(
       Rng.nextBelow(static_cast<std::uint64_t>(NumWorkers - 1)));
   return {V >= Self ? V + 1 : V, false};
-}
-
-/// Extra frames a steal-half raid claims after its first: half of the
-/// \p Remaining stealable entries the victim still holds, bounded so the
-/// whole raid carries off at most \p MaxStolen frames (at least one, the
-/// first, whatever the bound).
-inline int stealHalfWidth(int Remaining, int MaxStolen) {
-  return std::min(Remaining / 2, std::max(MaxStolen, 1) - 1);
 }
 
 /// Where a failed steal leaves the victim against its need_task threshold.

@@ -209,10 +209,6 @@ public:
     return AcquireOutcome::Acquired;
   }
 
-  /// Tascell has no batch acquisition — a victim already donates half of
-  /// an oldest choice range per request — so there is never a stash.
-  bool takeStashed(TWorker &, Donation *&) { return false; }
-
   /// Executes a donated task: install the donated workspace and choice
   /// range, run it, publish the result through the DoneFlag.
   void execute(TWorker &W, Donation *D) {

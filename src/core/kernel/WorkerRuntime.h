@@ -42,10 +42,6 @@
 ///   // (EmptyProbes, RequestsDenied, ...).
 ///   AcquireOutcome tryAcquire(Worker &Thief, Worker &Victim, bool Helping,
 ///                             Task &Out);
-///   // Hands back work the thief already owns (the steal-half surplus
-///   // stash); the kernel drains this before picking a victim. Policies
-///   // without batch acquisition return false unconditionally.
-///   bool takeStashed(Worker &Thief, Task &Out);
 ///   void execute(Worker &W, Task T);
 ///   // Fold policy-owned state (deque counters, arena stats, unflushed
 ///   // locals) into the run total; runs on the main thread after join.
@@ -308,9 +304,8 @@ private:
     stealBackoff(FailStreak, idleSpinBudget(Cfg.NumWorkers, Cfg.MaxStolenNum));
   }
 
-  /// One acquire attempt: drain any steal-half surplus the thief already
-  /// holds, else pick a victim (chooseVictim), let the policy try to
-  /// take work from it, then do the kernel-side bookkeeping — steal
+  /// One acquire attempt: pick a victim (chooseVictim), let the policy
+  /// try to take work from it, then do the kernel-side bookkeeping — steal
   /// counters, affinity update, and the paper's stolen_num / need_task
   /// signalling. A failed attempt (including a policy-side emptiness
   /// probe) counts as a failed steal for that protocol, since an
@@ -318,19 +313,6 @@ private:
   /// when it needs to be told to publish special tasks.
   AcquireOutcome acquireOnce(Worker &W, bool Helping, Task &Out) {
     assert(Cfg.NumWorkers > 1 && "acquire with no possible victim");
-    // A stashed frame from an earlier steal-half batch is work this
-    // thief already claimed (join counts were bumped at claim time):
-    // take it before bothering another victim. Accounted as an attempt
-    // plus a steal so StealAttempts == Steals + StealFails holds; no
-    // victim-side signalling or steal-flow trace applies (no victim).
-    if (Pol.takeStashed(W, Out)) {
-      ++W.Stats.StealAttempts;
-      ++W.Stats.Steals;
-      if (Helping)
-        ++W.Stats.HelpSteals;
-      return AcquireOutcome::Acquired;
-    }
-
     const auto [V, Affine] =
         chooseVictim(Cfg.Victim, Cfg.NumWorkers, W.Id, W.LastVictim, W.Rng);
     Worker &Victim = *Workers[static_cast<std::size_t>(V)];

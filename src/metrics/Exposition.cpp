@@ -6,6 +6,8 @@
 
 #include "metrics/Exposition.h"
 
+#include "trace/Json.h"
+
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -21,12 +23,17 @@ void appendf(std::string &Out, const char *Fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
 void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[512];
-  va_list Args;
+  va_list Args, Sizing;
   va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_copy(Sizing, Args);
+  const int Len = std::vsnprintf(nullptr, 0, Fmt, Sizing);
+  va_end(Sizing);
+  const std::size_t Old = Out.size();
+  Out.resize(Old + static_cast<std::size_t>(Len) + 1);
+  std::vsnprintf(Out.data() + Old, static_cast<std::size_t>(Len) + 1, Fmt,
+                 Args);
   va_end(Args);
-  Out += Buf;
+  Out.resize(Old + static_cast<std::size_t>(Len));
 }
 
 /// Escapes a Prometheus label value (backslash, quote, newline).
@@ -41,31 +48,6 @@ std::string escapeLabel(const std::string &S) {
       continue;
     }
     Out += C;
-  }
-  return Out;
-}
-
-/// Escapes a JSON string value.
-std::string escapeJson(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
   }
   return Out;
 }

@@ -10,7 +10,6 @@
 #include "trace/Json.h"
 
 #include <cmath>
-#include <cstdio>
 
 using namespace atc;
 
@@ -49,30 +48,6 @@ bool intField(const json::Value &Obj, const char *Key, long long &Out,
 }
 
 } // namespace
-
-std::string atc::escapeJson(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
-  }
-  return Out;
-}
 
 bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
                        std::string &Error) {
@@ -118,7 +93,7 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
   std::string S;
   S = Doc["scheduler"].stringOr("adaptivetc");
   if (!parseSchedulerKind(S, Spec.Kind)) {
-    Error = "unknown scheduler kind '" + S + "'";
+    Error = unknownSchedulerKindError(S);
     return false;
   }
   S = Doc["deque"].stringOr("the");
@@ -126,9 +101,8 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
     Error = unknownDequeKindError(S);
     return false;
   }
-  S = Doc["steal"].stringOr("one");
-  if (!parseStealPolicy(S, Spec.Steal)) {
-    Error = unknownStealPolicyError(S);
+  if (!Doc["steal"].isNull()) {
+    Error = "field 'steal' was removed: every thief steals one continuation";
     return false;
   }
   S = Doc["victim"].stringOr("affinity");
@@ -151,36 +125,26 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
 }
 
 std::string atc::jobSpecJson(const JobSpec &Spec) {
-  char Buf[512];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"problem\": \"%s\", \"size\": %d, \"tenant\": \"%s\", "
-                "\"scheduler\": \"%s\", \"workers\": %d, \"deque\": \"%s\", "
-                "\"steal\": \"%s\", \"victim\": \"%s\", \"cutoff\": %d, "
-                "\"deadline_ms\": %lld}",
-                escapeJson(Spec.Problem).c_str(), Spec.Size,
-                escapeJson(Spec.Tenant).c_str(),
-                schedulerKindName(Spec.Kind), Spec.Workers,
-                dequeKindName(Spec.Deque), stealPolicyName(Spec.Steal),
-                victimPolicyName(Spec.Victim), Spec.Cutoff,
-                static_cast<long long>(Spec.DeadlineMs));
-  return Buf;
+  std::string Out = "{\"problem\": \"" + escapeJson(Spec.Problem) + "\"";
+  Out += ", \"size\": " + std::to_string(Spec.Size);
+  Out += ", \"tenant\": \"" + escapeJson(Spec.Tenant) + "\"";
+  Out += ", \"scheduler\": \"" + std::string(schedulerKindName(Spec.Kind));
+  Out += "\", \"workers\": " + std::to_string(Spec.Workers);
+  Out += ", \"deque\": \"" + std::string(dequeKindName(Spec.Deque));
+  Out += "\", \"victim\": \"" + std::string(victimPolicyName(Spec.Victim));
+  Out += "\", \"cutoff\": " + std::to_string(Spec.Cutoff);
+  Out += ", \"deadline_ms\": " + std::to_string(Spec.DeadlineMs) + "}";
+  return Out;
 }
 
 std::string atc::jobRecordJson(const JobRecord &R) {
-  std::string Out;
-  Out.reserve(1024);
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf), "{\"id\": %llu, \"state\": \"%s\", ",
-                static_cast<unsigned long long>(R.Id), jobStateName(R.State));
-  Out += Buf;
-  Out += "\"spec\": " + jobSpecJson(R.Spec) + ", ";
-  std::snprintf(Buf, sizeof(Buf),
-                "\"value\": %lld, \"error\": \"%s\", \"queue_ns\": %llu, "
-                "\"latency_ns\": %llu",
-                R.Value, escapeJson(R.Error).c_str(),
-                static_cast<unsigned long long>(R.queueNs()),
-                static_cast<unsigned long long>(R.latencyNs()));
-  Out += Buf;
+  std::string Out = "{\"id\": " + std::to_string(R.Id);
+  Out += ", \"state\": \"" + std::string(jobStateName(R.State));
+  Out += "\", \"spec\": " + jobSpecJson(R.Spec);
+  Out += ", \"value\": " + std::to_string(R.Value);
+  Out += ", \"error\": \"" + escapeJson(R.Error);
+  Out += "\", \"queue_ns\": " + std::to_string(R.queueNs());
+  Out += ", \"latency_ns\": " + std::to_string(R.latencyNs());
   if (R.State == JobState::Done)
     Out += ", \"stats\": " + R.Stats.json();
   Out += "}";

@@ -16,9 +16,12 @@
 /// \code{.json}
 ///   {"problem": "nqueens-array", "size": 11, "tenant": "alice",
 ///    "scheduler": "adaptivetc", "workers": 4, "deque": "chaselev",
-///    "steal": "one", "victim": "affinity", "cutoff": -1,
-///    "deadline_ms": 2000}
+///    "victim": "affinity", "cutoff": -1, "deadline_ms": 2000}
 /// \endcode
+///
+/// Unknown keys are ignored, except "steal": the steal-width option was
+/// removed (every thief takes one continuation), and a spec that still
+/// asks for it is rejected rather than silently run with one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +45,6 @@ struct JobSpec {
   SchedulerKind Kind = SchedulerKind::AdaptiveTC;
   int Workers = 0; ///< Worker threads; 0 = the server pool's full width.
   DequeKind Deque = DequeKind::The;
-  StealPolicy Steal = StealPolicy::One;
   VictimPolicy Victim = VictimPolicy::Affinity;
   int Cutoff = -1; ///< Task-creation cut-off; -1 = runtime default.
 
@@ -89,11 +91,6 @@ struct JobRecord {
     return EndNs > SubmitNs ? EndNs - SubmitNs : 0;
   }
 };
-
-/// Escapes \p S for embedding inside a JSON string literal (backslash,
-/// quote, newline, tab). Shared by the record renderers below and by
-/// the server's error responses, which echo client-controlled text.
-std::string escapeJson(const std::string &S);
 
 /// Parses a JSON job body into \p Out. Validates the problem kind /
 /// size against the registry and every enum against its parser; returns

@@ -8,6 +8,7 @@
 
 #include "metrics/Exposition.h"
 #include "problems/ProblemRegistry.h"
+#include "trace/Json.h"
 
 #include <chrono>
 #include <cstdio>
@@ -217,7 +218,6 @@ void JobServer::runJob(std::uint64_t Id) {
   if (Cfg.NumWorkers > Pool.size())
     Cfg.NumWorkers = Pool.size();
   Cfg.Deque = R.Spec.Deque;
-  Cfg.Steal = R.Spec.Steal;
   Cfg.Victim = R.Spec.Victim;
   Cfg.Cutoff = R.Spec.Cutoff;
   Cfg.Executor = &Pool;

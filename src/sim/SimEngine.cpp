@@ -581,65 +581,28 @@ void Simulator::dequeStealAttempt(int Wi) {
   W.B.IdleNs += stealClaimNs();
   emit(W, TraceEventKind::StealSuccess, static_cast<std::uint32_t>(Vi));
 
-  /// Detaches the untried range [Begin, F.End) of the victim frame \p F
-  /// as a fresh thief frame on \p W's stack.
-  auto takeRange = [&](SimFrame &F, int Begin) {
-    SimFrame TF;
-    TF.Kids.assign(F.Kids.begin() + Begin, F.Kids.begin() + F.End);
-    TF.End = static_cast<int>(TF.Kids.size());
-    // The slow version dispatches children through the fast/check rule
-    // regardless of which version originally spawned the task — so a
-    // stolen fast_2 continuation re-enters poll-capable fast mode.
-    TF.Mode = CodeVersion::Fast;
-    TF.Dp = F.Dp;
-    TF.Stealable = true;
-    TF.NodeJob = F.NodeJob;
-    F.End = Begin; // victim keeps only its in-flight child
-    if (F.Next >= F.End) {
-      --V.OpenStealable;
-      publishSimDepth(V);
-    }
-    ++W.OpenStealable;
-    R.MaxStealableFrames = std::max(R.MaxStealableFrames, W.OpenStealable);
-    publishSimDepth(W);
-    W.Stack.push_back(std::move(TF));
-  };
-
-  // Steal-half: in the same raid, claim up to half of the victim's other
-  // stealable continuations (each one more CAS / deque op, no extra
-  // victim-selection round), bounded by MaxStolenNum — the kernel's
-  // FramePolicy::stealExtra. Claimed *before* the primary so the oldest
-  // continuation ends on top of the thief's stack and runs first, the
-  // extras waiting below exactly like the kernel's stash.
-  if (Opts.Steal == StealPolicy::Half) {
-    std::vector<std::size_t> Later;
-    for (std::size_t I = 0; I < V.Stack.size(); ++I) {
-      SimFrame &F = V.Stack[I];
-      if (&F == Target)
-        continue;
-      bool IsTop = (I + 1 == V.Stack.size());
-      if (F.Stealable && F.Next + (IsTop ? 1 : 0) < F.End)
-        Later.push_back(I);
-    }
-    const int Extra =
-        stealHalfWidth(static_cast<int>(Later.size()), Opts.MaxStolenNum);
-    // Youngest extras first so older continuations sit higher on the
-    // thief's stack (it drains oldest-first).
-    for (int I = 0; I < Extra; ++I) {
-      std::size_t Idx = Later[Later.size() - 1 - static_cast<std::size_t>(I)];
-      SimFrame &F = V.Stack[Idx];
-      bool IsTop = (Idx + 1 == V.Stack.size());
-      takeRange(F, F.Next + (IsTop ? 1 : 0));
-      ++R.Steals;
-      ++W.Stats.Steals;
-      ++W.Stats.StealAttempts;
-      ++W.Stats.BatchSteals;
-      W.Now += C.DequeOpNs;
-      W.B.IdleNs += C.DequeOpNs;
-    }
+  // Detach the untried range [StealBegin, End) of the victim frame as a
+  // fresh thief frame on W's stack.
+  SimFrame &F = *Target;
+  SimFrame TF;
+  TF.Kids.assign(F.Kids.begin() + StealBegin, F.Kids.begin() + F.End);
+  TF.End = static_cast<int>(TF.Kids.size());
+  // The slow version dispatches children through the fast/check rule
+  // regardless of which version originally spawned the task — so a
+  // stolen fast_2 continuation re-enters poll-capable fast mode.
+  TF.Mode = CodeVersion::Fast;
+  TF.Dp = F.Dp;
+  TF.Stealable = true;
+  TF.NodeJob = F.NodeJob;
+  F.End = StealBegin; // victim keeps only its in-flight child
+  if (F.Next >= F.End) {
+    --V.OpenStealable;
+    publishSimDepth(V);
   }
-
-  takeRange(*Target, StealBegin);
+  ++W.OpenStealable;
+  R.MaxStealableFrames = std::max(R.MaxStealableFrames, W.OpenStealable);
+  publishSimDepth(W);
+  W.Stack.push_back(std::move(TF));
   W.LastProductive = W.Now;
 }
 

@@ -61,7 +61,6 @@ struct SimOptions {
   int Cutoff = -1;
 
   /// Failed-steal threshold before need_task is raised (paper: 20).
-  /// Also bounds a steal-half batch, as in SchedulerConfig::MaxStolenNum.
   int MaxStolenNum = 20;
 
   /// Deque kind the virtual workers are modelled with. The index
@@ -70,12 +69,6 @@ struct SimOptions {
   /// the THE lock round trip, CostModel::CasStealNs for the lock-free
   /// CAS deques).
   DequeKind Deque = DequeKind::The;
-
-  /// Steal-one vs steal-half (each extra continuation claimed in the
-  /// same raid costs only a deque operation), as in
-  /// SchedulerConfig::Steal. Deque-based kinds only; Tascell donations
-  /// are always half-splits.
-  StealPolicy Steal = StealPolicy::One;
 
   /// Victim ordering for idle workers, as in SchedulerConfig::Victim.
   /// The sim's historical default is uniform random (the committed

@@ -7,8 +7,11 @@
 /// \file
 /// A small recursive-descent JSON parser used by the trace reader
 /// (TraceRead.h) and the trace tests to load exported trace.json files
-/// back in. Deliberately minimal: full JSON syntax, no streaming, values
-/// held as a tagged tree. Not for hot paths.
+/// back in, plus the one string escaper every JSON writer in the tree
+/// uses (escapeJson). Deliberately minimal: full JSON syntax, no
+/// streaming, values held as a tagged tree. Not for hot paths. The
+/// escaper is inline so header-only users (TraceJson.h in atcc-generated
+/// programs) need no library.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +24,36 @@
 #include <vector>
 
 namespace atc {
+
+/// Escapes \p S for embedding inside a JSON string literal: quote,
+/// backslash and every byte below 0x20 (as \n, \r, \t or \u00XX), so
+/// json::parse reads back exactly \p S. Bytes from 0x7F up pass through.
+inline std::string escapeJson(const std::string &S) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  std::string Out;
+  Out.reserve(S.size());
+  for (char C : S) {
+    const auto U = static_cast<unsigned char>(C);
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += C;
+    } else if (C == '\n') {
+      Out += "\\n";
+    } else if (C == '\r') {
+      Out += "\\r";
+    } else if (C == '\t') {
+      Out += "\\t";
+    } else if (U < 0x20) {
+      Out += "\\u00";
+      Out += Hex[U >> 4];
+      Out += Hex[U & 0xF];
+    } else {
+      Out += C;
+    }
+  }
+  return Out;
+}
+
 namespace json {
 
 class Value;

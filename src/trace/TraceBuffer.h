@@ -30,7 +30,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace atc {
 
@@ -42,9 +42,12 @@ public:
   TraceBuffer() = default;
 
   /// Allocates the ring. Called once, before the run's threads start.
+  /// The slots are left uninitialized: at() reads only slots an emit has
+  /// written, and zero-filling a default 16 MiB ring per worker would
+  /// cost a traced run far more than its events do.
   void init(std::size_t Capacity) {
     assert(Capacity > 0 && "trace ring needs at least one slot");
-    Ev.assign(Capacity, TraceEvent{});
+    Ev = std::make_unique_for_overwrite<TraceEvent[]>(Capacity);
     Cap = Capacity;
     Count = 0;
     Mode = TraceMode::Idle;
@@ -114,7 +117,7 @@ public:
   }
 
 private:
-  std::vector<TraceEvent> Ev;
+  std::unique_ptr<TraceEvent[]> Ev;
   std::uint64_t Cap = 0;
   std::uint64_t Count = 0;
   TraceMode Mode = TraceMode::Idle;

@@ -21,6 +21,7 @@
 #ifndef ATC_TRACE_TRACEJSON_H
 #define ATC_TRACE_TRACEJSON_H
 
+#include "trace/Json.h"
 #include "trace/TraceLog.h"
 
 #include <cinttypes>
@@ -29,33 +30,6 @@
 
 namespace atc {
 namespace trace_json_detail {
-
-/// Escapes a string for embedding in a JSON literal. Metadata strings are
-/// workload labels and scheduler names, so this only needs the basics.
-inline std::string escape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) >= 0x20)
-        Out += C;
-    }
-  }
-  return Out;
-}
 
 /// Nanoseconds -> the Chrome format's microsecond field, keeping
 /// sub-microsecond precision (the format accepts fractional ts).
@@ -78,7 +52,7 @@ struct EventWriter {
     std::fprintf(F,
                  "  {\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":"
                  "\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                 Tid, escape(Name).c_str());
+                 Tid, escapeJson(Name).c_str());
   }
 
   void modeSlice(int Tid, TraceMode M, std::uint64_t BeginNs,
@@ -148,9 +122,9 @@ inline void writeChromeTrace(const TraceLog &Log, std::FILE *F) {
                "\"otherData\":{\"schemaVersion\":%d,\"scheduler\":\"%s\","
                "\"source\":\"%s\",\"workload\":\"%s\",\"workers\":%d,"
                "\"dropped\":%" PRIu64 "},\n",
-               Log.Meta.SchemaVersion, escape(Log.Meta.Scheduler).c_str(),
-               escape(Log.Meta.Source).c_str(),
-               escape(Log.Meta.Workload).c_str(), Log.numWorkers(),
+               Log.Meta.SchemaVersion, escapeJson(Log.Meta.Scheduler).c_str(),
+               escapeJson(Log.Meta.Source).c_str(),
+               escapeJson(Log.Meta.Workload).c_str(), Log.numWorkers(),
                Log.totalDropped());
   std::fputs("\"traceEvents\":[\n", F);
 

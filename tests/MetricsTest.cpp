@@ -21,6 +21,7 @@
 #include "metrics/Quantile.h"
 #include "problems/NQueens.h"
 #include "sim/SimEngine.h"
+#include "trace/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -233,15 +234,14 @@ TEST(MetricsSim, RegistryAggregateMatchesSimReport) {
   EXPECT_EQ(Snap.TimeNs, static_cast<std::uint64_t>(Rep.MakespanNs));
 }
 
-TEST(MetricsSim, StealHalfAndAffinityCountersSurfaceInSnapshot) {
-  // The policy knobs' dedicated counters (batch extras, affinity-retry
-  // hits) travel the same publishStats path as every other stat.
+TEST(MetricsSim, AffinityCountersSurfaceInSnapshot) {
+  // The victim policy's dedicated counter (affinity-retry hits) travels
+  // the same publishStats path as every other stat.
   SimTree Tree(SimTree::preset("tree2l", 40'000));
   SimOptions Opts;
   Opts.Kind = SchedulerKind::Cilk;
   Opts.NumWorkers = 8;
   Opts.Deque = DequeKind::ChaseLev;
-  Opts.Steal = StealPolicy::Half;
   Opts.Victim = VictimPolicy::Affinity;
   CostModel Costs;
   MetricsRegistry Reg;
@@ -249,10 +249,7 @@ TEST(MetricsSim, StealHalfAndAffinityCountersSurfaceInSnapshot) {
   MetricsSnapshot Snap =
       Reg.sample(static_cast<std::uint64_t>(Rep.MakespanNs));
   EXPECT_EQ(Snap.total(StatField::Steals), Rep.Steals);
-  EXPECT_GT(Snap.total(StatField::BatchSteals), 0u);
-  EXPECT_GE(Snap.total(StatField::Steals), Snap.total(StatField::BatchSteals));
   EXPECT_GT(Snap.total(StatField::AffinityHits), 0u);
-  // The steal-accounting identity survives batching.
   EXPECT_EQ(Snap.total(StatField::StealAttempts),
             Snap.total(StatField::Steals) + Snap.total(StatField::StealFails));
 }
@@ -355,6 +352,13 @@ TEST(Exposition, JsonSeriesCarriesMetaAndSnapshots) {
   // Two snapshots recorded, both present.
   EXPECT_NE(Json.find("\"time_ns\": 1000"), std::string::npos);
   EXPECT_NE(Json.find("\"time_ns\": 2000"), std::string::npos);
+  // A long label with a control byte comes back whole and parseable.
+  Reg.Meta.Workload = std::string(600, 'w') + "\x01";
+  json::Value Doc;
+  std::string Err;
+  ASSERT_TRUE(json::parse(renderJsonSeries(Reg.history(), Reg.Meta), Doc, Err))
+      << Err;
+  EXPECT_EQ(Doc["workload"].asString(), Reg.Meta.Workload);
 }
 
 TEST(Exposition, WriteTextFileAtomicLeavesNoTemp) {

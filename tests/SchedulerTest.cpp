@@ -44,7 +44,10 @@ struct MatrixCase {
   SchedulerKind Kind;
   int Threads;
   MatrixDeque Deque = MatrixDeque::The;
-  StealPolicy Steal = StealPolicy::One;
+  /// Always 0. GoogleTest prints the parameter's bytes in every test
+  /// name, and this slot (once a steal-width setting) keeps the
+  /// parameter at 20 bytes so the names stay as they were.
+  int Reserved = 0;
   VictimPolicy Victim = VictimPolicy::Affinity;
 };
 
@@ -59,8 +62,6 @@ std::string caseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
     Name += "_chaselev";
   else if (Info.param.Deque == MatrixDeque::SmallRing)
     Name += "_atomic";
-  if (Info.param.Steal != StealPolicy::One)
-    Name += std::string("_steal") + stealPolicyName(Info.param.Steal);
   if (Info.param.Victim != VictimPolicy::Affinity)
     Name += std::string("_") + victimPolicyName(Info.param.Victim);
   return Name + "_t" + std::to_string(Info.param.Threads);
@@ -74,14 +75,12 @@ SchedulerConfig makeConfig(const MatrixCase &MC) {
                                            : DequeKind::ChaseLev;
   if (MC.Deque == MatrixDeque::SmallRing)
     Cfg.DequeCapacity = 2;
-  Cfg.Steal = MC.Steal;
   Cfg.Victim = MC.Victim;
   return Cfg;
 }
 
 constexpr MatrixDeque ChaseLevDQ = MatrixDeque::ChaseLev;
 constexpr MatrixDeque SmallRingDQ = MatrixDeque::SmallRing;
-constexpr StealPolicy HalfSP = StealPolicy::Half;
 constexpr VictimPolicy RandomVP = VictimPolicy::Random;
 
 const MatrixCase AllCases[] = {
@@ -120,17 +119,13 @@ const MatrixCase AllCases[] = {
     {SchedulerKind::AdaptiveTC, 2, ChaseLevDQ},
     {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ},
     {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ},
-    // Steal-half batch acquisition and the non-default victim orderings
-    // must likewise be invisible to the results.
-    {SchedulerKind::Cilk, 4, ChaseLevDQ, HalfSP},
-    {SchedulerKind::Cilk, 8, SmallRingDQ, HalfSP},
-    {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, HalfSP},
-    {SchedulerKind::AdaptiveTC, 8, MatrixDeque::The, HalfSP},
-    {SchedulerKind::Cilk, 4, ChaseLevDQ, HalfSP, RandomVP},
-    {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, StealPolicy::One, RandomVP},
-    {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ, HalfSP, RandomVP},
-    {SchedulerKind::Tascell, 4, MatrixDeque::The, StealPolicy::One, RandomVP},
-    {SchedulerKind::Tascell, 8, MatrixDeque::The, StealPolicy::One, RandomVP},
+    // The non-default victim ordering must likewise be invisible to the
+    // results.
+    {SchedulerKind::Cilk, 4, ChaseLevDQ, 0, RandomVP},
+    {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, 0, RandomVP},
+    {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ, 0, RandomVP},
+    {SchedulerKind::Tascell, 4, MatrixDeque::The, 0, RandomVP},
+    {SchedulerKind::Tascell, 8, MatrixDeque::The, 0, RandomVP},
 };
 
 class SchedulerMatrix : public ::testing::TestWithParam<MatrixCase> {};
@@ -475,25 +470,22 @@ TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
     EXPECT_EQ(R.Stats.DequeHighWater, 4 * Cutoff) << "cut-off " << Cutoff;
   }
   for (int Threads : {4, 8})
-    for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev})
-      for (StealPolicy SP : {StealPolicy::One, StealPolicy::Half}) {
-        SchedulerConfig Cfg;
-        Cfg.Kind = SchedulerKind::AdaptiveTC;
-        Cfg.NumWorkers = Threads;
-        Cfg.Deque = DQ;
-        Cfg.Steal = SP;
-        auto R = runProblem(Prob, Prob.makeRoot(), Cfg);
-        const std::string Where = std::to_string(Threads) + " workers, " +
-                                  dequeKindName(DQ) + ", steal " +
-                                  stealPolicyName(SP);
-        EXPECT_EQ(R.Value, Expected) << Where;
-        if (DQ == DequeKind::ChaseLev) {
-          EXPECT_LE(R.Stats.DequeHighWater,
-                    AdaptiveTCTaskPolicy(Cfg.effectiveCutoff())
-                        .Fsm.maxOwnerPushes())
-              << Where;
-        }
+    for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev}) {
+      SchedulerConfig Cfg;
+      Cfg.Kind = SchedulerKind::AdaptiveTC;
+      Cfg.NumWorkers = Threads;
+      Cfg.Deque = DQ;
+      auto R = runProblem(Prob, Prob.makeRoot(), Cfg);
+      const std::string Where =
+          std::to_string(Threads) + " workers, " + dequeKindName(DQ);
+      EXPECT_EQ(R.Value, Expected) << Where;
+      if (DQ == DequeKind::ChaseLev) {
+        EXPECT_LE(R.Stats.DequeHighWater,
+                  AdaptiveTCTaskPolicy(Cfg.effectiveCutoff())
+                      .Fsm.maxOwnerPushes())
+            << Where;
       }
+    }
 }
 
 namespace {
@@ -586,49 +578,21 @@ TEST(SyntheticTree, MemoIsPerInstance) {
   Second->~SyntheticTreeProblem();
 }
 
-TEST(SchedulerBehaviour, StealHalfBatchesAndStaysExact) {
-  // Steal-half on a task-per-node policy (deep deques): batches must
-  // actually form, every stashed frame must later drain as a counted
-  // steal (Steals > BatchSteals would fail if stashed work was lost),
-  // and the result must be unchanged. Scheduling is nondeterministic on
-  // a time-sliced host, so retry seeds until a batch is observed.
-  NQueensArray Prob;
-  SchedulerConfig Cfg;
-  Cfg.Kind = SchedulerKind::Cilk;
-  Cfg.Deque = DequeKind::ChaseLev;
-  Cfg.Steal = StealPolicy::Half;
-  Cfg.NumWorkers = 4;
-  std::uint64_t Batched = 0;
-  for (int Attempt = 0; Attempt < 10 && Batched == 0; ++Attempt) {
-    Cfg.Seed = 377 + static_cast<std::uint64_t>(Attempt);
-    auto R = runProblem(Prob, NQueensArray::makeRoot(10), Cfg);
-    ASSERT_EQ(R.Value, 724) << "attempt " << Attempt;
-    ASSERT_EQ(R.Stats.StealAttempts, R.Stats.Steals + R.Stats.StealFails)
-        << "attempt " << Attempt;
-    ASSERT_GE(R.Stats.Steals, R.Stats.BatchSteals)
-        << "every batched frame must drain as a stash-hit steal";
-    Batched = R.Stats.BatchSteals;
-  }
-  EXPECT_GT(Batched, 0u) << "steal-half never claimed a batch";
-}
-
 //===----------------------------------------------------------------------===//
 // Kernel / policy layering invariants
 //===----------------------------------------------------------------------===//
 
 // Every tree node runs under exactly one code version, so the kernel's
 // accounting must partition the tree for every task-creation policy over
-// every deque kind and steal policy: real tasks + fake tasks = tree
-// nodes, and every steal attempt resolves to a steal or a fail (stash
-// drains count one of each, so steal-half keeps the identity). This is
-// the cross-policy uniformity the shared WorkerRuntime guarantees.
+// every deque kind: real tasks + fake tasks = tree nodes, and every
+// steal attempt resolves to a steal or a fail. This is the cross-policy
+// uniformity the shared WorkerRuntime guarantees.
 TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
   const SchedulerKind Kinds[] = {SchedulerKind::Cilk,
                                  SchedulerKind::CilkSynched,
                                  SchedulerKind::Cutoff,
                                  SchedulerKind::AdaptiveTC};
   const DequeKind Deques[] = {DequeKind::The, DequeKind::ChaseLev};
-  const StealPolicy Steals[] = {StealPolicy::One, StealPolicy::Half};
 
   NQueensArray NQ;
   auto NQRoot = NQueensArray::makeRoot(9);
@@ -649,44 +613,30 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
   }
 
   for (SchedulerKind Kind : Kinds)
-    for (DequeKind DQ : Deques)
-      for (StealPolicy SP : Steals) {
-        SchedulerConfig Cfg;
-        Cfg.Kind = Kind;
-        Cfg.Deque = DQ;
-        Cfg.Steal = SP;
-        Cfg.NumWorkers = 4;
-        const std::string What = std::string(schedulerKindName(Kind)) +
-                                 "/" + dequeKindName(DQ) + "/" +
-                                 stealPolicyName(SP);
+    for (DequeKind DQ : Deques) {
+      SchedulerConfig Cfg;
+      Cfg.Kind = Kind;
+      Cfg.Deque = DQ;
+      Cfg.NumWorkers = 4;
+      const std::string What =
+          std::string(schedulerKindName(Kind)) + "/" + dequeKindName(DQ);
 
-        auto RN = runProblem(NQ, NQueensArray::makeRoot(9), Cfg);
-        EXPECT_EQ(RN.Value, NQExpected) << What;
-        EXPECT_EQ(RN.Stats.TasksCreated + RN.Stats.FakeTasks,
-                  static_cast<std::uint64_t>(NQProfile.Nodes))
-            << What << ": node accounting does not partition the tree";
-        EXPECT_EQ(RN.Stats.StealAttempts,
-                  RN.Stats.Steals + RN.Stats.StealFails)
-            << What;
-        if (SP == StealPolicy::One) {
-          EXPECT_EQ(RN.Stats.BatchSteals, 0u) << What;
-        } else {
-          EXPECT_GE(RN.Stats.Steals, RN.Stats.BatchSteals) << What;
-        }
+      auto RN = runProblem(NQ, NQueensArray::makeRoot(9), Cfg);
+      EXPECT_EQ(RN.Value, NQExpected) << What;
+      EXPECT_EQ(RN.Stats.TasksCreated + RN.Stats.FakeTasks,
+                static_cast<std::uint64_t>(NQProfile.Nodes))
+          << What << ": node accounting does not partition the tree";
+      EXPECT_EQ(RN.Stats.StealAttempts, RN.Stats.Steals + RN.Stats.StealFails)
+          << What;
 
-        // The heavier Sudoku tree only for steal-one: the batch path is
-        // already covered above and the matrix is 16 configs deep.
-        if (SP != StealPolicy::One)
-          continue;
-        auto RS = runProblem(SU, Sudoku::makeInstance("balance"), Cfg);
-        EXPECT_EQ(RS.Value, SUExpected) << What;
-        EXPECT_EQ(RS.Stats.TasksCreated + RS.Stats.FakeTasks,
-                  static_cast<std::uint64_t>(SUProfile.Nodes))
-            << What << ": node accounting does not partition the tree";
-        EXPECT_EQ(RS.Stats.StealAttempts,
-                  RS.Stats.Steals + RS.Stats.StealFails)
-            << What;
-      }
+      auto RS = runProblem(SU, Sudoku::makeInstance("balance"), Cfg);
+      EXPECT_EQ(RS.Value, SUExpected) << What;
+      EXPECT_EQ(RS.Stats.TasksCreated + RS.Stats.FakeTasks,
+                static_cast<std::uint64_t>(SUProfile.Nodes))
+          << What << ": node accounting does not partition the tree";
+      EXPECT_EQ(RS.Stats.StealAttempts, RS.Stats.Steals + RS.Stats.StealFails)
+          << What;
+    }
 }
 
 /// Tree size and the root's applied-children count of one problem
@@ -838,20 +788,6 @@ TEST(StealDecisions, AffineOnlyOnLastVictimRetry) {
     // Random never retries, last victim or not.
     EXPECT_FALSE(chooseVictim(VictimPolicy::Random, 8, 2, 6, Rng).Affine);
   }
-}
-
-TEST(StealDecisions, StealHalfWidthNeverExceedsMaxStolenMinusOne) {
-  for (int MaxStolen : {-1, 0, 1, 2, 3, 20})
-    for (int Remaining = 0; Remaining <= 64; ++Remaining) {
-      const int W = stealHalfWidth(Remaining, MaxStolen);
-      EXPECT_GE(W, 0);
-      EXPECT_LE(W, Remaining / 2);
-      EXPECT_LE(W, std::max(MaxStolen, 1) - 1)
-          << "remaining " << Remaining << ", max_stolen " << MaxStolen;
-    }
-  EXPECT_EQ(stealHalfWidth(10, 20), 5);
-  EXPECT_EQ(stealHalfWidth(10, 3), 2);
-  EXPECT_EQ(stealHalfWidth(10, 1), 0);
 }
 
 TEST(StealDecisions, NeedTaskRaisedPastTheThresholdRecordedOnlyOnCrossing) {

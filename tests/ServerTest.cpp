@@ -114,7 +114,7 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   const std::string Text =
       R"({"problem": "nqueens-array", "size": 9, "tenant": "alice",)"
       R"( "scheduler": "cilk-synched", "workers": 2, "deque": "chaselev",)"
-      R"( "steal": "half", "victim": "random", "cutoff": 5,)"
+      R"( "victim": "random", "cutoff": 5,)"
       R"( "deadline_ms": 2000})";
   JobSpec S;
   std::string Err;
@@ -125,7 +125,6 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   EXPECT_EQ(S.Kind, SchedulerKind::CilkSynched);
   EXPECT_EQ(S.Workers, 2);
   EXPECT_EQ(S.Deque, DequeKind::ChaseLev);
-  EXPECT_EQ(S.Steal, StealPolicy::Half);
   EXPECT_EQ(S.Victim, VictimPolicy::Random);
   EXPECT_EQ(S.Cutoff, 5);
   EXPECT_EQ(S.DeadlineMs, 2000);
@@ -139,7 +138,6 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   EXPECT_EQ(S2.Kind, S.Kind);
   EXPECT_EQ(S2.Workers, S.Workers);
   EXPECT_EQ(S2.Deque, S.Deque);
-  EXPECT_EQ(S2.Steal, S.Steal);
   EXPECT_EQ(S2.Victim, S.Victim);
   EXPECT_EQ(S2.Cutoff, S.Cutoff);
   EXPECT_EQ(S2.DeadlineMs, S.DeadlineMs);
@@ -168,6 +166,19 @@ TEST(JobSpecJson, RejectsBadSpecs) {
       << "non-integer size";
   EXPECT_FALSE(
       parseJobSpec(R"({"problem": "fib", "scheduler": "magic"})", S, Err));
+  EXPECT_EQ(Err, "unknown scheduler kind 'magic' (expected "
+                 "sequential|cilk|cilk-synched|cutoff|adaptivetc|tascell)");
+  // The steal-width option is gone. Unknown keys are otherwise ignored,
+  // so a spec that still names it must fail instead of silently running
+  // with one-continuation steals.
+  for (const char *Steal : {"half", "one"}) {
+    EXPECT_FALSE(parseJobSpec(
+        std::string(R"({"problem": "fib", "steal": ")") + Steal + "\"}", S,
+        Err))
+        << Steal;
+    EXPECT_EQ(Err,
+              "field 'steal' was removed: every thief steals one continuation");
+  }
   // An unknown deque kind's error (the server's 400 body) names the
   // valid ones. "atomic", the deleted bounded lock-free kind, is unknown
   // too: remapping it to the unbounded chaselev would change the run.
@@ -185,6 +196,47 @@ TEST(JobSpecJson, RejectsBadSpecs) {
             "unknown victim policy 'partitioned' (expected affinity|random)");
   EXPECT_FALSE(parseJobSpec("not json at all", S, Err));
   EXPECT_FALSE(Err.empty());
+}
+
+TEST(JobSpecJson, EscaperRoundTripsEveryAsciiByte) {
+  // One string per byte, embedded between two letters, plus one string
+  // holding all of them: escapeJson's output must parse back exactly.
+  std::string All;
+  for (int B = 0x01; B <= 0x7F; ++B) {
+    const std::string Raw = std::string("a") + static_cast<char>(B) + "b";
+    All += static_cast<char>(B);
+    for (const std::string &Str : {Raw, All}) {
+      const std::string Text = "{\"s\": \"" + escapeJson(Str) + "\"}";
+      json::Value Doc;
+      std::string Err;
+      ASSERT_TRUE(json::parse(Text, Doc, Err)) << "byte " << B << ": " << Err;
+      EXPECT_EQ(Doc["s"].asString(), Str) << "byte " << B;
+    }
+  }
+  // A control byte in a tenant is echoed escaped, never raw.
+  JobSpec S;
+  std::string Err;
+  ASSERT_TRUE(
+      parseJobSpec(R"({"problem": "fib", "tenant": "a\u0001b"})", S, Err))
+      << Err;
+  EXPECT_EQ(S.Tenant, std::string("a\x01" "b"));
+  EXPECT_EQ(jobSpecJson(S).find('\x01'), std::string::npos);
+}
+
+TEST(JobSpecJson, LongTenantSurvivesTheRecord) {
+  // Records are built by appending, not in fixed buffers: a 600-byte
+  // tenant comes back whole from parseJobSpec -> jobRecordJson -> parse.
+  const std::string Tenant(600, 't');
+  JobRecord R;
+  std::string Err;
+  ASSERT_TRUE(parseJobSpec(
+      R"({"problem": "fib", "tenant": ")" + Tenant + "\"}", R.Spec, Err))
+      << Err;
+  R.Error = std::string(300, 'e');
+  json::Value Doc;
+  ASSERT_TRUE(json::parse(jobRecordJson(R), Doc, Err)) << Err;
+  EXPECT_EQ(Doc["spec"]["tenant"].asString(), Tenant);
+  EXPECT_EQ(Doc["error"].asString(), R.Error);
 }
 
 //===----------------------------------------------------------------------===//

@@ -265,18 +265,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===----------------------------------------------------------------------===//
-// Simulation: deque / steal / victim policy knobs
+// Simulation: deque / victim policy knobs
 //===----------------------------------------------------------------------===//
 
 SimReport runSimPolicies(const std::string &Preset, SchedulerKind Kind,
-                         int Workers, DequeKind DQ, StealPolicy SP,
-                         VictimPolicy VP) {
+                         int Workers, DequeKind DQ, VictimPolicy VP) {
   SimTree Tree(SimTree::preset(Preset, TestScale));
   SimOptions Opts;
   Opts.Kind = Kind;
   Opts.NumWorkers = Workers;
   Opts.Deque = DQ;
-  Opts.Steal = SP;
   Opts.Victim = VP;
   CostModel Costs;
   return simulate(Tree, Opts, Costs);
@@ -286,21 +284,20 @@ TEST(SimPolicies, EveryCombinationProcessesEveryNode) {
   for (SchedulerKind Kind : {SchedulerKind::Cilk, SchedulerKind::AdaptiveTC,
                              SchedulerKind::Tascell})
     for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev})
-      for (StealPolicy SP : {StealPolicy::One, StealPolicy::Half})
-        for (VictimPolicy VP : {VictimPolicy::Random, VictimPolicy::Affinity}) {
-          SimReport R = runSimPolicies("tree2l", Kind, 8, DQ, SP, VP);
-          EXPECT_EQ(R.NodesProcessed, TestScale)
-              << schedulerKindName(Kind) << "/" << dequeKindName(DQ) << "/"
-              << stealPolicyName(SP) << "/" << victimPolicyName(VP);
-        }
+      for (VictimPolicy VP : {VictimPolicy::Random, VictimPolicy::Affinity}) {
+        SimReport R = runSimPolicies("tree2l", Kind, 8, DQ, VP);
+        EXPECT_EQ(R.NodesProcessed, TestScale)
+            << schedulerKindName(Kind) << "/" << dequeKindName(DQ) << "/"
+            << victimPolicyName(VP);
+      }
 }
 
 TEST(SimPolicies, PolicyRunsAreDeterministic) {
   for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Random}) {
     SimReport A = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8,
-                                 DequeKind::ChaseLev, StealPolicy::Half, VP);
+                                 DequeKind::ChaseLev, VP);
     SimReport B = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8,
-                                 DequeKind::ChaseLev, StealPolicy::Half, VP);
+                                 DequeKind::ChaseLev, VP);
     EXPECT_DOUBLE_EQ(A.MakespanNs, B.MakespanNs);
     EXPECT_EQ(A.Steals, B.Steals);
   }
@@ -308,36 +305,22 @@ TEST(SimPolicies, PolicyRunsAreDeterministic) {
 
 TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
   // Pinned fig8 results at 8 workers. The simulator draws its victims
-  // and steal-half widths through the kernel's own functions
-  // (core/kernel/StealDecisions.h), so any change to those decisions —
-  // or to the cost model — moves these numbers. Re-record them only for
-  // a deliberate model change. Tascell ignores the steal policy (its
-  // donations are always half-splits), hence the repeated rows.
+  // through the kernel's own functions (core/kernel/StealDecisions.h),
+  // so any change to those decisions — or to the cost model — moves
+  // these numbers. Re-record them only for a deliberate model change.
   struct Golden {
     SchedulerKind Kind;
     VictimPolicy VP;
-    StealPolicy SP;
     double MakespanNs;
-    std::uint64_t Steals, StealFails, AffinityHits, BatchSteals;
+    std::uint64_t Steals, StealFails, AffinityHits;
   };
   using SK = SchedulerKind;
   using VP = VictimPolicy;
-  using SP = StealPolicy;
   const Golden Cases[] = {
-      {SK::AdaptiveTC, VP::Affinity, SP::One, 0x1.7e8ba00000052p+20, 136,
-       3751, 34, 0},
-      {SK::AdaptiveTC, VP::Affinity, SP::Half, 0x1.7e713851eb893p+20, 158,
-       3430, 33, 28},
-      {SK::AdaptiveTC, VP::Random, SP::One, 0x1.c6f80f5c28f86p+20, 122, 4505,
-       0, 0},
-      {SK::AdaptiveTC, VP::Random, SP::Half, 0x1.67765999999bap+20, 242, 2695,
-       0, 69},
-      {SK::Tascell, VP::Affinity, SP::One, 0x1.f3034147ae148p+20, 32, 36, 15,
-       0},
-      {SK::Tascell, VP::Affinity, SP::Half, 0x1.f3034147ae148p+20, 32, 36, 15,
-       0},
-      {SK::Tascell, VP::Random, SP::One, 0x1.f8dc7851eb852p+20, 40, 32, 0, 0},
-      {SK::Tascell, VP::Random, SP::Half, 0x1.f8dc7851eb852p+20, 40, 32, 0, 0},
+      {SK::AdaptiveTC, VP::Affinity, 0x1.7e8ba00000052p+20, 136, 3751, 34},
+      {SK::AdaptiveTC, VP::Random, 0x1.c6f80f5c28f86p+20, 122, 4505, 0},
+      {SK::Tascell, VP::Affinity, 0x1.f3034147ae148p+20, 32, 36, 15},
+      {SK::Tascell, VP::Random, 0x1.f8dc7851eb852p+20, 40, 32, 0},
   };
   SimTree Tree(SimTree::preset("fig8", TestScale));
   CostModel Costs;
@@ -346,20 +329,17 @@ TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
     Opts.Kind = G.Kind;
     Opts.NumWorkers = 8;
     Opts.Victim = G.VP;
-    Opts.Steal = G.SP;
     MetricsRegistry Reg;
     SimReport R = simulate(Tree, Opts, Costs, nullptr, &Reg);
-    const std::string What = std::string(schedulerKindName(G.Kind)) + "/" +
-                             victimPolicyName(G.VP) + "/" +
-                             stealPolicyName(G.SP);
+    const std::string What =
+        std::string(schedulerKindName(G.Kind)) + "/" + victimPolicyName(G.VP);
     EXPECT_EQ(R.MakespanNs, G.MakespanNs) << What;
     EXPECT_EQ(R.Steals, G.Steals) << What;
     EXPECT_EQ(R.StealFails, G.StealFails) << What;
-    // The per-worker affinity and batch counters live in the cells only.
+    // The per-worker affinity counter lives in the cells only.
     MetricsSnapshot Snap =
         Reg.sample(static_cast<std::uint64_t>(R.MakespanNs));
     EXPECT_EQ(Snap.total(StatField::AffinityHits), G.AffinityHits) << What;
-    EXPECT_EQ(Snap.total(StatField::BatchSteals), G.BatchSteals) << What;
   }
 }
 

@@ -200,7 +200,8 @@ int main(int argc, char **argv) {
   SchedulerKind Kind;
   DequeKind DQ;
   if (!parseSchedulerKind(Scheduler, Kind)) {
-    std::fprintf(stderr, "atc_loadgen: bad --scheduler\n");
+    std::fprintf(stderr, "atc_loadgen: %s\n",
+                 unknownSchedulerKindError(Scheduler).c_str());
     return 2;
   }
   if (!parseDequeKind(Deque, DQ)) {

@@ -510,7 +510,7 @@ int main(int argc, char **argv) {
   if (Demo) {
     SchedulerConfig Cfg;
     if (!parseSchedulerKind(Scheduler, Cfg.Kind))
-      reportFatalError("unknown scheduler '" + Scheduler + "'");
+      reportFatalError(unknownSchedulerKindError(Scheduler));
     Cfg.NumWorkers = static_cast<int>(Workers);
     Cfg.Metrics = true;
     Cfg.MetricsSink = &Reg;
