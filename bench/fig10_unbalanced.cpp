@@ -34,15 +34,11 @@ int main(int argc, char **argv) {
   std::string TraceTree = "tree3r";
   std::string TraceSystem = "adaptivetc";
   long long TraceThreads = 8;
-  std::string Deque = "the";
   std::string Victim = "random";
   std::string Fsm = "paper";
   OptionSet Opts("Figure 10: speedup on unbalanced trees");
   Opts.addInt("scale", &Scale, "tree size in nodes");
   Opts.addFlag("quick", &Quick, "thread counts {1,2,4,8} only");
-  Opts.addString("deque", &Deque,
-                 "modelled ready-deque: the (lock round trip per steal) "
-                 "or chaselev (lock-free CAS claim)");
   Opts.addString("victim", &Victim,
                  "victim ordering: random (the sim's historical default) "
                  "or affinity");
@@ -62,10 +58,7 @@ int main(int argc, char **argv) {
               "worker count the trace records (default 8)");
   Opts.parse(argc, argv);
 
-  DequeKind DQ;
   VictimPolicy VP;
-  if (!parseDequeKind(Deque, DQ))
-    reportFatalError(unknownDequeKindError(Deque));
   if (!parseVictimPolicy(Victim, VP))
     reportFatalError(unknownVictimPolicyError(Victim));
   if (Fsm != "paper" && Fsm != "spine")
@@ -74,7 +67,6 @@ int main(int argc, char **argv) {
   // Applied to every simulated configuration below (tables, diagnostics,
   // and the optional traced replay).
   auto applyPolicies = [&](SimOptions &O) {
-    O.Deque = DQ;
     O.Victim = VP;
     O.Fsm = Fsm == "spine" ? FsmVariant::Spine : FsmVariant::Paper;
   };

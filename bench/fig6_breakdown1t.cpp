@@ -39,14 +39,7 @@ int main(int argc, char **argv) {
                "use the published input sizes (slow)");
   Opts.addInt("repeats", &Repeats, "runs per configuration (median)");
   Opts.addString("csv", &CsvPath, "also write results as CSV to this file");
-  std::string Deque = "the";
-  Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity) "
-                 "or chaselev (lock-free CAS, growable ring)");
   Opts.parse(argc, argv);
-  DequeKind DQ;
-  if (!parseDequeKind(Deque, DQ))
-    reportFatalError(unknownDequeKindError(Deque));
 
   // Figure 6 uses these three benchmarks.
   const char *Wanted[] = {"Nqueen-array", "Nqueen-compute", "Fib"};
@@ -84,7 +77,6 @@ int main(int argc, char **argv) {
         continue;
       SchedulerConfig Cfg;
       Cfg.Kind = K;
-      Cfg.Deque = DQ;
       Cfg.NumWorkers = 1;
       std::vector<double> Times;
       SchedulerStats Stats;

@@ -97,12 +97,11 @@ void reportSpawnCounters(benchmark::State &State, P &Prob,
       benchmark::Counter(static_cast<double>(R.Stats.CopiedBytes));
 }
 
-template <SchedulerKind Kind, DequeKind Deque = DequeKind::The>
+template <SchedulerKind Kind>
 void BM_Fib1Thread(benchmark::State &State) {
   FibProblem Prob;
   SchedulerConfig Cfg;
   Cfg.Kind = Kind;
-  Cfg.Deque = Deque;
   Cfg.NumWorkers = 1;
   long long Expected = FibProblem::fibValue(FibN);
   for (auto _ : State) {
@@ -114,12 +113,11 @@ void BM_Fib1Thread(benchmark::State &State) {
   reportSpawnCounters(State, Prob, FibProblem::makeRoot(FibN), Cfg);
 }
 
-template <SchedulerKind Kind, DequeKind Deque = DequeKind::The>
+template <SchedulerKind Kind>
 void BM_NQueens1Thread(benchmark::State &State) {
   NQueensArray Prob;
   SchedulerConfig Cfg;
   Cfg.Kind = Kind;
-  Cfg.Deque = Deque;
   Cfg.NumWorkers = 1;
   for (auto _ : State) {
     auto R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
@@ -130,12 +128,11 @@ void BM_NQueens1Thread(benchmark::State &State) {
   reportSpawnCounters(State, Prob, NQueensArray::makeRoot(9), Cfg);
 }
 
-template <SchedulerKind Kind, DequeKind Deque = DequeKind::The>
+template <SchedulerKind Kind>
 void BM_BigWorkspace1Thread(benchmark::State &State) {
   NQueensBigWorkspace Prob;
   SchedulerConfig Cfg;
   Cfg.Kind = Kind;
-  Cfg.Deque = Deque;
   Cfg.NumWorkers = 1;
   for (auto _ : State) {
     auto R = runProblem(Prob, NQueensBigWorkspace::makeRoot(9), Cfg);
@@ -155,13 +152,6 @@ BENCHMARK(BM_Fib1Thread<SchedulerKind::CilkSynched>)
 BENCHMARK(BM_Fib1Thread<SchedulerKind::Tascell>)->Name("Fib20/Tascell");
 BENCHMARK(BM_Fib1Thread<SchedulerKind::AdaptiveTC>)->Name("Fib20/AdaptiveTC");
 
-// Owner-side cost of the lock-free deque relative to the THE deque (the
-// steal-path benefits need thieves; see micro_deque for those).
-BENCHMARK(BM_Fib1Thread<SchedulerKind::Cilk, DequeKind::ChaseLev>)
-    ->Name("Fib20/Cilk-chaselev-deque");
-BENCHMARK(BM_Fib1Thread<SchedulerKind::AdaptiveTC, DequeKind::ChaseLev>)
-    ->Name("Fib20/AdaptiveTC-chaselev-deque");
-
 BENCHMARK(BM_NQueens1Thread<SchedulerKind::Sequential>)
     ->Name("NQueens9/Sequential");
 BENCHMARK(BM_NQueens1Thread<SchedulerKind::Cilk>)->Name("NQueens9/Cilk");
@@ -171,8 +161,6 @@ BENCHMARK(BM_NQueens1Thread<SchedulerKind::Tascell>)
     ->Name("NQueens9/Tascell");
 BENCHMARK(BM_NQueens1Thread<SchedulerKind::AdaptiveTC>)
     ->Name("NQueens9/AdaptiveTC");
-BENCHMARK(BM_NQueens1Thread<SchedulerKind::CilkSynched, DequeKind::ChaseLev>)
-    ->Name("NQueens9/Cilk-SYNCHED-chaselev-deque");
 
 // Workspace-heavy spawn path (~1 KiB Nqueen-array-like State): the
 // owner-side cost here is dominated by the per-spawn workspace copy and
@@ -188,11 +176,5 @@ BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::AdaptiveTC>)
     ->Name("BigWorkspace9/AdaptiveTC");
 BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::Tascell>)
     ->Name("BigWorkspace9/Tascell");
-BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::CilkSynched,
-                                 DequeKind::ChaseLev>)
-    ->Name("BigWorkspace9/Cilk-SYNCHED-chaselev-deque");
-BENCHMARK(BM_BigWorkspace1Thread<SchedulerKind::AdaptiveTC,
-                                 DequeKind::ChaseLev>)
-    ->Name("BigWorkspace9/AdaptiveTC-chaselev-deque");
 
 BENCHMARK_MAIN();

@@ -41,14 +41,7 @@ int main(int argc, char **argv) {
   Opts.addString("stats-json", &StatsJsonPath,
                  "write a JSON array of {benchmark, system, ms, ratio, "
                  "stats} rows (final repeat's SchedulerStats) to this file");
-  std::string Deque = "the";
-  Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity) "
-                 "or chaselev (lock-free CAS, growable ring)");
   Opts.parse(argc, argv);
-  DequeKind DQ;
-  if (!parseDequeKind(Deque, DQ))
-    reportFatalError(unknownDequeKindError(Deque));
 
   const SchedulerKind Systems[] = {
       SchedulerKind::Tascell, SchedulerKind::Cilk,
@@ -98,7 +91,6 @@ int main(int argc, char **argv) {
       }
       SchedulerConfig Cfg;
       Cfg.Kind = K;
-      Cfg.Deque = DQ;
       Cfg.NumWorkers = 1;
       std::vector<double> Times;
       RealRun Last;

@@ -41,7 +41,6 @@ int main(int argc, char **argv) {
   long long BoardSize = 13;
   std::string Problem = "nqueens-array";
   std::string Scheduler = "adaptivetc";
-  std::string Deque = "the";
   std::string Victim = "affinity";
   std::string TracePath;
   long long TraceCap = 1 << 20;
@@ -57,9 +56,6 @@ int main(int argc, char **argv) {
   Opts.addString("sched", &Scheduler,
                  "sequential, cilk, cilk-synched, tascell, cutoff, or "
                  "adaptivetc");
-  Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity) "
-                 "or chaselev (lock-free CAS, growable ring)");
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity (retry last success) or "
                  "random");
@@ -77,8 +73,6 @@ int main(int argc, char **argv) {
   SchedulerConfig Cfg;
   if (!parseSchedulerKind(Scheduler, Cfg.Kind))
     reportFatalError(unknownSchedulerKindError(Scheduler));
-  if (!parseDequeKind(Deque, Cfg.Deque))
-    reportFatalError(unknownDequeKindError(Deque));
   if (!parseVictimPolicy(Victim, Cfg.Victim))
     reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Workers);

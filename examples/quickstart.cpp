@@ -32,26 +32,19 @@ using namespace atc;
 int main(int argc, char **argv) {
   long long Threads = 4;
   long long BoardSize = 11;
-  std::string Deque = "the";
   std::string TracePath;
   OptionSet Opts("Quickstart: n-queens under every scheduler");
   Opts.addInt("threads", &Threads, "worker threads (default 4)", 1,
               MaxThreadsFlag);
   Opts.addInt("n", &BoardSize, "board size (default 11)");
   std::string Victim = "affinity";
-  Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity) "
-                 "or chaselev (lock-free CAS, growable ring)");
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity or random");
   Opts.addString("trace", &TracePath,
                  "record the AdaptiveTC run's event trace to this file "
                  "(Chrome/Perfetto trace.json)");
   Opts.parse(argc, argv);
-  DequeKind DQ;
   VictimPolicy VP;
-  if (!parseDequeKind(Deque, DQ))
-    reportFatalError(unknownDequeKindError(Deque));
   if (!parseVictimPolicy(Victim, VP))
     reportFatalError(unknownVictimPolicyError(Victim));
 
@@ -80,7 +73,6 @@ int main(int argc, char **argv) {
         SchedulerKind::Tascell, SchedulerKind::AdaptiveTC}) {
     SchedulerConfig Cfg;
     Cfg.Kind = Kind;
-    Cfg.Deque = DQ;
     Cfg.Victim = VP;
     Cfg.NumWorkers = static_cast<int>(Threads);
     Cfg.Trace = !TracePath.empty() && Kind == SchedulerKind::AdaptiveTC;

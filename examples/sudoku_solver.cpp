@@ -42,10 +42,6 @@ int main(int argc, char **argv) {
   Opts.addString("scheduler", &Scheduler,
                  "sequential, cilk, cilk-synched, tascell, cutoff, or "
                  "adaptivetc");
-  std::string Deque = "the";
-  Opts.addString("deque", &Deque,
-                 "ready-deque implementation: the (mutex, paper-fidelity) "
-                 "or chaselev (lock-free CAS, growable ring)");
   std::string Victim = "affinity";
   Opts.addString("victim", &Victim,
                  "victim ordering: affinity or random");
@@ -61,8 +57,6 @@ int main(int argc, char **argv) {
   SchedulerConfig Cfg;
   if (!parseSchedulerKind(Scheduler, Cfg.Kind))
     reportFatalError(unknownSchedulerKindError(Scheduler));
-  if (!parseDequeKind(Deque, Cfg.Deque))
-    reportFatalError(unknownDequeKindError(Deque));
   if (!parseVictimPolicy(Victim, Cfg.Victim))
     reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Threads);
@@ -71,10 +65,9 @@ int main(int argc, char **argv) {
   Sudoku Prob;
   Sudoku::State Root = Grid.empty() ? Sudoku::makeInstance(Instance)
                                     : Sudoku::makeRoot(Grid);
-  std::printf("grid: %s (%d free cells), scheduler %s, deque %s, "
-              "%lld threads\n",
+  std::printf("grid: %s (%d free cells), scheduler %s, %lld threads\n",
               Grid.empty() ? Instance.c_str() : "(custom)", Root.NumFree,
-              schedulerKindName(Cfg.Kind), dequeKindName(Cfg.Deque), Threads);
+              schedulerKindName(Cfg.Kind), Threads);
 
   MetricsCliSession Metrics;
   Metrics.arm(Cfg, MOpt,

@@ -50,25 +50,17 @@ int main(int argc, char **argv) {
   Opts.addString("trace-system", &TraceSystem,
                  "which system the trace records: cilk-synched, tascell, "
                  "or adaptivetc");
-  std::string Deque = "the";
   std::string Victim = "random";
-  Opts.addString("deque", &Deque,
-                 "modelled ready-deque: the (lock round trip per steal) "
-                 "or chaselev (lock-free CAS claim)");
   Opts.addString("victim", &Victim,
                  "victim ordering: random or affinity");
   MetricsCliOptions MOpt;
   addMetricsOptions(Opts, MOpt);
   Opts.parse(argc, argv);
 
-  DequeKind DQ;
   VictimPolicy VP;
-  if (!parseDequeKind(Deque, DQ))
-    reportFatalError(unknownDequeKindError(Deque));
   if (!parseVictimPolicy(Victim, VP))
     reportFatalError(unknownVictimPolicyError(Victim));
   auto applyPolicies = [&](SimOptions &O) {
-    O.Deque = DQ;
     O.Victim = VP;
   };
 

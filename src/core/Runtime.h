@@ -21,11 +21,11 @@
 ///
 /// Every kind runs on the shared WorkerRuntime kernel
 /// (core/kernel/WorkerRuntime.h); what varies is the policy it is
-/// instantiated with — FramePolicy<P, DequeT, TaskCreationPolicy> for the
-/// deque-based kinds, TascellPolicy<P> for Tascell. Both the deque and
-/// the task-creation strategy are compile-time template parameters (no
-/// virtual dispatch on the push/pop hot path); this function branches
-/// once per run to pick the instantiation.
+/// instantiated with — FramePolicy<P, TaskCreationPolicy> for the
+/// deque-based kinds, TascellPolicy<P> for Tascell. The task-creation
+/// strategy is a compile-time template parameter (no virtual dispatch on
+/// the push/pop hot path); this function branches once per run to pick
+/// the instantiation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,37 +59,14 @@ template <typename ResultT> struct RunResult {
 namespace detail {
 
 /// Runs one FramePolicy instantiation through the kernel.
-template <SearchProblem P, typename DequeT, typename TC>
+template <SearchProblem P, typename TC>
 RunResult<typename P::Result>
 runFramePolicy(P &Prob, const typename P::State &Root,
                const SchedulerConfig &Cfg) {
-  FramePolicy<P, DequeT, TC> Pol(Prob, Cfg, Root);
-  WorkerRuntime<FramePolicy<P, DequeT, TC>> Rt(Pol, Cfg);
+  FramePolicy<P, TC> Pol(Prob, Cfg, Root);
+  WorkerRuntime<FramePolicy<P, TC>> Rt(Pol, Cfg);
   typename P::Result Value = Rt.run();
   return {Value, Rt.stats(), Rt.traceLog(), Rt.metricsRegistry()};
-}
-
-/// Picks the task-creation policy for a deque-based kind.
-template <SearchProblem P, typename DequeT>
-RunResult<typename P::Result>
-runDequeBased(P &Prob, const typename P::State &Root,
-              const SchedulerConfig &Cfg) {
-  switch (Cfg.Kind) {
-  case SchedulerKind::Cilk:
-    return runFramePolicy<P, DequeT, CilkTaskPolicy>(Prob, Root, Cfg);
-  case SchedulerKind::CilkSynched:
-    return runFramePolicy<P, DequeT, CilkSynchedTaskPolicy>(Prob, Root,
-                                                            Cfg);
-  case SchedulerKind::Cutoff:
-    return runFramePolicy<P, DequeT, CutoffTaskPolicy>(Prob, Root, Cfg);
-  case SchedulerKind::AdaptiveTC:
-    return runFramePolicy<P, DequeT, AdaptiveTCTaskPolicy>(Prob, Root,
-                                                           Cfg);
-  case SchedulerKind::Sequential:
-  case SchedulerKind::Tascell:
-    break;
-  }
-  ATC_UNREACHABLE("not a deque-based scheduler kind");
 }
 
 } // namespace detail
@@ -112,16 +89,13 @@ RunResult<typename P::Result> runProblem(P &Prob,
     return {Value, Rt.stats(), Rt.traceLog(), Rt.metricsRegistry()};
   }
   case SchedulerKind::Cilk:
+    return detail::runFramePolicy<P, CilkTaskPolicy>(Prob, Root, Cfg);
   case SchedulerKind::CilkSynched:
+    return detail::runFramePolicy<P, CilkSynchedTaskPolicy>(Prob, Root, Cfg);
   case SchedulerKind::Cutoff:
+    return detail::runFramePolicy<P, CutoffTaskPolicy>(Prob, Root, Cfg);
   case SchedulerKind::AdaptiveTC:
-    switch (Cfg.Deque) {
-    case DequeKind::The:
-      return detail::runDequeBased<P, TheDeque>(Prob, Root, Cfg);
-    case DequeKind::ChaseLev:
-      return detail::runDequeBased<P, ChaseLevDeque>(Prob, Root, Cfg);
-    }
-    ATC_UNREACHABLE("unhandled deque kind");
+    return detail::runFramePolicy<P, AdaptiveTCTaskPolicy>(Prob, Root, Cfg);
   }
   ATC_UNREACHABLE("unhandled scheduler kind");
 }

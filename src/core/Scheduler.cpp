@@ -81,33 +81,6 @@ std::string atc::unknownSchedulerKindError(const std::string &Name) {
          "' (expected sequential|cilk|cilk-synched|cutoff|adaptivetc|tascell)";
 }
 
-const char *atc::dequeKindName(DequeKind Kind) {
-  switch (Kind) {
-  case DequeKind::The:
-    return "the";
-  case DequeKind::ChaseLev:
-    return "chaselev";
-  }
-  ATC_UNREACHABLE("unhandled deque kind");
-}
-
-bool atc::parseDequeKind(const std::string &Name, DequeKind &Out) {
-  std::string Key = normalizeKey(Name);
-  if (Key == "the" || Key == "mutex" || Key == "lock") {
-    Out = DequeKind::The;
-    return true;
-  }
-  if (Key == "chaselev" || Key == "cl" || Key == "growable") {
-    Out = DequeKind::ChaseLev;
-    return true;
-  }
-  return false;
-}
-
-std::string atc::unknownDequeKindError(const std::string &Name) {
-  return "unknown deque kind '" + Name + "' (expected the|chaselev)";
-}
-
 const char *atc::victimPolicyName(VictimPolicy Policy) {
   switch (Policy) {
   case VictimPolicy::Affinity:

@@ -55,30 +55,6 @@ bool parseSchedulerKind(const std::string &Name, SchedulerKind &Out);
 /// kinds.
 std::string unknownSchedulerKindError(const std::string &Name);
 
-/// The ready-deque implementation used by the deque-based engines.
-///
-///  * The      - the paper's simplified Cilk THE-protocol deque (Fig. 3):
-///               thieves serialize on the victim's mutex. The
-///               paper-fidelity baseline and the default.
-///  * ChaseLev - lock-free Chase-Lev deque with CAS-on-Head steals,
-///               extended with the special-task protocol
-///               (ChaseLevDeque.h), over a growable ring: never
-///               overflows, DequeCapacity is only the initial size. The
-///               fastest steal path.
-enum class DequeKind {
-  The,
-  ChaseLev,
-};
-
-/// Returns the display name ("the" / "chaselev").
-const char *dequeKindName(DequeKind Kind);
-
-/// Parses a deque kind name (case-insensitive). Returns true on success.
-bool parseDequeKind(const std::string &Name, DequeKind &Out);
-
-/// Error text for a name parseDequeKind rejected; names the valid kinds.
-std::string unknownDequeKindError(const std::string &Name);
-
 /// Victim ordering for the kernel's steal loop (all scheduler kinds).
 ///
 ///  * Affinity - retry the last successful victim first, random otherwise
@@ -109,11 +85,10 @@ struct SchedulerConfig {
   /// N").
   int NumWorkers = 1;
 
-  /// Capacity of each worker's deque, in entries. For The this is a hard
-  /// limit — tryPush beyond it reports overflow and the spawn degrades to
-  /// a plain call. For ChaseLev it is only the *initial* ring size
-  /// (rounded up to a power of two); the ring grows geometrically and
-  /// never overflows.
+  /// Capacity of each worker's THE deque, in entries: a hard limit —
+  /// tryPush beyond it reports overflow and the spawn degrades to a plain
+  /// call. An AdaptiveTC worker never needs more than
+  /// FiveVersionFsm::maxOwnerPushes() entries (6C + 1).
   int DequeCapacity = 8192;
 
   /// Per-worker slab-arena capacity, in chunks, for the frame / workspace
@@ -121,11 +96,6 @@ struct SchedulerConfig {
   /// fall back to the heap and are counted in SchedulerStats::
   /// PoolOverflows when freed.
   int PoolCap = 4096;
-
-  /// Ready-deque implementation. The THE-protocol deque is the default
-  /// (paper fidelity); ChaseLev selects the lock-free steal path, whose
-  /// ring grows instead of overflowing.
-  DequeKind Deque = DequeKind::The;
 
   /// Victim ordering for the kernel's steal loop; applies to every
   /// scheduler kind (the kernel owns victim selection).

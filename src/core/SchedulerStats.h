@@ -32,7 +32,7 @@ namespace atc {
 /// aggregation.
 ///
 /// The struct is cache-line-aligned and padded (see the static_assert
-/// below): per-worker instances live inside WorkerContextT next to fields
+/// below): per-worker instances live inside WorkerContext next to fields
 /// written by thieves (NeedTask, StolenNum), and an unpadded stats block
 /// would false-share its hot owner-side counters with those remote writes.
 struct alignas(ATC_CACHE_LINE_SIZE) SchedulerStats {
@@ -48,7 +48,7 @@ struct alignas(ATC_CACHE_LINE_SIZE) SchedulerStats {
   std::uint64_t StealFails = 0;      ///< Failed steal attempts.
   std::uint64_t EmptyProbes = 0;     ///< Steal probes skipped: victim empty.
   std::uint64_t AffinityHits = 0;    ///< Steals from the remembered victim.
-  std::uint64_t CasRetries = 0;      ///< Lost steal CASes (chaselev deque).
+  std::uint64_t CasRetries = 0;      ///< Always 0: no deque steals by CAS.
   std::uint64_t LockAcquires = 0;    ///< Deque protocol-lock acquisitions.
   std::uint64_t HelpSteals = 0;      ///< Steals run while waiting at a sync.
   std::uint64_t WorkspaceCopies = 0; ///< Workspace (taskprivate) copies.

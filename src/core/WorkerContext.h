@@ -16,31 +16,25 @@
 #define ATC_CORE_WORKERCONTEXT_H
 
 #include "core/kernel/KernelWorker.h"
-#include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 #include "support/Compiler.h"
 
 namespace atc {
 
-/// Deque-engine worker state, parameterized by the ready-deque
-/// implementation (TheDeque or ChaseLevDeque — see SchedulerConfig::Deque).
-/// One instance per worker thread; the deque and the inherited need_task
-/// fields are the only members touched by other threads.
+/// Deque-engine worker state. One instance per worker thread; the deque
+/// and the inherited need_task fields are the only members touched by
+/// other threads.
 ///
 /// KernelWorker ends with the cache-line-padded Stats block, so the deque
 /// starts on a fresh line and the kernel's layout rule (each thief-
 /// written field on its own line) carries over unchanged.
-template <typename DequeT>
-struct alignas(ATC_CACHE_LINE_SIZE) WorkerContextT : KernelWorker {
-  WorkerContextT(int Id, int DequeCapacity, std::uint64_t Seed)
+struct alignas(ATC_CACHE_LINE_SIZE) WorkerContext : KernelWorker {
+  WorkerContext(int Id, int DequeCapacity, std::uint64_t Seed)
       : KernelWorker(Id, Seed), Deque(DequeCapacity) {}
 
   /// Ready-task deque ("d-e-que" in the paper).
-  DequeT Deque;
+  TheDeque Deque;
 };
-
-/// The paper-fidelity default configuration.
-using WorkerContext = WorkerContextT<TheDeque>;
 
 } // namespace atc
 

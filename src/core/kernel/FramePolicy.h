@@ -7,8 +7,7 @@
 /// \file
 /// The deque-based scheduling systems of the paper — Cilk, Cilk-SYNCHED,
 /// Cutoff, and AdaptiveTC — as one WorkerRuntime policy over the
-/// SearchProblem task model, parameterized by the ready-deque
-/// implementation \p DequeT (TheDeque or ChaseLevDeque) and a
+/// SearchProblem task model over the THE deque, parameterized by a
 /// TaskCreationPolicy \p TcPol that supplies the Figure 2 dispatch. The
 /// kernel (WorkerRuntime.h) owns the threads, steal loop, backoff and
 /// need_task signalling; this policy owns what is specific to
@@ -63,20 +62,14 @@
 /// Join protocol (who assembles the result of a stolen task):
 ///  * At steal time the thief increments the stolen frame's JoinCount:
 ///    the victim's in-flight child chain owes it exactly one deposit.
-///    With TheDeque this runs under the deque lock; with ChaseLevDeque it
-///    runs after the claiming CAS with no happens-before edge to the
-///    owner's pop failure — which is safe, because the only party that
-///    reads JoinCount before the join completes is the thief itself (at
-///    its sync), and a transiently negative count (child deposited before
-///    the increment) cannot trigger a resume since Suspended is set only
-///    by the thief.
+///    This runs under the deque lock, which the owner's pop failure also
+///    takes, so an owner that sees "stolen" sees the increment too.
 ///  * A special task is never stolen, so it gets no steal-time increment;
 ///    instead the *owner* increments the special's JoinCount at each
 ///    popSpecial failure in publishSpecial (1:1 with steals of the
-///    special's children). Keeping this owner-side avoids the thief
-///    dereferencing a special frame the owner may already have freed —
-///    with a lock-free deque nothing orders the thief's access against
-///    the owner's exit from syncSpecial.
+///    special's children). Keeping this owner-side means a thief never
+///    dereferences the special frame, which the owner frees on its own
+///    schedule at syncSpecial.
 ///  * The victim's first failed pop deposits the just-returned child value
 ///    into the stolen frame, then the whole spawn chain unwinds (every
 ///    enclosing frame was stolen head-first before this one).
@@ -107,17 +100,17 @@
 
 namespace atc {
 
-/// Deque-based scheduler policy for problem type \p P over ready-deque
-/// implementation \p DequeT with task-creation strategy \p TcPol. Run it
+/// Deque-based scheduler policy for problem type \p P with task-creation
+/// strategy \p TcPol. Run it
 /// through WorkerRuntime (see runProblem in core/Runtime.h for the
 /// dispatch).
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+template <SearchProblem P, TaskCreationPolicy TcPol>
 class FramePolicy {
 public:
   using State = typename P::State;
   using Result = typename P::Result;
   using Frame = TaskFrame<P>;
-  using Worker = WorkerContextT<DequeT>;
+  using Worker = WorkerContext;
   /// Acquired work: a stolen continuation frame.
   using Task = Frame *;
   using Runtime = WorkerRuntime<FramePolicy>;
@@ -190,7 +183,7 @@ public:
   }
 
   /// One steal attempt against \p Victim: probe the deque for emptiness
-  /// without touching its lock / CAS line, then steal. The kernel already
+  /// without touching its lock, then steal. The kernel already
   /// picked the victim and counts the attempt; failures here feed its
   /// stolen_num / need_task signalling.
   AcquireOutcome tryAcquire(Worker &W, Worker &Victim, bool /*Helping*/,
@@ -212,7 +205,6 @@ public:
 
   void aggregateWorker(SchedulerStats &Total, Worker &W) {
     Total.DequeOverflows += W.Deque.overflowCount();
-    Total.CasRetries += W.Deque.casRetryCount();
     Total.LockAcquires += W.Deque.lockAcquireCount();
     Total.DequeHighWater =
         std::max(Total.DequeHighWater, W.Deque.highWaterMark());
@@ -232,21 +224,17 @@ public:
   }
 
 private:
-  /// Invoked by the thief for every successful steal — under the victim
-  /// deque's lock with TheDeque, after the claiming CAS with ChaseLevDeque
-  /// (no happens-before edge to the owner's pop failure; see the join
-  /// protocol notes in the file comment).
+  /// Invoked by the thief for every successful steal, under the victim
+  /// deque's lock (see the join protocol notes in the file comment).
   static void onSteal(void *FrameV, void *) {
     auto *F = static_cast<Frame *>(FrameV);
     F->JoinCount.fetch_add(1, std::memory_order_acq_rel);
     F->Detached = true;
     // Note: the special-parent JoinCount increment happens owner-side, at
-    // the popSpecial() failure in publishSpecial — NOT here. With the
-    // lock-free deque this callback runs with no happens-before edge to
-    // the owner's pop failure, so touching F->Parent (a frame the owner
-    // may already have freed) would be a use-after-free; the owner
+    // the popSpecial() failure in publishSpecial — NOT here: the owner
     // observes each child steal 1:1 through the popSpecial failure and
-    // does the bookkeeping on its own frame.
+    // does the bookkeeping on its own frame, so no thief touches
+    // F->Parent.
   }
 
   /// One fake-task subtree's walk, threaded through checkBodyImpl by a
@@ -320,8 +308,8 @@ private:
 // Implementation
 //===----------------------------------------------------------------------===//
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-typename P::State *FramePolicy<P, DequeT, TcPol>::allocState(Worker &W) {
+template <SearchProblem P, TaskCreationPolicy TcPol>
+typename P::State *FramePolicy<P, TcPol>::allocState(Worker &W) {
   // Cilk models a fresh allocation per child ("Cilk_alloca + memcpy");
   // SYNCHED / AdaptiveTC / Cutoff reuse buffers through the per-worker
   // slab arena (space reuse is what the SYNCHED variable buys — the copy
@@ -345,8 +333,8 @@ typename P::State *FramePolicy<P, DequeT, TcPol>::allocState(Worker &W) {
 
 /// Owner-side free of a workspace \p W itself carved (the common case:
 /// the spawn loop frees the child buffer it just allocated).
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-void FramePolicy<P, DequeT, TcPol>::freeState(Worker &W, State *S) {
+template <SearchProblem P, TaskCreationPolicy TcPol>
+void FramePolicy<P, TcPol>::freeState(Worker &W, State *S) {
   if constexpr (TcPol::PooledWorkspace)
     StateArenas[static_cast<std::size_t>(W.Id)]->free(S);
   else
@@ -357,8 +345,8 @@ void FramePolicy<P, DequeT, TcPol>::freeState(Worker &W, State *S) {
 /// carving worker's arena (F->AllocWorker — a frame and its workspace
 /// always come from the same worker) via the lock-free remote stack when
 /// \p W is not that worker.
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-void FramePolicy<P, DequeT, TcPol>::freeStateOf(Worker &W, Frame *F) {
+template <SearchProblem P, TaskCreationPolicy TcPol>
+void FramePolicy<P, TcPol>::freeStateOf(Worker &W, Frame *F) {
   if constexpr (!TcPol::PooledWorkspace) {
     ::operator delete(F->StatePtr); // thread-safe, no routing needed
     return;
@@ -371,9 +359,9 @@ void FramePolicy<P, DequeT, TcPol>::freeStateOf(Worker &W, Frame *F) {
   }
 }
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-typename FramePolicy<P, DequeT, TcPol>::Frame *
-FramePolicy<P, DequeT, TcPol>::allocFrame(Worker &W) {
+template <SearchProblem P, TaskCreationPolicy TcPol>
+typename FramePolicy<P, TcPol>::Frame *
+FramePolicy<P, TcPol>::allocFrame(Worker &W) {
   // All systems pool task frames (Cilk 5.4.6 has a fast closure
   // allocator); the recycled frame is reset to its freshly-constructed
   // state.
@@ -387,16 +375,16 @@ FramePolicy<P, DequeT, TcPol>::allocFrame(Worker &W) {
 
 /// Owner-side frame free: the caller is the worker that carved \p F
 /// (never-stolen frames and special frames are freed by their spawner).
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-void FramePolicy<P, DequeT, TcPol>::freeFrame(Worker &W, Frame *F) {
+template <SearchProblem P, TaskCreationPolicy TcPol>
+void FramePolicy<P, TcPol>::freeFrame(Worker &W, Frame *F) {
   assert(F->AllocWorker == W.Id && "owner-side free of a foreign frame");
   FrameArenas[static_cast<std::size_t>(W.Id)]->free(F);
 }
 
 /// Frees a completed detached frame from any worker, routing it back to
 /// the carving worker's arena.
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-void FramePolicy<P, DequeT, TcPol>::releaseFrame(Worker &W, Frame *F) {
+template <SearchProblem P, TaskCreationPolicy TcPol>
+void FramePolicy<P, TcPol>::releaseFrame(Worker &W, Frame *F) {
   ObjectArena<Frame> &A =
       *FrameArenas[static_cast<std::size_t>(F->AllocWorker)];
   if (ATC_LIKELY(F->AllocWorker == W.Id))
@@ -405,9 +393,9 @@ void FramePolicy<P, DequeT, TcPol>::releaseFrame(Worker &W, Frame *F) {
     A.freeRemote(F);
 }
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+template <SearchProblem P, TaskCreationPolicy TcPol>
 ExecResult<typename P::Result>
-FramePolicy<P, DequeT, TcPol>::taskBody(Worker &W, State &S, int Depth,
+FramePolicy<P, TcPol>::taskBody(Worker &W, State &S, int Depth,
                                         Frame *Parent, int Dp,
                                         CodeVersion Cur, bool OwnsState) {
   // Span attribution: everything below runs under Cur's mode; recursion
@@ -524,9 +512,9 @@ FramePolicy<P, DequeT, TcPol>::taskBody(Worker &W, State &S, int Depth,
   return {Acc, false};
 }
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+template <SearchProblem P, TaskCreationPolicy TcPol>
 typename P::Result
-FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
+FramePolicy<P, TcPol>::checkBody(Worker &W, State &S, int Depth) {
   // Everything per fake-task *subtree* lives here, never per node: this
   // entry point is only reached from non-check callers, so the Check mode
   // spans, the spawn-fake event and the counter flush happen once per
@@ -558,9 +546,9 @@ FramePolicy<P, DequeT, TcPol>::checkBody(Worker &W, State &S, int Depth) {
 /// special-task publication and its sync) is out of line, so the
 /// per-node frame holds only the loop's state and an empty special-task
 /// slot. Loop-aligned (support/Compiler.h), as is detail::seqBodyImpl.
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+template <SearchProblem P, TaskCreationPolicy TcPol>
 typename P::Result
-FramePolicy<P, DequeT, TcPol>::checkBodyImpl(CheckWalk &C, State &S,
+FramePolicy<P, TcPol>::checkBodyImpl(CheckWalk &C, State &S,
                                              int Depth) {
   P &Prob = C.Self.Prob;
   ++C.FakeTasks;
@@ -594,8 +582,8 @@ FramePolicy<P, DequeT, TcPol>::checkBodyImpl(CheckWalk &C, State &S,
 /// FSM's depth reset). Returns the child's contribution to the node's
 /// result; a stolen child's value arrives later through ST.SF->Deposits.
 /// The caller polled need_task set and undoes the choice.
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-typename P::Result FramePolicy<P, DequeT, TcPol>::publishSpecial(
+template <SearchProblem P, TaskCreationPolicy TcPol>
+typename P::Result FramePolicy<P, TcPol>::publishSpecial(
     CheckWalk &C, State &S, int Depth, SpecialTask &ST) {
   Worker &W = C.W;
   const FsmTransition T = Tc.child(CodeVersion::Check, /*Dp=*/0,
@@ -647,8 +635,7 @@ typename P::Result FramePolicy<P, DequeT, TcPol>::publishSpecial(
     // The special's child chain was stolen. A special is never stolen
     // itself, so it gets no steal-time JoinCount increment; the owner
     // accounts for the detached chain's eventual completion deposit
-    // here, exactly once per stolen child. (Thief-side accounting would
-    // race with SF's free with the lock-free deque.)
+    // here, exactly once per stolen child.
     ST.ChildStolen = true;
     SF->JoinCount.fetch_add(1, std::memory_order_acq_rel);
     // The owner-side record of "a special task's work was stolen" —
@@ -668,9 +655,9 @@ typename P::Result FramePolicy<P, DequeT, TcPol>::publishSpecial(
 /// the kernel's help-first wait steals and runs other tasks meanwhile
 /// (see WorkerRuntime::helpWhile). Returns the stolen children's
 /// deposits and frees the special frame.
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+template <SearchProblem P, TaskCreationPolicy TcPol>
 typename P::Result
-FramePolicy<P, DequeT, TcPol>::syncSpecial(Worker &W, const SpecialTask &ST,
+FramePolicy<P, TcPol>::syncSpecial(Worker &W, const SpecialTask &ST,
                                            [[maybe_unused]] int Depth) {
   Frame *SF = ST.SF;
   if (ST.ChildStolen) {
@@ -717,9 +704,9 @@ seqBodyImpl(P &Prob, typename P::State &S, int Depth, std::uint64_t &Nodes) {
 
 } // namespace detail
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
+template <SearchProblem P, TaskCreationPolicy TcPol>
 typename P::Result
-FramePolicy<P, DequeT, TcPol>::seqBody(Worker &W, State &S, int Depth) {
+FramePolicy<P, TcPol>::seqBody(Worker &W, State &S, int Depth) {
   TraceModeScope TraceSpan(W.Trace, TraceMode::Sequence);
   MetricsModeScope MetricsSpan(W.Metrics, TraceMode::Sequence);
   std::uint64_t Nodes = 0;
@@ -728,8 +715,8 @@ FramePolicy<P, DequeT, TcPol>::seqBody(Worker &W, State &S, int Depth) {
   return Acc;
 }
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-void FramePolicy<P, DequeT, TcPol>::runContinuation(Worker &W, Frame *F) {
+template <SearchProblem P, TaskCreationPolicy TcPol>
+void FramePolicy<P, TcPol>::runContinuation(Worker &W, Frame *F) {
   // The slow version: restore the live state and "PC", undo the choice
   // whose child is running elsewhere, and continue the spawning loop.
   TraceModeScope TraceSpan(W.Trace, TraceMode::Slow);
@@ -812,8 +799,8 @@ void FramePolicy<P, DequeT, TcPol>::runContinuation(Worker &W, Frame *F) {
   completeDetached(W, F, Total);
 }
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-void FramePolicy<P, DequeT, TcPol>::depositTo(Worker &W, Frame *F,
+template <SearchProblem P, TaskCreationPolicy TcPol>
+void FramePolicy<P, TcPol>::depositTo(Worker &W, Frame *F,
                                               Result Value) {
   ++W.Stats.Deposits;
   F->Lock.lock();
@@ -829,8 +816,8 @@ void FramePolicy<P, DequeT, TcPol>::depositTo(Worker &W, Frame *F,
   }
 }
 
-template <SearchProblem P, typename DequeT, TaskCreationPolicy TcPol>
-void FramePolicy<P, DequeT, TcPol>::completeDetached(Worker &W, Frame *F,
+template <SearchProblem P, TaskCreationPolicy TcPol>
+void FramePolicy<P, TcPol>::completeDetached(Worker &W, Frame *F,
                                                      Result Total) {
   for (;;) {
     Frame *Parent = F->Parent;

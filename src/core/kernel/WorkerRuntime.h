@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The scheduler kernel every SchedulerKind runs on: worker threads, the
-/// steal loop (pluggable victim ordering — see StealDecisions.h — plus the
-/// steal-half stash drain, a yield budget sized to the need_task threshold
-/// before truncated-exponential sleeps, and the paper's stolen_num /
-/// need_task signalling), termination detection, result
+/// steal loop (pluggable victim ordering — see StealDecisions.h — plus a
+/// yield budget sized to the need_task threshold before
+/// truncated-exponential sleeps, and the paper's stolen_num / need_task
+/// signalling), termination detection, result
 /// publication and statistics aggregation live here — once. What differs
 /// between systems (how work is represented, acquired from a victim, and
 /// executed) is supplied by a policy class:
@@ -17,7 +17,7 @@
 ///   layering    WorkerRuntime<Policy>        (this file: threads, steal
 ///       |                                     loop, backoff, signalling,
 ///       |                                     termination, stats)
-///       +------- FramePolicy<P, DequeT, TC>  (deque-based kinds: frames,
+///       +------- FramePolicy<P, TC>          (deque-based kinds: frames,
 ///       |                                     join protocol, arenas; TC is
 ///       |                                     a TaskCreationPolicy)
 ///       +------- TascellPolicy<P>            (mailbox request/donation)

@@ -26,10 +26,16 @@
 /// any number of thief threads call steal. Thieves always take the lock;
 /// the owner takes it only on conflict (the THE fast path).
 ///
-/// Header-only (like ChaseLevDeque): the deque layer has no translation
-/// units, so atcc-generated code — which compiles with just -I <repo>/src
-/// and links no libraries — can instantiate any deque kind, and the
-/// push/pop/steal fast path inlines into the engines.
+/// Header-only: the deque layer has no translation units, so
+/// atcc-generated code — which compiles with just -I <repo>/src and
+/// links no libraries — can instantiate it, and the push/pop/steal fast
+/// path inlines into the engines.
+///
+/// The indices rewind to 0 whenever an owner pop finds the deque empty
+/// after a steal, so Tail counts the owner's current spawn chain rather
+/// than every push since the run began: the high-water mark then tracks
+/// the chain's depth, which the FSM bounds (FiveVersionFsm::
+/// maxOwnerPushes), and a run needs no larger array than that bound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,7 +101,7 @@ public:
   }
 
   /// Owner: pops the tail entry (Fig. 3a). Failure means the entry was
-  /// stolen; the deque indices are restored so H == T (empty).
+  /// stolen; the deque is then empty and both indices rewind to 0.
   PopResult pop() {
     // Fig. 3a. Fast path: decrement Tail; if no thief has passed it, done.
     int T = Tail.load(std::memory_order_relaxed) - 1;
@@ -113,10 +119,9 @@ public:
     Tail.store(T, std::memory_order_seq_cst);
     H = Head.load(std::memory_order_seq_cst);
     if (H > T) {
-      // The entry was stolen. Restore Tail so the deque reads as empty
-      // (H == T) rather than inverted.
-      Tail.store(T + 1, std::memory_order_seq_cst);
-      publishDepth();
+      // The entry was stolen, and every entry below it with it: the
+      // deque is empty, and the owner's next push starts at slot 0.
+      rewind();
       return PopResult::Failure;
     }
     publishDepth();
@@ -124,19 +129,19 @@ public:
   }
 
   /// Owner: pops a special task from the tail (Fig. 3b). Failure means the
-  /// special's child was stolen; H is reset to T so the special remains
-  /// conceptually at the head.
+  /// special's child was stolen; the paper resets H = T so the special
+  /// remains conceptually at the head, which leaves the deque empty, so
+  /// both indices rewind to 0 instead.
   PopResult popSpecial() {
-    // Fig. 3b: always under the lock; on failure reset H = T so the
-    // special task stays at the head (a special task can never be stolen).
+    // Fig. 3b: always under the lock. On failure the special stays at the
+    // head (a special task can never be stolen) over an empty deque.
     LockAcquires.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> Guard(Lock);
     int T = Tail.load(std::memory_order_relaxed) - 1;
     Tail.store(T, std::memory_order_seq_cst);
     int H = Head.load(std::memory_order_seq_cst);
     if (H > T) {
-      Head.store(T, std::memory_order_seq_cst);
-      publishDepth();
+      rewind();
       return PopResult::Failure;
     }
     publishDepth();
@@ -257,22 +262,10 @@ public:
     return LockAcquires.load(std::memory_order_relaxed);
   }
 
-  /// CAS retries — always 0; present so the engines can report the same
-  /// steal-path observability for either deque kind.
-  std::uint64_t casRetryCount() const { return 0; }
-
-  /// Owner: resets the deque to the empty state. Must not race with
-  /// thieves.
+  /// Owner: empties the deque; thieves may run concurrently.
   void reset() {
-    // Under the lock so an in-flight thief (already past the lock-free
-    // emptiness pre-check) cannot interleave with the index rewind. The
-    // pre-check itself tolerates a racing reset: a stale read can only
-    // turn into a spurious "empty", which a failed steal attempt already
-    // means.
     std::lock_guard<std::mutex> Guard(Lock);
-    Head.store(0, std::memory_order_seq_cst);
-    Tail.store(0, std::memory_order_seq_cst);
-    publishDepth();
+    rewind();
   }
 
   /// Live-metrics hook (src/metrics): when attached, every size-changing
@@ -284,6 +277,17 @@ public:
   }
 
 private:
+  /// Empties the deque by rewinding both indices to 0. The caller holds
+  /// Lock, so no thief past the lock-free emptiness pre-check can
+  /// interleave. The pre-check itself tolerates the rewind: a stale read
+  /// costs at most a lock round trip or a spurious "empty", which a
+  /// failed steal attempt already means.
+  void rewind() {
+    Head.store(0, std::memory_order_seq_cst);
+    Tail.store(0, std::memory_order_seq_cst);
+    publishDepth();
+  }
+
   /// Publishes size() to the attached gauge (see attachDepthGauge).
   void publishDepth() {
     if (ATC_UNLIKELY(DepthGauge != nullptr))

@@ -32,17 +32,16 @@
 /// a decimal integer in [1, INT_MAX], and anything else exits with
 /// status 2.
 ///
-/// Deque knob: ATCGEN_DEQUE=the|chaselev mirrors every protocol
-/// operation (push, pop, pushSpecial, popSpecial) into a real scheduler
-/// deque of that kind, running alongside the shadow vector and asserted
-/// to agree after every step — the single-worker executor becomes a
-/// protocol-conformance harness for the deque layer, driving the exact
-/// operation sequences atcc emits (including the special-task pushes the
-/// forced-need_task mode provokes) through the same header-only deques
-/// the core runtime schedules with. ATCGEN_DEQUE_CAP overrides the
-/// (initial) capacity — with chaselev a tiny cap forces ring growth in
-/// the middle of the run; it must be a decimal integer in [1, INT_MAX],
-/// and anything else exits with status 2, as an unknown kind does. Unset
+/// Deque knob: ATCGEN_DEQUE=the mirrors every protocol operation (push,
+/// pop, pushSpecial, popSpecial) into a real scheduler THE deque, running
+/// alongside the shadow vector and asserted to agree after every step —
+/// the single-worker executor becomes a protocol-conformance harness for
+/// the deque layer, driving the exact operation sequences atcc emits
+/// (including the special-task pushes the forced-need_task mode provokes)
+/// through the same header-only deque the core runtime schedules with.
+/// Any other kind exits with status 2. ATCGEN_DEQUE_CAP overrides the
+/// array's capacity (a push past it aborts); it must be a decimal integer
+/// in [1, INT_MAX], and anything else exits with status 2 too. Unset
 /// means shadow-only, unchanged behaviour.
 ///
 /// Metrics knob: ATCGEN_METRICS=<path> writes a Prometheus text
@@ -65,9 +64,8 @@
 // Event tracing (header-only exporter included too: generated binaries
 // write their own trace.json — see the ATCGEN_TRACE knob below).
 #include "trace/TraceJson.h"
-// The scheduler deques (header-only so generated code, which links
-// nothing, can instantiate them — see the ATCGEN_DEQUE knob).
-#include "deque/ChaseLevDeque.h"
+// The scheduler deque (header-only so generated code, which links
+// nothing, can instantiate it — see the ATCGEN_DEQUE knob).
 #include "deque/TheDeque.h"
 
 #include <cassert>
@@ -117,45 +115,6 @@ struct GenStats {
   std::uint64_t WorkspaceReuses = 0;      ///< Allocs served by the freelist.
 };
 
-/// Type-erased adapter over the scheduler deques for the
-/// ATCGEN_DEQUE conformance mirror (see the file comment). Virtual
-/// dispatch is fine here: the mirror is a validation knob, never the
-/// measured path.
-class DequeMirror {
-public:
-  virtual ~DequeMirror() = default;
-  virtual const char *kind() const = 0;
-  virtual void push(void *Frame, bool Special) = 0;
-  virtual atc::PopResult pop() = 0;
-  virtual atc::PopResult popSpecial() = 0;
-  virtual int size() const = 0;
-  virtual std::uint64_t growCount() const = 0;
-};
-
-template <class DequeT> class DequeMirrorOf final : public DequeMirror {
-public:
-  DequeMirrorOf(const char *Kind, int Cap) : Kind(Kind), D(Cap) {}
-  const char *kind() const override { return Kind; }
-  void push(void *Frame, bool Special) override {
-    bool Ok = D.tryPush(Frame, Special);
-    (void)Ok;
-    assert(Ok && "ATCGEN_DEQUE mirror overflow: raise ATCGEN_DEQUE_CAP");
-  }
-  atc::PopResult pop() override { return D.pop(); }
-  atc::PopResult popSpecial() override { return D.popSpecial(); }
-  int size() const override { return D.size(); }
-  std::uint64_t growCount() const override {
-    if constexpr (requires { D.growCount(); })
-      return D.growCount();
-    else
-      return 0;
-  }
-
-private:
-  const char *Kind;
-  DequeT D;
-};
-
 /// Parses the value \p Str of the count variable \p Var (ATCGEN_DEQUE_CAP,
 /// ATCGEN_TRACE_CAP): a decimal integer in [1, INT_MAX]. Anything else is
 /// a usage error and exits with status 2.
@@ -197,19 +156,14 @@ struct Worker {
       int Cap = 8192;
       if (const char *CapStr = std::getenv("ATCGEN_DEQUE_CAP"))
         Cap = parseCountEnv("ATCGEN_DEQUE_CAP", CapStr);
-      std::string K(Kind);
-      if (K == "the")
-        Mirror = std::make_unique<DequeMirrorOf<atc::TheDeque>>("the", Cap);
-      else if (K == "chaselev")
-        Mirror = std::make_unique<DequeMirrorOf<atc::ChaseLevDeque>>(
-            "chaselev", Cap);
-      else {
+      if (std::string(Kind) != "the") {
         std::fprintf(stderr,
                      "atcgen: unknown ATCGEN_DEQUE kind '%s' "
-                     "(expected the|chaselev)\n",
+                     "(expected the)\n",
                      Kind);
         std::exit(2);
       }
+      Mirror = std::make_unique<atc::TheDeque>(Cap);
     }
   }
 
@@ -280,10 +234,8 @@ struct Worker {
     ATC_TRACE_EVENT(TB, atc::TraceEventKind::SpawnReal, 0,
                     static_cast<std::uint16_t>(F->Dp));
     Deque.push_back(F);
-    if (Mirror) {
-      Mirror->push(F, /*Special=*/false);
-      assertMirrorAgrees();
-    }
+    if (Mirror)
+      mirrorPush(F, /*Special=*/false);
   }
 
   /// Owner pop after a spawned child returns. \p ChildResult and
@@ -312,10 +264,8 @@ struct Worker {
     ATC_TRACE_EVENT(TB, atc::TraceEventKind::SpecialPush, 0,
                     static_cast<std::uint16_t>(F->Dp));
     Deque.push_back(F);
-    if (Mirror) {
-      Mirror->push(F, /*Special=*/true);
-      assertMirrorAgrees();
-    }
+    if (Mirror)
+      mirrorPush(F, /*Special=*/true);
   }
 
   /// pop_specialtask: true when the special's child was not stolen.
@@ -437,13 +387,11 @@ struct Worker {
   ~Worker() {
     if (Mirror)
       std::fprintf(stderr,
-                   "atcgen: deque mirror '%s' verified %llu pushes / %llu "
-                   "pops / %llu special pairs (%llu ring growths)\n",
-                   Mirror->kind(),
+                   "atcgen: deque mirror 'the' verified %llu pushes / %llu "
+                   "pops / %llu special pairs\n",
                    static_cast<unsigned long long>(Stats.Pushes),
                    static_cast<unsigned long long>(Stats.Pops),
-                   static_cast<unsigned long long>(Stats.SpecialPops),
-                   static_cast<unsigned long long>(Mirror->growCount()));
+                   static_cast<unsigned long long>(Stats.SpecialPops));
     // Both stay unset unless ATCGEN_TRACE / ATCGEN_METRICS asked for them.
     if (Trace && !atc::writeChromeTraceFile(*Trace, TracePath))
       std::fprintf(stderr, "atcgen: cannot write trace to %s\n",
@@ -469,9 +417,17 @@ private:
     std::vector<void *> Free;
   };
 
+  /// Mirrors one push into the ATCGEN_DEQUE deque.
+  void mirrorPush(TaskInfoBase *F, bool Special) {
+    bool Ok = Mirror->tryPush(F, Special);
+    (void)Ok;
+    assert(Ok && "ATCGEN_DEQUE mirror overflow: raise ATCGEN_DEQUE_CAP");
+    assertMirrorAgrees();
+  }
+
   /// Shadow-vs-mirror agreement check (the mirror deque must hold exactly
   /// the shadow's entries after every protocol step; size is the strongest
-  /// property observable without breaking the deques' encapsulation).
+  /// property observable without breaking the deque's encapsulation).
   void assertMirrorAgrees() const {
     assert(Mirror->size() == static_cast<int>(Deque.size()) &&
            "mirror deque diverged from the protocol shadow");
@@ -483,7 +439,7 @@ private:
   std::vector<WsBucket> WsBuckets;
 
   /// ATCGEN_DEQUE support; null when the knob is unset (shadow-only).
-  std::unique_ptr<DequeMirror> Mirror;
+  std::unique_ptr<atc::TheDeque> Mirror;
 
   /// ATCGEN_TRACE support; see the file comment. TB stays null when the
   /// knob is unset, so each emission site costs one predictable branch.

@@ -96,9 +96,8 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
     Error = unknownSchedulerKindError(S);
     return false;
   }
-  S = Doc["deque"].stringOr("the");
-  if (!parseDequeKind(S, Spec.Deque)) {
-    Error = unknownDequeKindError(S);
+  if (!Doc["deque"].isNull()) {
+    Error = "field 'deque' was removed: every run uses the THE deque";
     return false;
   }
   if (!Doc["steal"].isNull()) {
@@ -130,8 +129,7 @@ std::string atc::jobSpecJson(const JobSpec &Spec) {
   Out += ", \"tenant\": \"" + escapeJson(Spec.Tenant) + "\"";
   Out += ", \"scheduler\": \"" + std::string(schedulerKindName(Spec.Kind));
   Out += "\", \"workers\": " + std::to_string(Spec.Workers);
-  Out += ", \"deque\": \"" + std::string(dequeKindName(Spec.Deque));
-  Out += "\", \"victim\": \"" + std::string(victimPolicyName(Spec.Victim));
+  Out += ", \"victim\": \"" + std::string(victimPolicyName(Spec.Victim));
   Out += "\", \"cutoff\": " + std::to_string(Spec.Cutoff);
   Out += ", \"deadline_ms\": " + std::to_string(Spec.DeadlineMs) + "}";
   return Out;

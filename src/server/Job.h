@@ -15,13 +15,14 @@
 ///
 /// \code{.json}
 ///   {"problem": "nqueens-array", "size": 11, "tenant": "alice",
-///    "scheduler": "adaptivetc", "workers": 4, "deque": "chaselev",
-///    "victim": "affinity", "cutoff": -1, "deadline_ms": 2000}
+///    "scheduler": "adaptivetc", "workers": 4, "victim": "affinity",
+///    "cutoff": -1, "deadline_ms": 2000}
 /// \endcode
 ///
-/// Unknown keys are ignored, except "steal": the steal-width option was
-/// removed (every thief takes one continuation), and a spec that still
-/// asks for it is rejected rather than silently run with one.
+/// Unknown keys are ignored, except two removed options: "steal" (every
+/// thief takes one continuation) and "deque" (every run uses the THE
+/// deque). A spec that still asks for either is rejected rather than
+/// silently run without it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +45,6 @@ struct JobSpec {
 
   SchedulerKind Kind = SchedulerKind::AdaptiveTC;
   int Workers = 0; ///< Worker threads; 0 = the server pool's full width.
-  DequeKind Deque = DequeKind::The;
   VictimPolicy Victim = VictimPolicy::Affinity;
   int Cutoff = -1; ///< Task-creation cut-off; -1 = runtime default.
 

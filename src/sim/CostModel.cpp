@@ -20,11 +20,11 @@ std::string CostModel::describe() const {
   std::snprintf(Buf, sizeof(Buf),
                 "node=%.0fns task=%.0fns deque=%.0fns alloc=%.0fns "
                 "copy=%.3fns/B state=%dB poll=%.0fns tascell_frame=%.0fns "
-                "steal=%.0fns cas_steal=%.0fns steal_fail=%.0fns "
-                "rtt=%.0fns backtrack=%.0fns sleep=%.0fns",
+                "steal=%.0fns steal_fail=%.0fns rtt=%.0fns backtrack=%.0fns "
+                "sleep=%.0fns",
                 NodeWorkNs, TaskCreateNs, DequeOpNs, AllocNs, CopyNsPerByte,
-                StateBytes, PollNs, TascellFrameNs, StealNs, CasStealNs,
-                StealFailNs, RequestRoundTripNs, BacktrackStepNs, SleepNs);
+                StateBytes, PollNs, TascellFrameNs, StealNs, StealFailNs,
+                RequestRoundTripNs, BacktrackStepNs, SleepNs);
   return Buf;
 }
 

@@ -63,12 +63,6 @@ struct CostModel {
   /// deque.
   double StealNs = 400;
 
-  /// Thief-side cost of a successful CAS-claim steal (the lock-free
-  /// deque, chaselev). One seq_cst compare-exchange plus the
-  /// frame restore — no lock round trip, so cheaper than StealNs
-  /// (micro_deque's contended-steal benches are the ballpark source).
-  double CasStealNs = 250;
-
   /// Thief-side cost of a failed steal attempt.
   double StealFailNs = 120;
 

@@ -128,7 +128,7 @@ public:
   SimReport run();
 
 private:
-  bool isDequeKind() const {
+  bool isDequeBased() const {
     return Opts.Kind == SchedulerKind::Cilk ||
            Opts.Kind == SchedulerKind::CilkSynched ||
            Opts.Kind == SchedulerKind::Cutoff ||
@@ -161,12 +161,6 @@ private:
     SimWorker &W = Workers[static_cast<std::size_t>(Wi)];
     return chooseVictim(Opts.Victim, Opts.NumWorkers, Wi, W.LastVictim,
                         W.Rng);
-  }
-
-  /// Thief-side cost of a successful claim for the configured deque kind
-  /// (THE lock round trip vs lock-free CAS).
-  double stealClaimNs() const {
-    return Opts.Deque == DequeKind::The ? C.StealNs : C.CasStealNs;
   }
 
   /// Mirrors \p W's stealable-frame count into its metrics cell — the sim
@@ -373,7 +367,7 @@ void Simulator::visitChild(SimWorker &W) {
   const CodeVersion ChildMode = T.Child;
   const int ChildDp = T.ChildDp;
   const bool Spawned = T.SpawnTask;  // real task: frame + deque + copy
-  const bool ChildStealable = Spawned && isDequeKind();
+  const bool ChildStealable = Spawned && isDequeBased();
   bool Special = false;              // ATC special-task transition
   Job *ChildJob = F.NodeJob;
 
@@ -577,8 +571,8 @@ void Simulator::dequeStealAttempt(int Wi) {
   V.StolenNum = 0;
   V.NeedTask = false;
   ATC_METRIC(V.MC, setNeedTask(false));
-  W.Now += stealClaimNs();
-  W.B.IdleNs += stealClaimNs();
+  W.Now += C.StealNs;
+  W.B.IdleNs += C.StealNs;
   emit(W, TraceEventKind::StealSuccess, static_cast<std::uint32_t>(Vi));
 
   // Detach the untried range [StealBegin, End) of the victim frame as a

@@ -63,13 +63,6 @@ struct SimOptions {
   /// Failed-steal threshold before need_task is raised (paper: 20).
   int MaxStolenNum = 20;
 
-  /// Deque kind the virtual workers are modelled with. The index
-  /// protocol is invisible at this abstraction level; what carries into
-  /// virtual time is the thief-side claim cost (CostModel::StealNs for
-  /// the THE lock round trip, CostModel::CasStealNs for the lock-free
-  /// CAS deques).
-  DequeKind Deque = DequeKind::The;
-
   /// Victim ordering for idle workers, as in SchedulerConfig::Victim.
   /// The sim's historical default is uniform random (the committed
   /// fig6/fig8/fig10 records were produced with it), so Random stays the

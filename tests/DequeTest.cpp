@@ -5,19 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Protocol tests shared by both deque kinds (the mutex THE deque and the
-/// lock-free, growable ChaseLevDeque) run as a typed suite: the kinds
-/// must be behaviourally indistinguishable to the engine, including the
-/// special-task H += 2 / pop_specialtask reset protocol and exactly-once
-/// consumption under owner-vs-many-thieves contention. The one sanctioned
-/// divergence is a full deque: the fixed THE array rejects the push while
-/// the ring grows, so that test branches on the kind.
-/// Implementation-specific behaviour (locks, slot recycling, ring growth)
-/// keeps its own tests at the bottom.
+/// Protocol tests of the THE deque, including the special-task H += 2 /
+/// pop_specialtask reset protocol and exactly-once consumption under
+/// owner-vs-many-thieves contention. They run as a typed suite over the
+/// one deque type (WsDeque<atc::TheDeque>). Behaviour tied to the
+/// implementation (the lock-free empty probe, the index rewind) keeps its
+/// own tests at the bottom.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "deque/ChaseLevDeque.h"
 #include "deque/TheDeque.h"
 
 #include <gtest/gtest.h>
@@ -26,7 +22,6 @@
 #include <mutex>
 #include <set>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 using namespace atc;
@@ -36,8 +31,8 @@ namespace {
 void *ptr(std::uintptr_t V) { return reinterpret_cast<void *>(V); }
 
 template <typename DequeT> class WsDeque : public ::testing::Test {};
-using DequeKinds = ::testing::Types<TheDeque, ChaseLevDeque>;
-TYPED_TEST_SUITE(WsDeque, DequeKinds);
+using DequeTypes = ::testing::Types<TheDeque>;
+TYPED_TEST_SUITE(WsDeque, DequeTypes);
 
 TYPED_TEST(WsDeque, PushPopLifo) {
   TypeParam D(16);
@@ -99,9 +94,7 @@ TYPED_TEST(WsDeque, PopSpecialSuccessWhenChildNotStolen) {
 
 TYPED_TEST(WsDeque, PopOwnChildThenPopSpecial) {
   // The no-steal round trip of the check version: the owner pops its own
-  // child back and then retires the special. On the ChaseLevDeque the child
-  // pop is the jump-claim arbitration path (CAS Head -> Head + 2, with
-  // the special entry re-published at the new head).
+  // child back and then retires the special.
   TypeParam D(16);
   D.tryPush(ptr(10), /*Special=*/true);
   D.tryPush(ptr(11));
@@ -160,18 +153,9 @@ TYPED_TEST(WsDeque, FullDequeOverflowsOrGrows) {
   TypeParam D(2);
   EXPECT_TRUE(D.tryPush(ptr(1)));
   EXPECT_TRUE(D.tryPush(ptr(2)));
-  if constexpr (std::is_same_v<TypeParam, ChaseLevDeque>) {
-    // The push past capacity succeeds by doubling the ring; nothing is
-    // ever rejected.
-    EXPECT_TRUE(D.tryPush(ptr(3)));
-    EXPECT_EQ(D.growCount(), 1u);
-    EXPECT_EQ(D.overflowCount(), 0u);
-    EXPECT_EQ(D.size(), 3);
-  } else {
-    EXPECT_FALSE(D.tryPush(ptr(3)));
-    EXPECT_EQ(D.overflowCount(), 1u);
-    EXPECT_EQ(D.size(), 2);
-  }
+  EXPECT_FALSE(D.tryPush(ptr(3)));
+  EXPECT_EQ(D.overflowCount(), 1u);
+  EXPECT_EQ(D.size(), 2);
 }
 
 TYPED_TEST(WsDeque, OnStealCallbackRunsForEachSteal) {
@@ -204,8 +188,8 @@ TYPED_TEST(WsDeque, HighWaterMarkTracksDepth) {
 TYPED_TEST(WsDeque, ExactlyOnceOwnerVsManyThieves) {
   constexpr int NumTokens = 30000;
   constexpr int NumThieves = 3;
-  // TheDeque indices are absolute (Head only climbs), so size the array
-  // for the worst case of every token being stolen.
+  // Room for every token, so no push can overflow whatever the thieves
+  // do.
   TypeParam D(NumTokens + 8);
   std::atomic<bool> Stop{false};
   std::vector<std::atomic<int>> Seen(NumTokens + 1);
@@ -269,7 +253,6 @@ TYPED_TEST(WsDeque, ExactlyOnceOwnerVsManyThieves) {
 TYPED_TEST(WsDeque, SpecialProtocolOwnerVsManyThieves) {
   constexpr int Rounds = 4000;
   constexpr int NumThieves = 3;
-  // TheDeque's absolute indices climb by one per stolen round.
   TypeParam D(Rounds + 8);
   std::atomic<bool> Stop{false};
   // Children are 1..Rounds; specials are Rounds+1..2*Rounds.
@@ -332,148 +315,33 @@ TEST(TheDeque, EmptyProbeSkipsTheLock) {
   EXPECT_EQ(D.lockAcquireCount(), 1u);
 }
 
-TEST(ChaseLev, NeverTakesALock) {
-  ChaseLevDeque D(16);
-  D.tryPush(ptr(1));
-  EXPECT_EQ(D.steal().Status, StealResult::Status::Success);
-  EXPECT_EQ(D.lockAcquireCount(), 0u);
-}
-
-TEST(ChaseLev, CircularBufferRecyclesSlots) {
-  // Unlike TheDeque's absolute indices, the ChaseLevDeque maps monotonic
-  // indices onto a small circular buffer: steady-state churn far beyond
-  // the capacity needs no reset, and — the depth never exceeding the
-  // ring — no growth either.
-  ChaseLevDeque D(4);
+TEST(TheDeque, FailedPopsRewindTheIndices) {
+  // Each round a thief takes the only entry and the owner's pop then
+  // fails. The deque is empty after every round, so the next push must
+  // land in slot 0 again: a 1-entry array holds the whole sequence and
+  // the high-water mark stays at 1.
+  TheDeque D(1);
   for (std::uintptr_t I = 1; I <= 100; ++I) {
-    ASSERT_TRUE(D.tryPush(ptr(I), /*Special=*/I % 5 == 0));
-    ASSERT_TRUE(D.tryPush(ptr(1000 + I)));
-    if (I % 2 == 0) {
-      StealResult R = D.steal();
-      ASSERT_EQ(R.Status, StealResult::Status::Success);
-      // The head entry, or — every tenth round — the special's child.
-      ASSERT_EQ(R.Frame, I % 5 == 0 ? ptr(1000 + I) : ptr(I));
-      ASSERT_EQ(D.pop(), I % 5 == 0 ? PopResult::Failure
-                                    : PopResult::Success);
-      if (I % 5 == 0) {
-        ASSERT_EQ(D.popSpecial(), PopResult::Failure);
-      }
-    } else {
-      // Popping the child jump-claims the special when one sits below it
-      // and re-publishes it; popSpecial then retires the re-published
-      // entry instead of a second pop.
-      ASSERT_EQ(D.pop(), PopResult::Success);
-      if (I % 5 == 0) {
-        ASSERT_EQ(D.popSpecial(), PopResult::Success);
-      } else {
-        ASSERT_EQ(D.pop(), PopResult::Success);
-      }
-    }
-    ASSERT_TRUE(D.empty()) << "round " << I;
+    ASSERT_TRUE(D.tryPush(ptr(I))) << "round " << I;
+    ASSERT_EQ(D.steal().Frame, ptr(I));
+    ASSERT_EQ(D.pop(), PopResult::Failure);
+    ASSERT_TRUE(D.empty());
   }
-  EXPECT_EQ(D.growCount(), 0u);
-  EXPECT_EQ(D.capacity(), 4);
-}
+  EXPECT_EQ(D.highWaterMark(), 1);
 
-TEST(ChaseLev, CapacityRoundsUpToPowerOfTwo) {
-  ChaseLevDeque D(5);
-  EXPECT_EQ(D.capacity(), 8);
-}
-
-TEST(ChaseLev, GrowsInsteadOfOverflowing) {
-  ChaseLevDeque D(2);
-  for (std::uintptr_t I = 1; I <= 100; ++I)
-    ASSERT_TRUE(D.tryPush(ptr(I)));
-  EXPECT_GT(D.growCount(), 0u);
-  EXPECT_EQ(D.overflowCount(), 0u);
-  EXPECT_GE(D.capacity(), 100);
-  EXPECT_EQ(D.highWaterMark(), 100);
-  // LIFO order survives the copies into successively larger rings.
-  for (int I = 0; I < 100; ++I)
-    ASSERT_EQ(D.pop(), PopResult::Success);
-  EXPECT_TRUE(D.empty());
-}
-
-TEST(ChaseLev, GrowthPreservesSpecialProtocol) {
-  // A special sitting at the head must guard its children across ring
-  // growth: grow while the special is live, then check both epilogue
-  // outcomes still hold.
-  ChaseLevDeque D(2);
-  ASSERT_TRUE(D.tryPush(ptr(100), /*Special=*/true));
-  for (std::uintptr_t I = 1; I <= 9; ++I)
-    ASSERT_TRUE(D.tryPush(ptr(I))); // forces at least two grows
-  EXPECT_GT(D.growCount(), 0u);
-  // A thief jump-claims the oldest child through the special.
-  StealResult R = D.steal();
-  ASSERT_EQ(R.Status, StealResult::Status::Success);
-  EXPECT_EQ(R.Frame, ptr(1)) << "thief must steal the special's child";
-  // The remaining children are plain entries again.
-  for (std::uintptr_t I = 2; I <= 9; ++I) {
-    R = D.steal();
-    ASSERT_EQ(R.Status, StealResult::Status::Success);
-    EXPECT_EQ(R.Frame, ptr(I));
+  // The same for the special-task epilogue: the thief takes the special's
+  // child through the H += 2 jump, then both owner pops fail, and the
+  // next round's special lands in slot 0 again.
+  TheDeque DS(2);
+  for (std::uintptr_t I = 1; I <= 100; ++I) {
+    ASSERT_TRUE(DS.tryPush(ptr(1000 + I), /*Special=*/true)) << "round " << I;
+    ASSERT_TRUE(DS.tryPush(ptr(I))) << "round " << I;
+    ASSERT_EQ(DS.steal().Frame, ptr(I));
+    ASSERT_EQ(DS.pop(), PopResult::Failure);
+    ASSERT_EQ(DS.popSpecial(), PopResult::Failure);
+    ASSERT_TRUE(DS.empty());
   }
-  EXPECT_EQ(D.pop(), PopResult::Failure);
-  EXPECT_EQ(D.popSpecial(), PopResult::Failure);
-  EXPECT_TRUE(D.empty());
-}
-
-/// Exactly-once accounting while the ring grows under live thieves: the
-/// owner outruns its pops so the deque deepens past several doublings
-/// with steals in flight — the ordering the grow publication (buffer
-/// release-store before the Tail store that publishes into it) exists
-/// for. Same shadow-stack attribution as the typed stress above.
-TEST(ChaseLev, GrowsUnderContentionExactlyOnce) {
-  constexpr int NumTokens = 50000;
-  constexpr int NumThieves = 3;
-  ChaseLevDeque D(8);
-  std::atomic<bool> Stop{false};
-  std::vector<std::atomic<int>> Seen(NumTokens + 1);
-
-  std::vector<std::thread> Thieves;
-  Thieves.reserve(NumThieves);
-  for (int T = 0; T < NumThieves; ++T)
-    Thieves.emplace_back([&] {
-      while (!Stop.load(std::memory_order_acquire)) {
-        StealResult R = D.steal();
-        if (R.Status == StealResult::Status::Success)
-          Seen[reinterpret_cast<std::uintptr_t>(R.Frame)].fetch_add(1);
-      }
-    });
-
-  std::vector<std::uintptr_t> Shadow;
-  for (std::uintptr_t I = 1; I <= NumTokens; ++I) {
-    ASSERT_TRUE(D.tryPush(ptr(I)));
-    Shadow.push_back(I);
-    // Pop rarely relative to pushes so depth (and the ring) keeps
-    // growing while the thieves race.
-    if (I % 64 == 0) {
-      if (D.pop() == PopResult::Success) {
-        Seen[Shadow.back()].fetch_add(1);
-        Shadow.pop_back();
-      } else {
-        Shadow.clear();
-      }
-    }
-  }
-  while (!Shadow.empty()) {
-    if (D.pop() == PopResult::Success) {
-      Seen[Shadow.back()].fetch_add(1);
-      Shadow.pop_back();
-    } else {
-      Shadow.clear();
-    }
-  }
-  while (!D.empty())
-    std::this_thread::yield();
-  Stop.store(true, std::memory_order_release);
-  for (std::thread &T : Thieves)
-    T.join();
-
-  EXPECT_GT(D.growCount(), 0u) << "stress never exercised growth";
-  for (int I = 1; I <= NumTokens; ++I)
-    ASSERT_EQ(Seen[static_cast<std::size_t>(I)].load(), 1)
-        << "token " << I;
+  EXPECT_EQ(DS.highWaterMark(), 2);
 }
 
 } // namespace

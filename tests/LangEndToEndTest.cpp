@@ -151,22 +151,20 @@ TEST(LangEndToEnd, NQueensCorrectWithDequeMirror) {
   // ATCGEN_DEQUE mirrors every protocol operation into a real scheduler
   // deque with step-by-step agreement asserts; an abort (protocol
   // divergence) fails the exit-status check inside compileAndRun.
-  for (const char *Kind : {"the", "chaselev"})
-    EXPECT_EQ(compileAndRun(NQueensSrc, std::string("ATCGEN_DEQUE=") + Kind),
-              "92\n")
-        << Kind;
+  EXPECT_EQ(compileAndRun(NQueensSrc, "ATCGEN_DEQUE=the"), "92\n");
 }
 
 TEST(LangEndToEnd, DequeMirrorComposesWithForcedSpecialTasks) {
-  // Forced need_task drives pushSpecial/popSpecial through the mirror;
-  // a 2-entry initial capacity forces ChaseLev ring growth mid-run (the
-  // fixed THE array gets the same protocol at default capacity).
-  EXPECT_EQ(compileAndRun(NQueensSrc, "ATCGEN_DEQUE=chaselev "
-                                      "ATCGEN_DEQUE_CAP=2 "
-                                      "ATCGEN_FORCE_NEEDTASK=3"),
-            "92\n");
+  // Forced need_task drives pushSpecial/popSpecial through the mirror,
+  // at the default capacity and in an array of exactly the FSM's bound
+  // (Figure 2 as published: 3C + 1 = 10 at the generated main's default
+  // cut-off of 3), where a push past the end would abort.
   EXPECT_EQ(compileAndRun(NQueensSrc,
                           "ATCGEN_DEQUE=the ATCGEN_FORCE_NEEDTASK=3"),
+            "92\n");
+  EXPECT_EQ(compileAndRun(NQueensSrc, "ATCGEN_DEQUE=the "
+                                      "ATCGEN_DEQUE_CAP=10 "
+                                      "ATCGEN_FORCE_NEEDTASK=3"),
             "92\n");
 }
 
@@ -181,7 +179,7 @@ TEST(LangEndToEnd, BadDequeCapIsRejected) {
   const struct {
     const char *Var;
     std::string Env;
-  } Vars[] = {{"ATCGEN_DEQUE_CAP", "ATCGEN_DEQUE=chaselev"},
+  } Vars[] = {{"ATCGEN_DEQUE_CAP", "ATCGEN_DEQUE=the"},
               {"ATCGEN_TRACE_CAP", "ATCGEN_TRACE='" + TracePath + "'"}};
   for (const auto &V : Vars)
     for (const char *Cap : {"4294967297", "99999999999999999999",
@@ -197,20 +195,22 @@ TEST(LangEndToEnd, BadDequeCapIsRejected) {
           << V.Var << " '" << Cap << "': " << Out;
     }
   int Status = 0;
-  EXPECT_EQ(runBinary(BinPath, "ATCGEN_DEQUE=chaselev ATCGEN_DEQUE_CAP=64",
+  EXPECT_EQ(runBinary(BinPath, "ATCGEN_DEQUE=the ATCGEN_DEQUE_CAP=64",
                       Status),
             "92\n");
   EXPECT_EQ(Status, 0);
-  // An unknown kind is the same usage error; the deleted "atomic" kind is
-  // unknown rather than remapped to the unbounded chaselev.
-  std::string Out =
-      runBinary(BinPath, "ATCGEN_DEQUE=atomic", Status, /*WithStderr=*/true);
-  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
-      << "status " << Status;
-  EXPECT_NE(Out.find("unknown ATCGEN_DEQUE kind 'atomic' "
-                     "(expected the|chaselev)"),
-            std::string::npos)
-      << Out;
+  // An unknown kind is the same usage error; the deleted "atomic" and
+  // "chaselev" kinds are unknown rather than remapped to "the".
+  for (const char *Kind : {"atomic", "chaselev"}) {
+    std::string Out = runBinary(BinPath, std::string("ATCGEN_DEQUE=") + Kind,
+                                Status, /*WithStderr=*/true);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
+        << Kind << ": status " << Status;
+    EXPECT_NE(Out.find(std::string("unknown ATCGEN_DEQUE kind '") + Kind +
+                       "' (expected the)"),
+              std::string::npos)
+        << Out;
+  }
   std::remove(BinPath.c_str());
   std::remove(TracePath.c_str());
 }

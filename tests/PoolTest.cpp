@@ -96,7 +96,7 @@ TEST(SchedulerPool, BackToBackDispatchesCountEpochs) {
 // Pool reuse across the full scheduler matrix
 //===----------------------------------------------------------------------===//
 
-// One pool, every scheduler kind over every deque, two jobs each: every
+// One pool, every scheduler kind, two jobs each: every
 // job computes the right answer, its stats partition the tree exactly
 // (proof the counters are this job's alone, not an accumulation), and
 // every worker loop ran on the same index-aligned pool threads — no
@@ -120,39 +120,35 @@ TEST(PoolReuse, AllKindsAllDequesOnOnePool) {
   const SchedulerKind Kinds[] = {
       SchedulerKind::Cilk, SchedulerKind::CilkSynched, SchedulerKind::Cutoff,
       SchedulerKind::AdaptiveTC, SchedulerKind::Tascell};
-  const DequeKind Deques[] = {DequeKind::The, DequeKind::ChaseLev};
 
   int Jobs = 0;
-  for (SchedulerKind Kind : Kinds)
-    for (DequeKind DQ : Deques) {
-      std::uint64_t FirstRepNodes = 0;
-      for (int Rep = 0; Rep != 2; ++Rep) {
-        SchedulerConfig Cfg;
-        Cfg.Kind = Kind;
-        Cfg.Deque = DQ;
-        Cfg.NumWorkers = 4;
-        Cfg.Executor = &Exec;
-        const std::string What = std::string(schedulerKindName(Kind)) + "/" +
-                                 dequeKindName(DQ) + " rep " +
-                                 std::to_string(Rep);
-        RunResult<long long> R = runProblem(Prob, Root, Cfg);
-        ++Jobs;
-        EXPECT_EQ(R.Value, Expected) << What;
-        std::uint64_t NodeCount = R.Stats.TasksCreated + R.Stats.FakeTasks;
-        if (Kind != SchedulerKind::Tascell) {
-          // Deque-based kinds partition the tree exactly.
-          EXPECT_EQ(NodeCount, static_cast<std::uint64_t>(Profile.Nodes))
-              << What << ": stats leaked across pool jobs";
-        } else if (Rep == 0) {
-          // Tascell's task accounting has its own (deterministic)
-          // semantics; cross-rep equality is the leak detector there.
-          FirstRepNodes = NodeCount;
-        } else {
-          EXPECT_EQ(NodeCount, FirstRepNodes)
-              << What << ": stats leaked across pool jobs";
-        }
+  for (SchedulerKind Kind : Kinds) {
+    std::uint64_t FirstRepNodes = 0;
+    for (int Rep = 0; Rep != 2; ++Rep) {
+      SchedulerConfig Cfg;
+      Cfg.Kind = Kind;
+      Cfg.NumWorkers = 4;
+      Cfg.Executor = &Exec;
+      const std::string What = std::string(schedulerKindName(Kind)) +
+                               " rep " + std::to_string(Rep);
+      RunResult<long long> R = runProblem(Prob, Root, Cfg);
+      ++Jobs;
+      EXPECT_EQ(R.Value, Expected) << What;
+      std::uint64_t NodeCount = R.Stats.TasksCreated + R.Stats.FakeTasks;
+      if (Kind != SchedulerKind::Tascell) {
+        // Deque-based kinds partition the tree exactly.
+        EXPECT_EQ(NodeCount, static_cast<std::uint64_t>(Profile.Nodes))
+            << What << ": stats leaked across pool jobs";
+      } else if (Rep == 0) {
+        // Tascell's task accounting has its own (deterministic)
+        // semantics; cross-rep equality is the leak detector there.
+        FirstRepNodes = NodeCount;
+      } else {
+        EXPECT_EQ(NodeCount, FirstRepNodes)
+            << What << ": stats leaked across pool jobs";
       }
     }
+  }
 
   // No thread was ever respawned: the id vector is bit-identical, and
   // every job's worker i ran on pool thread i.

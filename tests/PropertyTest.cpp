@@ -476,9 +476,9 @@ TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   // need_task pushes one special task, and its fast_2 child pushes only
   // below depth 2C before falling into sequence, which never pushes or
   // polls again; an owner helping at a stolen special's sync has an empty
-  // deque. So occupancy stays <= 6C + 1. The Chase-Lev deque reports
-  // occupancy as its high-water mark; the THE array reports absolute
-  // indices, which equal occupancy only while no thief moves the head.
+  // deque. So occupancy stays <= 6C + 1. The THE array's indices rewind
+  // whenever a failed pop empties it, so its high-water mark is the
+  // deepest spawn chain, which that bound covers.
   FibProblem Prob;
   const long long Expected = FibProblem::fibValue(22);
   SchedulerConfig Cfg;
@@ -504,15 +504,14 @@ TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   EXPECT_EQ(Cilk.Stats.DequeHighWater, Bound);
   EXPECT_EQ(Atc1.Stats.DequeHighWater, 0);
 
-  // Four workers: AdaptiveTC's occupancy never exceeds the same
-  // capacity, measured on the Chase-Lev deque, whose high-water mark is
-  // occupancy under steals too.
+  // Four workers: AdaptiveTC never overflows the same capacity, under
+  // steals too.
   Cfg.Kind = SchedulerKind::AdaptiveTC;
-  Cfg.Deque = DequeKind::ChaseLev;
   for (int Rep = 0; Rep < 10; ++Rep) {
     Cfg.Seed = 0x0f10 + static_cast<std::uint64_t>(Rep);
     auto Atc = runProblem(Prob, FibProblem::makeRoot(22), Cfg);
     EXPECT_EQ(Atc.Value, Expected);
+    EXPECT_EQ(Atc.Stats.DequeOverflows, 0u) << "rep " << Rep;
     EXPECT_LE(Atc.Stats.DequeHighWater, Bound) << "rep " << Rep;
   }
 }

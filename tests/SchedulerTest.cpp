@@ -35,10 +35,19 @@ using namespace atc;
 
 namespace {
 
-/// The matrix's deque setups: the two DequeKinds, plus the Chase-Lev
-/// deque started from a 2-slot ring, so a run that holds more than two
-/// entries grows the ring while thieves are stealing from it.
-enum class MatrixDeque { The, ChaseLev, SmallRing };
+/// The matrix's THE deque setups. GoogleTest prints the parameter's bytes
+/// in every test name, so the enumerators keep the byte values (0, 1, 2)
+/// and the row labels (none, "_chaselev", "_atomic") that the deleted deque
+/// kinds gave them:
+///
+///  * The (0, no label)          - the default capacity (8192 entries).
+///  * FsmBound (1, "_chaselev")  - capacity FiveVersionFsm::maxOwnerPushes()
+///                                 (6C + 1): an AdaptiveTC run must never
+///                                 overflow it, and the other kinds
+///                                 degrade their overflowing spawns.
+///  * TwoSlots (2, "_atomic")    - capacity 2: every kind overflows while
+///                                 thieves are stealing.
+enum class MatrixDeque { The, FsmBound, TwoSlots };
 
 struct MatrixCase {
   SchedulerKind Kind;
@@ -56,11 +65,10 @@ std::string caseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
   for (char &C : Name)
     if (C == '-')
       C = '_';
-  // Small-ring rows keep the label they had while the lock-free deque
-  // also had a growth-off ("atomic") mode.
-  if (Info.param.Deque == MatrixDeque::ChaseLev)
+  // Labels from the deleted deque kinds; see MatrixDeque.
+  if (Info.param.Deque == MatrixDeque::FsmBound)
     Name += "_chaselev";
-  else if (Info.param.Deque == MatrixDeque::SmallRing)
+  else if (Info.param.Deque == MatrixDeque::TwoSlots)
     Name += "_atomic";
   if (Info.param.Victim != VictimPolicy::Affinity)
     Name += std::string("_") + victimPolicyName(Info.param.Victim);
@@ -71,16 +79,17 @@ SchedulerConfig makeConfig(const MatrixCase &MC) {
   SchedulerConfig Cfg;
   Cfg.Kind = MC.Kind;
   Cfg.NumWorkers = MC.Threads;
-  Cfg.Deque = MC.Deque == MatrixDeque::The ? DequeKind::The
-                                           : DequeKind::ChaseLev;
-  if (MC.Deque == MatrixDeque::SmallRing)
+  if (MC.Deque == MatrixDeque::FsmBound)
+    Cfg.DequeCapacity =
+        AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes();
+  else if (MC.Deque == MatrixDeque::TwoSlots)
     Cfg.DequeCapacity = 2;
   Cfg.Victim = MC.Victim;
   return Cfg;
 }
 
-constexpr MatrixDeque ChaseLevDQ = MatrixDeque::ChaseLev;
-constexpr MatrixDeque SmallRingDQ = MatrixDeque::SmallRing;
+constexpr MatrixDeque FsmBoundDQ = MatrixDeque::FsmBound;
+constexpr MatrixDeque TwoSlotsDQ = MatrixDeque::TwoSlots;
 constexpr VictimPolicy RandomVP = VictimPolicy::Random;
 
 const MatrixCase AllCases[] = {
@@ -93,102 +102,109 @@ const MatrixCase AllCases[] = {
     {SchedulerKind::AdaptiveTC, 4},  {SchedulerKind::AdaptiveTC, 8},
     {SchedulerKind::Tascell, 1},     {SchedulerKind::Tascell, 2},
     {SchedulerKind::Tascell, 4},     {SchedulerKind::Tascell, 8},
-    // The same deque-backed engine kinds over the lock-free, growable
-    // ChaseLevDeque: the deque choice must be invisible to the results,
-    // also when the ring starts at 2 slots and has to grow mid-run ...
-    {SchedulerKind::Cilk, 1, SmallRingDQ},
-    {SchedulerKind::Cilk, 4, SmallRingDQ},
-    {SchedulerKind::Cilk, 8, SmallRingDQ},
-    {SchedulerKind::CilkSynched, 4, SmallRingDQ},
-    {SchedulerKind::CilkSynched, 8, SmallRingDQ},
-    {SchedulerKind::Cutoff, 4, SmallRingDQ},
-    {SchedulerKind::Cutoff, 8, SmallRingDQ},
-    {SchedulerKind::AdaptiveTC, 1, SmallRingDQ},
-    {SchedulerKind::AdaptiveTC, 2, SmallRingDQ},
-    {SchedulerKind::AdaptiveTC, 4, SmallRingDQ},
-    {SchedulerKind::AdaptiveTC, 8, SmallRingDQ},
-    // ... and when it starts at the default size.
-    {SchedulerKind::Cilk, 1, ChaseLevDQ},
-    {SchedulerKind::Cilk, 4, ChaseLevDQ},
-    {SchedulerKind::Cilk, 8, ChaseLevDQ},
-    {SchedulerKind::CilkSynched, 4, ChaseLevDQ},
-    {SchedulerKind::CilkSynched, 8, ChaseLevDQ},
-    {SchedulerKind::Cutoff, 4, ChaseLevDQ},
-    {SchedulerKind::Cutoff, 8, ChaseLevDQ},
-    {SchedulerKind::AdaptiveTC, 1, ChaseLevDQ},
-    {SchedulerKind::AdaptiveTC, 2, ChaseLevDQ},
-    {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ},
-    {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ},
+    // The same deque-backed engine kinds over a 2-slot THE array: spawns
+    // that overflow it run as plain calls, so the capacity must be
+    // invisible to the results ...
+    {SchedulerKind::Cilk, 1, TwoSlotsDQ},
+    {SchedulerKind::Cilk, 4, TwoSlotsDQ},
+    {SchedulerKind::Cilk, 8, TwoSlotsDQ},
+    {SchedulerKind::CilkSynched, 4, TwoSlotsDQ},
+    {SchedulerKind::CilkSynched, 8, TwoSlotsDQ},
+    {SchedulerKind::Cutoff, 4, TwoSlotsDQ},
+    {SchedulerKind::Cutoff, 8, TwoSlotsDQ},
+    {SchedulerKind::AdaptiveTC, 1, TwoSlotsDQ},
+    {SchedulerKind::AdaptiveTC, 2, TwoSlotsDQ},
+    {SchedulerKind::AdaptiveTC, 4, TwoSlotsDQ},
+    {SchedulerKind::AdaptiveTC, 8, TwoSlotsDQ},
+    // ... and over an array of exactly the FSM's bound, which AdaptiveTC
+    // must never overflow.
+    {SchedulerKind::Cilk, 1, FsmBoundDQ},
+    {SchedulerKind::Cilk, 4, FsmBoundDQ},
+    {SchedulerKind::Cilk, 8, FsmBoundDQ},
+    {SchedulerKind::CilkSynched, 4, FsmBoundDQ},
+    {SchedulerKind::CilkSynched, 8, FsmBoundDQ},
+    {SchedulerKind::Cutoff, 4, FsmBoundDQ},
+    {SchedulerKind::Cutoff, 8, FsmBoundDQ},
+    {SchedulerKind::AdaptiveTC, 1, FsmBoundDQ},
+    {SchedulerKind::AdaptiveTC, 2, FsmBoundDQ},
+    {SchedulerKind::AdaptiveTC, 4, FsmBoundDQ},
+    {SchedulerKind::AdaptiveTC, 8, FsmBoundDQ},
     // The non-default victim ordering must likewise be invisible to the
     // results.
-    {SchedulerKind::Cilk, 4, ChaseLevDQ, 0, RandomVP},
-    {SchedulerKind::AdaptiveTC, 4, ChaseLevDQ, 0, RandomVP},
-    {SchedulerKind::AdaptiveTC, 8, ChaseLevDQ, 0, RandomVP},
+    {SchedulerKind::Cilk, 4, FsmBoundDQ, 0, RandomVP},
+    {SchedulerKind::AdaptiveTC, 4, FsmBoundDQ, 0, RandomVP},
+    {SchedulerKind::AdaptiveTC, 8, FsmBoundDQ, 0, RandomVP},
     {SchedulerKind::Tascell, 4, MatrixDeque::The, 0, RandomVP},
     {SchedulerKind::Tascell, 8, MatrixDeque::The, 0, RandomVP},
 };
 
-class SchedulerMatrix : public ::testing::TestWithParam<MatrixCase> {};
+class SchedulerMatrix : public ::testing::TestWithParam<MatrixCase> {
+protected:
+  /// Runs \p Prob from \p Root under the row's setup and checks the
+  /// value. On the FSM-bound array an AdaptiveTC run must also never
+  /// overflow.
+  template <SearchProblem P>
+  void expectRun(P &Prob, const typename P::State &Root,
+                 long long Expected) {
+    const MatrixCase &MC = GetParam();
+    auto R = runProblem(Prob, Root, makeConfig(MC));
+    EXPECT_EQ(R.Value, Expected);
+    if (MC.Kind == SchedulerKind::AdaptiveTC &&
+        MC.Deque == MatrixDeque::FsmBound) {
+      EXPECT_EQ(R.Stats.DequeOverflows, 0u)
+          << "high-water " << R.Stats.DequeHighWater;
+    }
+  }
+};
 
 TEST_P(SchedulerMatrix, NQueensArray) {
   NQueensArray Prob;
   auto Root = NQueensArray::makeRoot(9);
   long long Expected = runSequential(Prob, Root);
-  auto R = runProblem(Prob, NQueensArray::makeRoot(9), makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, Expected);
+  expectRun(Prob, NQueensArray::makeRoot(9), Expected);
 }
 
 TEST_P(SchedulerMatrix, NQueensCompute) {
   NQueensCompute Prob;
   auto Root = NQueensCompute::makeRoot(9);
   long long Expected = runSequential(Prob, Root);
-  auto R =
-      runProblem(Prob, NQueensCompute::makeRoot(9), makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, Expected);
+  expectRun(Prob, NQueensCompute::makeRoot(9), Expected);
 }
 
 TEST_P(SchedulerMatrix, Fib) {
   FibProblem Prob;
-  auto R = runProblem(Prob, FibProblem::makeRoot(22), makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, FibProblem::fibValue(22));
+  expectRun(Prob, FibProblem::makeRoot(22), FibProblem::fibValue(22));
 }
 
 TEST_P(SchedulerMatrix, Comp) {
   CompProblem Prob(600, /*ValueRange=*/32);
-  auto R = runProblem(Prob, Prob.makeRoot(), makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, Prob.referenceCount());
+  expectRun(Prob, Prob.makeRoot(), Prob.referenceCount());
 }
 
 TEST_P(SchedulerMatrix, KnightsTour5x5) {
   KnightsTour Prob;
-  auto R = runProblem(Prob, KnightsTour::makeRoot(5, 0, 0),
-                      makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, 304);
+  expectRun(Prob, KnightsTour::makeRoot(5, 0, 0), 304);
 }
 
 TEST_P(SchedulerMatrix, Strimko5) {
   Strimko Prob;
   auto Root = Strimko::makeRoot(5);
   long long Expected = runSequential(Prob, Root);
-  auto R = runProblem(Prob, Strimko::makeRoot(5), makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, Expected);
+  expectRun(Prob, Strimko::makeRoot(5), Expected);
 }
 
 TEST_P(SchedulerMatrix, SudokuBalance) {
   Sudoku Prob;
   auto Root = Sudoku::makeInstance("balance");
   long long Expected = runSequential(Prob, Root);
-  auto R = runProblem(Prob, Sudoku::makeInstance("balance"),
-                      makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, Expected);
+  expectRun(Prob, Sudoku::makeInstance("balance"), Expected);
 }
 
 TEST_P(SchedulerMatrix, PentominoSmall) {
   Pentomino Prob(5, 5, 5);
   auto Root = Prob.makeRoot();
   long long Expected = runSequential(Prob, Root);
-  auto R = runProblem(Prob, Prob.makeRoot(), makeConfig(GetParam()));
-  EXPECT_EQ(R.Value, Expected);
+  expectRun(Prob, Prob.makeRoot(), Expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, SchedulerMatrix,
@@ -426,33 +442,12 @@ TEST(SchedulerBehaviour, SpecialTasksFireUnderStealPressure) {
       << "check->fast_2 transition never fired under forced pressure";
 }
 
-TEST(SchedulerBehaviour, SpecialTasksFireWithChaseLevDeque) {
-  // Forced pressure over the growable deque: the Head += 2 jump, the
-  // owner-side popSpecial accounting AND ring growth (tiny initial
-  // capacity) must carry the protocol end to end.
-  NQueensArray Prob;
-  SchedulerConfig Cfg;
-  Cfg.Kind = SchedulerKind::AdaptiveTC;
-  Cfg.Deque = DequeKind::ChaseLev;
-  Cfg.DequeCapacity = 2; // grows under the run's own spawns
-  Cfg.NumWorkers = 4;
-  Cfg.MaxStolenNum = 0;
-  std::uint64_t Specials = 0;
-  for (int Attempt = 0; Attempt < 10 && Specials == 0; ++Attempt) {
-    Cfg.Seed = 277 + static_cast<std::uint64_t>(Attempt);
-    auto R = runProblem(Prob, NQueensArray::makeRoot(11), Cfg);
-    ASSERT_EQ(R.Value, 2680) << "attempt " << Attempt;
-    Specials = R.Stats.SpecialTasks;
-  }
-  EXPECT_GT(Specials, 0u)
-      << "special-task path never fired on the Chase-Lev deque";
-}
-
 TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
   // The Spine variant's first-child chains are what thieves take on a
-  // left-heavy tree. Every deque kind and steal policy must still sum the
-  // leaves exactly, and the Chase-Lev deque (which reports occupancy as
-  // its high-water mark) must stay within the FSM's bound of 6C + 1.
+  // left-heavy tree. The leaves must still sum exactly, and the THE
+  // array's high-water mark must stay within the FSM's bound of 6C + 1:
+  // its indices rewind whenever a failed pop empties it, so the mark
+  // tracks one spawn chain's depth, under steals too.
   SyntheticTreeProblem Prob(SimTree::preset("tree3l", 20'000));
   const long long Expected = Prob.expectedLeaves();
   // The bound's first term is the spine: one entry per spawn depth below
@@ -469,23 +464,17 @@ TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
     EXPECT_EQ(R.Value, Expected) << "cut-off " << Cutoff;
     EXPECT_EQ(R.Stats.DequeHighWater, 4 * Cutoff) << "cut-off " << Cutoff;
   }
-  for (int Threads : {4, 8})
-    for (DequeKind DQ : {DequeKind::The, DequeKind::ChaseLev}) {
-      SchedulerConfig Cfg;
-      Cfg.Kind = SchedulerKind::AdaptiveTC;
-      Cfg.NumWorkers = Threads;
-      Cfg.Deque = DQ;
-      auto R = runProblem(Prob, Prob.makeRoot(), Cfg);
-      const std::string Where =
-          std::to_string(Threads) + " workers, " + dequeKindName(DQ);
-      EXPECT_EQ(R.Value, Expected) << Where;
-      if (DQ == DequeKind::ChaseLev) {
-        EXPECT_LE(R.Stats.DequeHighWater,
-                  AdaptiveTCTaskPolicy(Cfg.effectiveCutoff())
-                      .Fsm.maxOwnerPushes())
-            << Where;
-      }
-    }
+  for (int Threads : {4, 8}) {
+    SchedulerConfig Cfg;
+    Cfg.Kind = SchedulerKind::AdaptiveTC;
+    Cfg.NumWorkers = Threads;
+    auto R = runProblem(Prob, Prob.makeRoot(), Cfg);
+    const std::string Where = std::to_string(Threads) + " workers";
+    EXPECT_EQ(R.Value, Expected) << Where;
+    EXPECT_LE(R.Stats.DequeHighWater,
+              AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes())
+        << Where;
+  }
 }
 
 namespace {
@@ -583,17 +572,15 @@ TEST(SyntheticTree, MemoIsPerInstance) {
 //===----------------------------------------------------------------------===//
 
 // Every tree node runs under exactly one code version, so the kernel's
-// accounting must partition the tree for every task-creation policy over
-// every deque kind: real tasks + fake tasks = tree nodes, and every
-// steal attempt resolves to a steal or a fail. This is the cross-policy
+// accounting must partition the tree for every task-creation policy:
+// real tasks + fake tasks = tree nodes, and every steal attempt resolves
+// to a steal or a fail. This is the cross-policy
 // uniformity the shared WorkerRuntime guarantees.
 TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
   const SchedulerKind Kinds[] = {SchedulerKind::Cilk,
                                  SchedulerKind::CilkSynched,
                                  SchedulerKind::Cutoff,
                                  SchedulerKind::AdaptiveTC};
-  const DequeKind Deques[] = {DequeKind::The, DequeKind::ChaseLev};
-
   NQueensArray NQ;
   auto NQRoot = NQueensArray::makeRoot(9);
   long long NQExpected = runSequential(NQ, NQRoot);
@@ -612,31 +599,28 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
     profileTree(SU, S, SUProfile);
   }
 
-  for (SchedulerKind Kind : Kinds)
-    for (DequeKind DQ : Deques) {
-      SchedulerConfig Cfg;
-      Cfg.Kind = Kind;
-      Cfg.Deque = DQ;
-      Cfg.NumWorkers = 4;
-      const std::string What =
-          std::string(schedulerKindName(Kind)) + "/" + dequeKindName(DQ);
+  for (SchedulerKind Kind : Kinds) {
+    SchedulerConfig Cfg;
+    Cfg.Kind = Kind;
+    Cfg.NumWorkers = 4;
+    const std::string What = schedulerKindName(Kind);
 
-      auto RN = runProblem(NQ, NQueensArray::makeRoot(9), Cfg);
-      EXPECT_EQ(RN.Value, NQExpected) << What;
-      EXPECT_EQ(RN.Stats.TasksCreated + RN.Stats.FakeTasks,
-                static_cast<std::uint64_t>(NQProfile.Nodes))
-          << What << ": node accounting does not partition the tree";
-      EXPECT_EQ(RN.Stats.StealAttempts, RN.Stats.Steals + RN.Stats.StealFails)
-          << What;
+    auto RN = runProblem(NQ, NQueensArray::makeRoot(9), Cfg);
+    EXPECT_EQ(RN.Value, NQExpected) << What;
+    EXPECT_EQ(RN.Stats.TasksCreated + RN.Stats.FakeTasks,
+              static_cast<std::uint64_t>(NQProfile.Nodes))
+        << What << ": node accounting does not partition the tree";
+    EXPECT_EQ(RN.Stats.StealAttempts, RN.Stats.Steals + RN.Stats.StealFails)
+        << What;
 
-      auto RS = runProblem(SU, Sudoku::makeInstance("balance"), Cfg);
-      EXPECT_EQ(RS.Value, SUExpected) << What;
-      EXPECT_EQ(RS.Stats.TasksCreated + RS.Stats.FakeTasks,
-                static_cast<std::uint64_t>(SUProfile.Nodes))
-          << What << ": node accounting does not partition the tree";
-      EXPECT_EQ(RS.Stats.StealAttempts, RS.Stats.Steals + RS.Stats.StealFails)
-          << What;
-    }
+    auto RS = runProblem(SU, Sudoku::makeInstance("balance"), Cfg);
+    EXPECT_EQ(RS.Value, SUExpected) << What;
+    EXPECT_EQ(RS.Stats.TasksCreated + RS.Stats.FakeTasks,
+              static_cast<std::uint64_t>(SUProfile.Nodes))
+        << What << ": node accounting does not partition the tree";
+    EXPECT_EQ(RS.Stats.StealAttempts, RS.Stats.Steals + RS.Stats.StealFails)
+        << What;
+  }
 }
 
 /// Tree size and the root's applied-children count of one problem

@@ -113,7 +113,7 @@ TEST(JobSpecJson, MinimalSpecGetsDefaults) {
 TEST(JobSpecJson, FullSpecRoundTrips) {
   const std::string Text =
       R"({"problem": "nqueens-array", "size": 9, "tenant": "alice",)"
-      R"( "scheduler": "cilk-synched", "workers": 2, "deque": "chaselev",)"
+      R"( "scheduler": "cilk-synched", "workers": 2,)"
       R"( "victim": "random", "cutoff": 5,)"
       R"( "deadline_ms": 2000})";
   JobSpec S;
@@ -124,7 +124,6 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   EXPECT_EQ(S.Tenant, "alice");
   EXPECT_EQ(S.Kind, SchedulerKind::CilkSynched);
   EXPECT_EQ(S.Workers, 2);
-  EXPECT_EQ(S.Deque, DequeKind::ChaseLev);
   EXPECT_EQ(S.Victim, VictimPolicy::Random);
   EXPECT_EQ(S.Cutoff, 5);
   EXPECT_EQ(S.DeadlineMs, 2000);
@@ -137,7 +136,6 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   EXPECT_EQ(S2.Tenant, S.Tenant);
   EXPECT_EQ(S2.Kind, S.Kind);
   EXPECT_EQ(S2.Workers, S.Workers);
-  EXPECT_EQ(S2.Deque, S.Deque);
   EXPECT_EQ(S2.Victim, S.Victim);
   EXPECT_EQ(S2.Cutoff, S.Cutoff);
   EXPECT_EQ(S2.DeadlineMs, S.DeadlineMs);
@@ -179,15 +177,16 @@ TEST(JobSpecJson, RejectsBadSpecs) {
     EXPECT_EQ(Err,
               "field 'steal' was removed: every thief steals one continuation");
   }
-  // An unknown deque kind's error (the server's 400 body) names the
-  // valid ones. "atomic", the deleted bounded lock-free kind, is unknown
-  // too: remapping it to the unbounded chaselev would change the run.
-  EXPECT_FALSE(
-      parseJobSpec(R"({"problem": "fib", "deque": "lockless"})", S, Err));
-  EXPECT_EQ(Err, "unknown deque kind 'lockless' (expected the|chaselev)");
-  EXPECT_FALSE(
-      parseJobSpec(R"({"problem": "fib", "deque": "atomic"})", S, Err));
-  EXPECT_EQ(Err, "unknown deque kind 'atomic' (expected the|chaselev)");
+  // The deque option is gone too: every run uses the THE deque, so a
+  // spec naming any deque, "the" included, fails rather than silently
+  // running on another one.
+  for (const char *Deque : {"chaselev", "the", "atomic"}) {
+    EXPECT_FALSE(parseJobSpec(
+        std::string(R"({"problem": "fib", "deque": ")") + Deque + "\"}", S,
+        Err))
+        << Deque;
+    EXPECT_EQ(Err, "field 'deque' was removed: every run uses the THE deque");
+  }
   // Likewise the victim policies; "partitioned", the deleted near-first
   // policy, is rejected rather than remapped to another ordering.
   EXPECT_FALSE(

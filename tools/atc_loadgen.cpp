@@ -162,7 +162,6 @@ int main(int argc, char **argv) {
   long long Collectors = 8;
   std::string Mix = "nqueens-array:10=3,fib:25=3,strimko:5=2,knights:5=1";
   std::string Scheduler = "adaptivetc";
-  std::string Deque = "chaselev";
   std::string JsonPath;
   long long Seed = 0x10adULL;
   OptionSet Opts("Open-loop load generator for atc_server");
@@ -184,7 +183,6 @@ int main(int argc, char **argv) {
               "result-collector threads (default 8)");
   Opts.addString("scheduler", &Scheduler,
                  "scheduler kind for every job (default adaptivetc)");
-  Opts.addString("deque", &Deque, "deque kind (default chaselev)");
   Opts.addString("json", &JsonPath,
                  "write the machine-readable report here (the "
                  "BENCH_server.json family)");
@@ -198,15 +196,9 @@ int main(int argc, char **argv) {
     return 2;
   }
   SchedulerKind Kind;
-  DequeKind DQ;
   if (!parseSchedulerKind(Scheduler, Kind)) {
     std::fprintf(stderr, "atc_loadgen: %s\n",
                  unknownSchedulerKindError(Scheduler).c_str());
-    return 2;
-  }
-  if (!parseDequeKind(Deque, DQ)) {
-    std::fprintf(stderr, "atc_loadgen: %s\n",
-                 unknownDequeKindError(Deque).c_str());
     return 2;
   }
 
@@ -289,7 +281,6 @@ int main(int argc, char **argv) {
                   static_cast<long long>(I % Tenants));
     Spec.Tenant = TenantBuf;
     Spec.Kind = Kind;
-    Spec.Deque = DQ;
     Spec.Workers = static_cast<int>(Workers);
     Spec.DeadlineMs = DeadlineMs;
 

@@ -65,7 +65,6 @@ import sys
 # higher is better) rather than per-op time.
 DRAIN_PREFIXES = (
     "BM_DrainStealThe/",
-    "BM_DrainStealChaseLev/",
 )
 
 # Contended* numbers are preemption-bound on small shared runners (see
@@ -73,13 +72,12 @@ DRAIN_PREFIXES = (
 # skipped and listed as such.
 SKIP_PREFIXES = (
     "BM_ContendedStealThe/",
-    "BM_ContendedStealChaseLev/",
 )
 PREEMPTION_BOUND = "preemption-bound on shared runners"
 
 
 # BM_DrainSteal<Kind>/ benchmark name -> drain.<kind> baseline key.
-DRAIN_KINDS = {"The": "the", "ChaseLev": "chaselev"}
+DRAIN_KINDS = {"The": "the"}
 
 
 def drain_kind(name):
