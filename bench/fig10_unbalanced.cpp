@@ -34,14 +34,10 @@ int main(int argc, char **argv) {
   std::string TraceTree = "tree3r";
   std::string TraceSystem = "adaptivetc";
   long long TraceThreads = 8;
-  std::string Victim = "random";
   std::string Fsm = "paper";
   OptionSet Opts("Figure 10: speedup on unbalanced trees");
   Opts.addInt("scale", &Scale, "tree size in nodes");
   Opts.addFlag("quick", &Quick, "thread counts {1,2,4,8} only");
-  Opts.addString("victim", &Victim,
-                 "victim ordering: random (the sim's historical default) "
-                 "or affinity");
   Opts.addString("fsm", &Fsm,
                  "AdaptiveTC edge table: paper (Figure 2 as published, "
                  "the committed records) or spine (the real runtime's)");
@@ -58,16 +54,12 @@ int main(int argc, char **argv) {
               "worker count the trace records (default 8)");
   Opts.parse(argc, argv);
 
-  VictimPolicy VP;
-  if (!parseVictimPolicy(Victim, VP))
-    reportFatalError(unknownVictimPolicyError(Victim));
   if (Fsm != "paper" && Fsm != "spine")
     reportFatalError("unknown fsm variant '" + Fsm +
                      "' (expected paper|spine)");
   // Applied to every simulated configuration below (tables, diagnostics,
   // and the optional traced replay).
   auto applyPolicies = [&](SimOptions &O) {
-    O.Victim = VP;
     O.Fsm = Fsm == "spine" ? FsmVariant::Spine : FsmVariant::Paper;
   };
 

@@ -41,7 +41,6 @@ int main(int argc, char **argv) {
   long long BoardSize = 13;
   std::string Problem = "nqueens-array";
   std::string Scheduler = "adaptivetc";
-  std::string Victim = "affinity";
   std::string TracePath;
   long long TraceCap = 1 << 20;
   OptionSet Opts("Count n-queens solutions, optionally recording a "
@@ -56,9 +55,6 @@ int main(int argc, char **argv) {
   Opts.addString("sched", &Scheduler,
                  "sequential, cilk, cilk-synched, tascell, cutoff, or "
                  "adaptivetc");
-  Opts.addString("victim", &Victim,
-                 "victim ordering: affinity (retry last success) or "
-                 "random");
   Opts.addString("trace", &TracePath,
                  "record a scheduler event trace to this file "
                  "(Chrome/Perfetto trace.json)");
@@ -73,8 +69,6 @@ int main(int argc, char **argv) {
   SchedulerConfig Cfg;
   if (!parseSchedulerKind(Scheduler, Cfg.Kind))
     reportFatalError(unknownSchedulerKindError(Scheduler));
-  if (!parseVictimPolicy(Victim, Cfg.Victim))
-    reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Workers);
   Cfg.Trace = !TracePath.empty();
   Cfg.TraceCap = static_cast<int>(TraceCap);

@@ -37,16 +37,10 @@ int main(int argc, char **argv) {
   Opts.addInt("threads", &Threads, "worker threads (default 4)", 1,
               MaxThreadsFlag);
   Opts.addInt("n", &BoardSize, "board size (default 11)");
-  std::string Victim = "affinity";
-  Opts.addString("victim", &Victim,
-                 "victim ordering: affinity or random");
   Opts.addString("trace", &TracePath,
                  "record the AdaptiveTC run's event trace to this file "
                  "(Chrome/Perfetto trace.json)");
   Opts.parse(argc, argv);
-  VictimPolicy VP;
-  if (!parseVictimPolicy(Victim, VP))
-    reportFatalError(unknownVictimPolicyError(Victim));
 
   // 1. A problem is a type with the choice-loop shape: isLeaf /
   //    leafResult / numChoices / applyChoice / undoChoice over a
@@ -73,7 +67,6 @@ int main(int argc, char **argv) {
         SchedulerKind::Tascell, SchedulerKind::AdaptiveTC}) {
     SchedulerConfig Cfg;
     Cfg.Kind = Kind;
-    Cfg.Victim = VP;
     Cfg.NumWorkers = static_cast<int>(Threads);
     Cfg.Trace = !TracePath.empty() && Kind == SchedulerKind::AdaptiveTC;
     RunResult<long long> R;

@@ -42,9 +42,6 @@ int main(int argc, char **argv) {
   Opts.addString("scheduler", &Scheduler,
                  "sequential, cilk, cilk-synched, tascell, cutoff, or "
                  "adaptivetc");
-  std::string Victim = "affinity";
-  Opts.addString("victim", &Victim,
-                 "victim ordering: affinity or random");
   Opts.addInt("threads", &Threads, "worker threads", 1, MaxThreadsFlag);
   std::string TracePath;
   Opts.addString("trace", &TracePath,
@@ -57,8 +54,6 @@ int main(int argc, char **argv) {
   SchedulerConfig Cfg;
   if (!parseSchedulerKind(Scheduler, Cfg.Kind))
     reportFatalError(unknownSchedulerKindError(Scheduler));
-  if (!parseVictimPolicy(Victim, Cfg.Victim))
-    reportFatalError(unknownVictimPolicyError(Victim));
   Cfg.NumWorkers = static_cast<int>(Threads);
   Cfg.Trace = !TracePath.empty();
 

@@ -50,19 +50,9 @@ int main(int argc, char **argv) {
   Opts.addString("trace-system", &TraceSystem,
                  "which system the trace records: cilk-synched, tascell, "
                  "or adaptivetc");
-  std::string Victim = "random";
-  Opts.addString("victim", &Victim,
-                 "victim ordering: random or affinity");
   MetricsCliOptions MOpt;
   addMetricsOptions(Opts, MOpt);
   Opts.parse(argc, argv);
-
-  VictimPolicy VP;
-  if (!parseVictimPolicy(Victim, VP))
-    reportFatalError(unknownVictimPolicyError(Victim));
-  auto applyPolicies = [&](SimOptions &O) {
-    O.Victim = VP;
-  };
 
   SimTree Tree(SimTree::preset(TreeName, Scale));
   auto Shares = Tree.depth1SharePercent();
@@ -79,7 +69,6 @@ int main(int argc, char **argv) {
   for (int T = 1; T <= MaxThreads; ++T) {
     SimOptions SimOpts;
     SimOpts.NumWorkers = T;
-    applyPolicies(SimOpts);
 
     SimOpts.Kind = SchedulerKind::CilkSynched;
     SimReport Syn = simulate(Tree, SimOpts, Costs);
@@ -108,7 +97,6 @@ int main(int argc, char **argv) {
     if (!parseSchedulerKind(TraceSystem, SimOpts.Kind))
       reportFatalError(unknownSchedulerKindError(TraceSystem));
     SimOpts.NumWorkers = static_cast<int>(MaxThreads);
-    applyPolicies(SimOpts);
     TraceLog Log(SimOpts.NumWorkers, 1u << 20);
     simulate(Tree, SimOpts, Costs, &Log);
     Log.Meta.Workload = TreeName;
@@ -132,7 +120,6 @@ int main(int argc, char **argv) {
     if (!parseSchedulerKind(TraceSystem, SimOpts.Kind))
       reportFatalError(unknownSchedulerKindError(TraceSystem));
     SimOpts.NumWorkers = static_cast<int>(MaxThreads);
-    applyPolicies(SimOpts);
     MetricsRegistry Reg;
     SimReport Rep = simulate(Tree, SimOpts, Costs, nullptr, &Reg);
     Reg.Meta.Scheduler = schedulerKindName(SimOpts.Kind);

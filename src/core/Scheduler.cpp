@@ -81,33 +81,6 @@ std::string atc::unknownSchedulerKindError(const std::string &Name) {
          "' (expected sequential|cilk|cilk-synched|cutoff|adaptivetc|tascell)";
 }
 
-const char *atc::victimPolicyName(VictimPolicy Policy) {
-  switch (Policy) {
-  case VictimPolicy::Affinity:
-    return "affinity";
-  case VictimPolicy::Random:
-    return "random";
-  }
-  ATC_UNREACHABLE("unhandled victim policy");
-}
-
-bool atc::parseVictimPolicy(const std::string &Name, VictimPolicy &Out) {
-  std::string Key = normalizeKey(Name);
-  if (Key == "affinity" || Key == "last" || Key == "lastvictim") {
-    Out = VictimPolicy::Affinity;
-    return true;
-  }
-  if (Key == "random" || Key == "rand" || Key == "uniform") {
-    Out = VictimPolicy::Random;
-    return true;
-  }
-  return false;
-}
-
-std::string atc::unknownVictimPolicyError(const std::string &Name) {
-  return "unknown victim policy '" + Name + "' (expected affinity|random)";
-}
-
 int SchedulerConfig::effectiveCutoff() const {
   if (Cutoff >= 0)
     return Cutoff;

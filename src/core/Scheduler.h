@@ -55,28 +55,6 @@ bool parseSchedulerKind(const std::string &Name, SchedulerKind &Out);
 /// kinds.
 std::string unknownSchedulerKindError(const std::string &Name);
 
-/// Victim ordering for the kernel's steal loop (all scheduler kinds).
-///
-///  * Affinity - retry the last successful victim first, random otherwise
-///               (the default; locality of work chains).
-///  * Random   - uniform random victim every attempt (the textbook
-///               work-stealing baseline).
-enum class VictimPolicy {
-  Affinity,
-  Random,
-};
-
-/// Returns the display name ("affinity" / "random").
-const char *victimPolicyName(VictimPolicy Policy);
-
-/// Parses a victim policy name (case-insensitive). Returns true on
-/// success.
-bool parseVictimPolicy(const std::string &Name, VictimPolicy &Out);
-
-/// Error text for a name parseVictimPolicy rejected; names the valid
-/// policies.
-std::string unknownVictimPolicyError(const std::string &Name);
-
 /// Shared scheduler configuration.
 struct SchedulerConfig {
   SchedulerKind Kind = SchedulerKind::AdaptiveTC;
@@ -96,10 +74,6 @@ struct SchedulerConfig {
   /// fall back to the heap and are counted in SchedulerStats::
   /// PoolOverflows when freed.
   int PoolCap = 4096;
-
-  /// Victim ordering for the kernel's steal loop; applies to every
-  /// scheduler kind (the kernel owns victim selection).
-  VictimPolicy Victim = VictimPolicy::Affinity;
 
   /// Task-creation cut-off. -1 selects the paper's default of log2(N)
   /// ("the cut-off ... is initially set to log N by the runtime system").

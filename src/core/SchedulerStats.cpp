@@ -25,7 +25,7 @@ std::string SchedulerStats::summary() const {
       Buf, sizeof(Buf),
       "tasks=%llu fake=%llu special=%llu spawns=%llu "
       "steal_attempts=%llu steals=%llu "
-      "steal_fails=%llu empty_probes=%llu affinity_hits=%llu "
+      "steal_fails=%llu empty_probes=%llu "
       "cas_retries=%llu lock_acquires=%llu help_steals=%llu "
       "copies=%llu copied_bytes=%llu suspensions=%llu "
       "overflows=%llu pool_overflows=%llu deque_hw=%d arena_hw=%d "
@@ -38,7 +38,6 @@ std::string SchedulerStats::summary() const {
       static_cast<unsigned long long>(Steals),
       static_cast<unsigned long long>(StealFails),
       static_cast<unsigned long long>(EmptyProbes),
-      static_cast<unsigned long long>(AffinityHits),
       static_cast<unsigned long long>(CasRetries),
       static_cast<unsigned long long>(LockAcquires),
       static_cast<unsigned long long>(HelpSteals),

@@ -47,7 +47,6 @@ struct alignas(ATC_CACHE_LINE_SIZE) SchedulerStats {
   std::uint64_t Steals = 0;          ///< Successful steals.
   std::uint64_t StealFails = 0;      ///< Failed steal attempts.
   std::uint64_t EmptyProbes = 0;     ///< Steal probes skipped: victim empty.
-  std::uint64_t AffinityHits = 0;    ///< Steals from the remembered victim.
   std::uint64_t CasRetries = 0;      ///< Always 0: no deque steals by CAS.
   std::uint64_t LockAcquires = 0;    ///< Deque protocol-lock acquisitions.
   std::uint64_t HelpSteals = 0;      ///< Steals run while waiting at a sync.

@@ -7,7 +7,7 @@
 /// \file
 /// Per-worker state of the deque-based schedulers (Cilk, Cilk-SYNCHED,
 /// Cutoff, AdaptiveTC): the kernel slice (identity, victim-selection
-/// PRNG, steal affinity, need_task signalling, stats — see
+/// PRNG, need_task signalling, stats — see
 /// core/kernel/KernelWorker.h) plus the ready-task deque.
 ///
 //===----------------------------------------------------------------------===//

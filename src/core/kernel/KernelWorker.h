@@ -7,8 +7,8 @@
 /// \file
 /// The kernel-owned slice of per-worker state, shared by every
 /// SchedulerKind: identity, the deterministic victim-selection stream,
-/// steal affinity, and the paper's stolen_num / need_task signalling
-/// fields (Section 4.3). Policies derive their worker type from this and
+/// and the paper's stolen_num / need_task signalling fields
+/// (Section 4.3). Policies derive their worker type from this and
 /// append their own state (deque, shadow stack, mailbox, ...) — see
 /// WorkerRuntime.h for the policy contract.
 ///
@@ -44,10 +44,6 @@ struct alignas(ATC_CACHE_LINE_SIZE) KernelWorker {
 
   /// Deterministic victim-selection stream.
   SplitMix64 Rng;
-
-  /// Last victim an acquire succeeded against, tried first on the next
-  /// attempt (steal affinity); -1 when unset. Owner-only.
-  int LastVictim = -1;
 
   /// This worker's event-trace ring, or null when the run is untraced
   /// (the common case — every emission site null-tests this). Owner-only:

@@ -7,7 +7,7 @@
 /// \file
 /// The decisions a thief makes on every steal round, as pure functions
 /// of the worker's state and its PRNG: which victim to try
-/// (VictimPolicy), whether a failed attempt raises the victim's
+/// (chooseVictim), whether a failed attempt raises the victim's
 /// need_task (needTaskSignal), and how many failures it retries at yield
 /// speed before it backs off into sleeps (idleSpinBudget). The runtime
 /// kernel (WorkerRuntime) and the virtual-time simulator
@@ -22,7 +22,6 @@
 #ifndef ATC_CORE_KERNEL_STEALDECISIONS_H
 #define ATC_CORE_KERNEL_STEALDECISIONS_H
 
-#include "core/Scheduler.h"
 #include "support/Prng.h"
 
 #include <algorithm>
@@ -31,29 +30,14 @@
 
 namespace atc {
 
-/// Outcome of one victim choice.
-struct VictimChoice {
-  int Victim;
-  /// True when the choice is a last-victim retry (feeds AffinityHits).
-  bool Affine;
-};
-
-/// Victim selection for worker \p Self per \p Policy:
-///
-///  * Affinity - the last victim work came from (\p LastVictim, -1 when
-///               unset) is the most likely to still have more; random
-///               otherwise.
-///  * Random   - uniform random every attempt.
-///
-/// Never returns \p Self. Needs NumWorkers >= 2.
-inline VictimChoice chooseVictim(VictimPolicy Policy, int NumWorkers,
-                                 int Self, int LastVictim, SplitMix64 &Rng) {
-  if (Policy == VictimPolicy::Affinity && LastVictim >= 0 &&
-      LastVictim != Self)
-    return {LastVictim, true};
+/// Victim selection for worker \p Self: a uniform random draw over the
+/// other NumWorkers - 1 workers, every attempt (the paper's thieves keep
+/// no memory of past victims). Never returns \p Self. Needs
+/// NumWorkers >= 2.
+inline int chooseVictim(int NumWorkers, int Self, SplitMix64 &Rng) {
   const int V = static_cast<int>(
       Rng.nextBelow(static_cast<std::uint64_t>(NumWorkers - 1)));
-  return {V >= Self ? V + 1 : V, false};
+  return V >= Self ? V + 1 : V;
 }
 
 /// Where a failed steal leaves the victim against its need_task threshold.

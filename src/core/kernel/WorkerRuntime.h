@@ -306,15 +306,14 @@ private:
 
   /// One acquire attempt: pick a victim (chooseVictim), let the policy
   /// try to take work from it, then do the kernel-side bookkeeping — steal
-  /// counters, affinity update, and the paper's stolen_num / need_task
-  /// signalling. A failed attempt (including a policy-side emptiness
-  /// probe) counts as a failed steal for that protocol, since an
-  /// AdaptiveTC victim busy in fake tasks has an *empty* deque precisely
-  /// when it needs to be told to publish special tasks.
+  /// counters and the paper's stolen_num / need_task signalling. A failed
+  /// attempt (including a policy-side emptiness probe) counts as a failed
+  /// steal for that protocol, since an AdaptiveTC victim busy in fake
+  /// tasks has an *empty* deque precisely when it needs to be told to
+  /// publish special tasks.
   AcquireOutcome acquireOnce(Worker &W, bool Helping, Task &Out) {
     assert(Cfg.NumWorkers > 1 && "acquire with no possible victim");
-    const auto [V, Affine] =
-        chooseVictim(Cfg.Victim, Cfg.NumWorkers, W.Id, W.LastVictim, W.Rng);
+    const int V = chooseVictim(Cfg.NumWorkers, W.Id, W.Rng);
     Worker &Victim = *Workers[static_cast<std::size_t>(V)];
 
     ++W.Stats.StealAttempts;
@@ -326,11 +325,8 @@ private:
       ++W.Stats.Steals;
       ATC_TRACE_EVENT(W.Trace, TraceEventKind::StealSuccess,
                       static_cast<std::uint32_t>(V));
-      if (Affine)
-        ++W.Stats.AffinityHits;
       if (Helping)
         ++W.Stats.HelpSteals;
-      W.LastVictim = V;
       // "When the thief thread succeeds in stealing a task, it clears the
       // victim thread's stolen_num and need_task."
       Victim.StolenNum.store(0, std::memory_order_relaxed);
@@ -341,12 +337,10 @@ private:
     if (O == AcquireOutcome::Terminated)
       return O;
 
-    // Failed attempt: inform the victim it is being asked for tasks, and
-    // stop favouring it.
+    // Failed attempt: inform the victim it is being asked for tasks.
     ++W.Stats.StealFails;
     ATC_TRACE_EVENT(W.Trace, TraceEventKind::StealFail,
                     static_cast<std::uint32_t>(V));
-    W.LastVictim = -1;
     const NeedTaskSignal Signal = needTaskSignal(
         Victim.StolenNum.fetch_add(1, std::memory_order_relaxed) + 1,
         Cfg.MaxStolenNum);

@@ -96,19 +96,21 @@ bool atc::parseJobSpec(const std::string &JsonText, JobSpec &Out,
     Error = unknownSchedulerKindError(S);
     return false;
   }
-  if (!Doc["deque"].isNull()) {
-    Error = "field 'deque' was removed: every run uses the THE deque";
-    return false;
-  }
-  if (!Doc["steal"].isNull()) {
-    Error = "field 'steal' was removed: every thief steals one continuation";
-    return false;
-  }
-  S = Doc["victim"].stringOr("affinity");
-  if (!parseVictimPolicy(S, Spec.Victim)) {
-    Error = unknownVictimPolicyError(S);
-    return false;
-  }
+  // Fields of deleted options: a spec that still sets one is rejected,
+  // whatever the value, rather than silently run without it.
+  static const struct {
+    const char *Field;
+    const char *Reason;
+  } Removed[] = {
+      {"deque", "every run uses the THE deque"},
+      {"steal", "every thief steals one continuation"},
+      {"victim", "every thief picks a uniformly random victim"},
+  };
+  for (const auto &R : Removed)
+    if (!Doc[R.Field].isNull()) {
+      Error = std::string("field '") + R.Field + "' was removed: " + R.Reason;
+      return false;
+    }
 
   // Validate problem kind + size by building (and discarding) a runner
   // shell — cheap for every kind but comp, whose arrays we accept as the
@@ -129,8 +131,7 @@ std::string atc::jobSpecJson(const JobSpec &Spec) {
   Out += ", \"tenant\": \"" + escapeJson(Spec.Tenant) + "\"";
   Out += ", \"scheduler\": \"" + std::string(schedulerKindName(Spec.Kind));
   Out += "\", \"workers\": " + std::to_string(Spec.Workers);
-  Out += ", \"victim\": \"" + std::string(victimPolicyName(Spec.Victim));
-  Out += "\", \"cutoff\": " + std::to_string(Spec.Cutoff);
+  Out += ", \"cutoff\": " + std::to_string(Spec.Cutoff);
   Out += ", \"deadline_ms\": " + std::to_string(Spec.DeadlineMs) + "}";
   return Out;
 }

@@ -15,14 +15,15 @@
 ///
 /// \code{.json}
 ///   {"problem": "nqueens-array", "size": 11, "tenant": "alice",
-///    "scheduler": "adaptivetc", "workers": 4, "victim": "affinity",
-///    "cutoff": -1, "deadline_ms": 2000}
+///    "scheduler": "adaptivetc", "workers": 4, "cutoff": -1,
+///    "deadline_ms": 2000}
 /// \endcode
 ///
-/// Unknown keys are ignored, except two removed options: "steal" (every
-/// thief takes one continuation) and "deque" (every run uses the THE
-/// deque). A spec that still asks for either is rejected rather than
-/// silently run without it.
+/// Unknown keys are ignored, except three removed options: "steal" (every
+/// thief takes one continuation), "deque" (every run uses the THE deque)
+/// and "victim" (every thief picks a uniformly random victim). A spec
+/// that still sets any of them is rejected rather than silently run
+/// without it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +46,6 @@ struct JobSpec {
 
   SchedulerKind Kind = SchedulerKind::AdaptiveTC;
   int Workers = 0; ///< Worker threads; 0 = the server pool's full width.
-  VictimPolicy Victim = VictimPolicy::Affinity;
   int Cutoff = -1; ///< Task-creation cut-off; -1 = runtime default.
 
   /// Queue-residency budget in milliseconds: a job still queued this long

@@ -217,7 +217,6 @@ void JobServer::runJob(std::uint64_t Id) {
   Cfg.NumWorkers = R.Spec.Workers <= 0 ? Pool.size() : R.Spec.Workers;
   if (Cfg.NumWorkers > Pool.size())
     Cfg.NumWorkers = Pool.size();
-  Cfg.Victim = R.Spec.Victim;
   Cfg.Cutoff = R.Spec.Cutoff;
   Cfg.Executor = &Pool;
   Cfg.MetricsSink = &Registry;

@@ -84,14 +84,9 @@ struct SimWorker {
 
   int FailStreak = 0;
 
-  /// Last victim a steal (or donation) succeeded against, or -1; the
-  /// Affinity victim policy retries it first, as in the runtime kernel.
-  int LastVictim = -1;
-
   // Tascell.
   std::vector<int> Mailbox; ///< Requester ids, serviced one per poll.
   int WaitingOn = -1;       ///< Victim id while a request is pending.
-  bool PendingAffine = false; ///< Pending request went to LastVictim.
   bool HasResponse = false;
   SimResponse Response;
 
@@ -155,12 +150,10 @@ private:
   void chargeSpawn(SimWorker &W, bool IsSpecial);
 
   /// Worker \p Wi's next victim, chosen by the runtime kernel's own
-  /// function (core/kernel/StealDecisions.h) from the worker's PRNG and
-  /// last victim.
-  VictimChoice nextVictim(int Wi) {
-    SimWorker &W = Workers[static_cast<std::size_t>(Wi)];
-    return chooseVictim(Opts.Victim, Opts.NumWorkers, Wi, W.LastVictim,
-                        W.Rng);
+  /// function (core/kernel/StealDecisions.h) from the worker's PRNG.
+  int nextVictim(int Wi) {
+    return chooseVictim(Opts.NumWorkers, Wi,
+                        Workers[static_cast<std::size_t>(Wi)].Rng);
   }
 
   /// Mirrors \p W's stealable-frame count into its metrics cell — the sim
@@ -509,7 +502,7 @@ void Simulator::dequeStealAttempt(int Wi) {
     W.Now += C.StealFailNs;
     return;
   }
-  const auto [Vi, Affine] = nextVictim(Wi);
+  const int Vi = nextVictim(Wi);
   SimWorker &V = Workers[static_cast<std::size_t>(Vi)];
   ++W.Stats.StealAttempts;
   emit(W, TraceEventKind::StealAttempt, static_cast<std::uint32_t>(Vi));
@@ -536,7 +529,6 @@ void Simulator::dequeStealAttempt(int Wi) {
     ++R.StealFails;
     ++W.Stats.StealFails;
     ++W.FailStreak;
-    W.LastVictim = -1;
     // Light backoff only: Cilk-style thieves retry at memory-latency
     // timescales; aggressive sleeping would starve the need_task
     // signalling path (stolen_num accumulates per failed attempt), so
@@ -564,10 +556,7 @@ void Simulator::dequeStealAttempt(int Wi) {
   // Steal the continuation: the whole untried range moves to the thief.
   ++R.Steals;
   ++W.Stats.Steals;
-  if (Affine)
-    ++W.Stats.AffinityHits;
   W.FailStreak = 0;
-  W.LastVictim = Vi;
   V.StolenNum = 0;
   V.NeedTask = false;
   ATC_METRIC(V.MC, setNeedTask(false));
@@ -615,11 +604,10 @@ void Simulator::tascellIdle(int Wi) {
   }
 
   if (W.WaitingOn < 0) {
-    // Post a request to a victim chosen by the configured policy.
-    const auto [Vi, Affine] = nextVictim(Wi);
+    // Post a request to a uniformly random victim.
+    const int Vi = nextVictim(Wi);
     Workers[static_cast<std::size_t>(Vi)].Mailbox.push_back(Wi);
     W.WaitingOn = Vi;
-    W.PendingAffine = Affine;
     W.HasResponse = false;
     ++R.Requests;
     ++W.Stats.Requests;
@@ -636,7 +624,6 @@ void Simulator::tascellIdle(int Wi) {
       ++R.StealFails;
       ++W.Stats.StealFails;
       ++W.FailStreak;
-      W.LastVictim = -1;
       W.B.IdleNs += C.RequestRoundTripNs;
       W.Now += C.RequestRoundTripNs;
       emit(W, TraceEventKind::StealFail, static_cast<std::uint32_t>(Vi));
@@ -644,10 +631,7 @@ void Simulator::tascellIdle(int Wi) {
     }
     ++R.Steals;
     ++W.Stats.Steals;
-    if (W.PendingAffine)
-      ++W.Stats.AffinityHits;
     W.FailStreak = 0;
-    W.LastVictim = Vi;
     W.Now = std::max(W.Now, W.Response.ReadyAt) + C.RequestRoundTripNs;
     W.B.IdleNs += C.RequestRoundTripNs;
     W.Stack.push_back(std::move(W.Response.Frame));

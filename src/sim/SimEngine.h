@@ -63,12 +63,6 @@ struct SimOptions {
   /// Failed-steal threshold before need_task is raised (paper: 20).
   int MaxStolenNum = 20;
 
-  /// Victim ordering for idle workers, as in SchedulerConfig::Victim.
-  /// The sim's historical default is uniform random (the committed
-  /// fig6/fig8/fig10 records were produced with it), so Random stays the
-  /// default here even though the real runtime defaults to Affinity.
-  VictimPolicy Victim = VictimPolicy::Random;
-
   /// AdaptiveTC edge table. The committed fig records and the SimPolicies
   /// golden were produced with Figure 2 as published, so Paper stays the
   /// default here even though the real runtime runs Spine

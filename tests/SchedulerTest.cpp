@@ -25,6 +25,8 @@
 #include "problems/Sudoku.h"
 #include "sim/SyntheticTreeProblem.h"
 
+#include "ParamNames.h"
+
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -49,16 +51,32 @@ namespace {
 ///                                 thieves are stealing.
 enum class MatrixDeque { The, FsmBound, TwoSlots };
 
+/// The matrix's victim-selection seeds. Like MatrixDeque, the enumerators
+/// keep the byte values (0, 1) and labels (none, "_random") of the deleted
+/// victim orderings:
+///
+///  * Default (0, no label)   - SchedulerConfig's default seed.
+///  * Alternate (1, "_random") - another seed, so every worker draws
+///                               another victim sequence; the results
+///                               must not depend on it.
+enum class MatrixSeed { Default, Alternate };
+
 struct MatrixCase {
   SchedulerKind Kind;
   int Threads;
   MatrixDeque Deque = MatrixDeque::The;
-  /// Always 0. GoogleTest prints the parameter's bytes in every test
-  /// name, and this slot (once a steal-width setting) keeps the
-  /// parameter at 20 bytes so the names stay as they were.
-  int Reserved = 0;
-  VictimPolicy Victim = VictimPolicy::Affinity;
+  MatrixSeed Seed = MatrixSeed::Default;
 };
+
+/// The parameter text of each row's name, as GoogleTest once printed the
+/// case's raw bytes: Kind, Threads, Deque, an always-zero int (the slot of
+/// the deleted steal-width setting), then Seed.
+void PrintTo(const MatrixCase &MC, std::ostream *OS) {
+  test::printIntFieldsAsBytes({static_cast<int>(MC.Kind), MC.Threads,
+                               static_cast<int>(MC.Deque), 0,
+                               static_cast<int>(MC.Seed)},
+                              OS);
+}
 
 std::string caseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
   std::string Name = schedulerKindName(Info.param.Kind);
@@ -70,8 +88,8 @@ std::string caseName(const ::testing::TestParamInfo<MatrixCase> &Info) {
     Name += "_chaselev";
   else if (Info.param.Deque == MatrixDeque::TwoSlots)
     Name += "_atomic";
-  if (Info.param.Victim != VictimPolicy::Affinity)
-    Name += std::string("_") + victimPolicyName(Info.param.Victim);
+  if (Info.param.Seed == MatrixSeed::Alternate)
+    Name += "_random";
   return Name + "_t" + std::to_string(Info.param.Threads);
 }
 
@@ -84,13 +102,14 @@ SchedulerConfig makeConfig(const MatrixCase &MC) {
         AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes();
   else if (MC.Deque == MatrixDeque::TwoSlots)
     Cfg.DequeCapacity = 2;
-  Cfg.Victim = MC.Victim;
+  if (MC.Seed == MatrixSeed::Alternate)
+    Cfg.Seed = 0x9e3779b97f4a7c15ULL;
   return Cfg;
 }
 
 constexpr MatrixDeque FsmBoundDQ = MatrixDeque::FsmBound;
 constexpr MatrixDeque TwoSlotsDQ = MatrixDeque::TwoSlots;
-constexpr VictimPolicy RandomVP = VictimPolicy::Random;
+constexpr MatrixSeed AltSeed = MatrixSeed::Alternate;
 
 const MatrixCase AllCases[] = {
     {SchedulerKind::Cilk, 1},        {SchedulerKind::Cilk, 2},
@@ -129,13 +148,12 @@ const MatrixCase AllCases[] = {
     {SchedulerKind::AdaptiveTC, 2, FsmBoundDQ},
     {SchedulerKind::AdaptiveTC, 4, FsmBoundDQ},
     {SchedulerKind::AdaptiveTC, 8, FsmBoundDQ},
-    // The non-default victim ordering must likewise be invisible to the
-    // results.
-    {SchedulerKind::Cilk, 4, FsmBoundDQ, 0, RandomVP},
-    {SchedulerKind::AdaptiveTC, 4, FsmBoundDQ, 0, RandomVP},
-    {SchedulerKind::AdaptiveTC, 8, FsmBoundDQ, 0, RandomVP},
-    {SchedulerKind::Tascell, 4, MatrixDeque::The, 0, RandomVP},
-    {SchedulerKind::Tascell, 8, MatrixDeque::The, 0, RandomVP},
+    // Another victim sequence must likewise be invisible to the results.
+    {SchedulerKind::Cilk, 4, FsmBoundDQ, AltSeed},
+    {SchedulerKind::AdaptiveTC, 4, FsmBoundDQ, AltSeed},
+    {SchedulerKind::AdaptiveTC, 8, FsmBoundDQ, AltSeed},
+    {SchedulerKind::Tascell, 4, MatrixDeque::The, AltSeed},
+    {SchedulerKind::Tascell, 8, MatrixDeque::The, AltSeed},
 };
 
 class SchedulerMatrix : public ::testing::TestWithParam<MatrixCase> {
@@ -714,64 +732,43 @@ TEST(CheckPath, ExactAccountingForEveryRegistryProblem) {
   }
 }
 
-// Victim ordering is kernel-owned, so every scheduler kind — Tascell's
-// mailbox engine included — must accept every VictimPolicy and produce
-// the same result.
-TEST(PolicyMatrix, VictimPoliciesAreResultInvisible) {
-  const SchedulerKind Kinds[] = {SchedulerKind::Cilk,
-                                 SchedulerKind::AdaptiveTC,
-                                 SchedulerKind::Tascell};
-  const VictimPolicy Victims[] = {VictimPolicy::Affinity,
-                                  VictimPolicy::Random};
-  NQueensArray Prob;
-  auto Root = NQueensArray::makeRoot(9);
-  long long Expected = runSequential(Prob, Root);
-  for (SchedulerKind Kind : Kinds)
-    for (VictimPolicy VP : Victims) {
-      SchedulerConfig Cfg;
-      Cfg.Kind = Kind;
-      Cfg.Victim = VP;
-      Cfg.NumWorkers = 4;
-      auto R = runProblem(Prob, NQueensArray::makeRoot(9), Cfg);
-      EXPECT_EQ(R.Value, Expected) << schedulerKindName(Kind) << "/"
-                                   << victimPolicyName(VP);
-      if (VP != VictimPolicy::Affinity) {
-        EXPECT_EQ(R.Stats.AffinityHits, 0u)
-            << "affinity retries must be exclusive to the Affinity policy";
-      }
-    }
-}
-
 //===----------------------------------------------------------------------===//
 // Steal decisions (core/kernel/StealDecisions.h), shared with the simulator
 //===----------------------------------------------------------------------===//
 
 TEST(StealDecisions, ChoiceNeverReturnsSelf) {
   SplitMix64 Rng(42);
-  for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Random})
-    for (int N : {2, 3, 5, 8})
-      for (int Self = 0; Self < N; ++Self)
-        for (int Last : {-1, Self, (Self + 1) % N})
-          for (int Draw = 0; Draw < 20; ++Draw) {
-            VictimChoice C = chooseVictim(VP, N, Self, Last, Rng);
-            ASSERT_NE(C.Victim, Self) << victimPolicyName(VP) << " N=" << N;
-            ASSERT_GE(C.Victim, 0);
-            ASSERT_LT(C.Victim, N);
-          }
+  for (int N : {2, 3, 5, 8})
+    for (int Self = 0; Self < N; ++Self)
+      for (int Draw = 0; Draw < 60; ++Draw) {
+        const int V = chooseVictim(N, Self, Rng);
+        ASSERT_NE(V, Self) << "N=" << N;
+        ASSERT_GE(V, 0);
+        ASSERT_LT(V, N);
+      }
 }
 
-TEST(StealDecisions, AffineOnlyOnLastVictimRetry) {
-  SplitMix64 Rng(9);
-  VictimChoice C = chooseVictim(VictimPolicy::Affinity, 8, 2, 6, Rng);
-  EXPECT_EQ(C.Victim, 6);
-  EXPECT_TRUE(C.Affine);
-  for (int I = 0; I < 32; ++I) {
-    // No last victim, or a stale self-reference: a random draw.
-    EXPECT_FALSE(chooseVictim(VictimPolicy::Affinity, 8, 2, -1, Rng).Affine);
-    EXPECT_FALSE(chooseVictim(VictimPolicy::Affinity, 8, 2, 2, Rng).Affine);
-    // Random never retries, last victim or not.
-    EXPECT_FALSE(chooseVictim(VictimPolicy::Random, 8, 2, 6, Rng).Affine);
-  }
+// The one victim ordering: every other worker is equally likely on every
+// attempt, whoever the thief is.
+TEST(StealDecisions, RandomChoiceIsUniformOverOtherWorkers) {
+  constexpr int Draws = 20000;
+  constexpr double Tolerance = 0.02;
+  SplitMix64 Rng(7);
+  for (int N : {2, 3, 5, 8})
+    for (int Self = 0; Self < N; ++Self) {
+      std::vector<int> Hits(static_cast<std::size_t>(N), 0);
+      for (int Draw = 0; Draw < Draws; ++Draw)
+        ++Hits[static_cast<std::size_t>(chooseVictim(N, Self, Rng))];
+      EXPECT_EQ(Hits[static_cast<std::size_t>(Self)], 0) << "N=" << N;
+      for (int V = 0; V < N; ++V) {
+        if (V == Self)
+          continue;
+        const double Share =
+            static_cast<double>(Hits[static_cast<std::size_t>(V)]) / Draws;
+        EXPECT_NEAR(Share, 1.0 / (N - 1), Tolerance)
+            << "N=" << N << " self " << Self << " victim " << V;
+      }
+    }
 }
 
 TEST(StealDecisions, NeedTaskRaisedPastTheThresholdRecordedOnlyOnCrossing) {

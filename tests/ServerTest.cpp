@@ -114,7 +114,7 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   const std::string Text =
       R"({"problem": "nqueens-array", "size": 9, "tenant": "alice",)"
       R"( "scheduler": "cilk-synched", "workers": 2,)"
-      R"( "victim": "random", "cutoff": 5,)"
+      R"( "cutoff": 5,)"
       R"( "deadline_ms": 2000})";
   JobSpec S;
   std::string Err;
@@ -124,7 +124,6 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   EXPECT_EQ(S.Tenant, "alice");
   EXPECT_EQ(S.Kind, SchedulerKind::CilkSynched);
   EXPECT_EQ(S.Workers, 2);
-  EXPECT_EQ(S.Victim, VictimPolicy::Random);
   EXPECT_EQ(S.Cutoff, 5);
   EXPECT_EQ(S.DeadlineMs, 2000);
 
@@ -136,7 +135,6 @@ TEST(JobSpecJson, FullSpecRoundTrips) {
   EXPECT_EQ(S2.Tenant, S.Tenant);
   EXPECT_EQ(S2.Kind, S.Kind);
   EXPECT_EQ(S2.Workers, S.Workers);
-  EXPECT_EQ(S2.Victim, S.Victim);
   EXPECT_EQ(S2.Cutoff, S.Cutoff);
   EXPECT_EQ(S2.DeadlineMs, S.DeadlineMs);
 }
@@ -187,12 +185,17 @@ TEST(JobSpecJson, RejectsBadSpecs) {
         << Deque;
     EXPECT_EQ(Err, "field 'deque' was removed: every run uses the THE deque");
   }
-  // Likewise the victim policies; "partitioned", the deleted near-first
-  // policy, is rejected rather than remapped to another ordering.
-  EXPECT_FALSE(
-      parseJobSpec(R"({"problem": "fib", "victim": "partitioned"})", S, Err));
-  EXPECT_EQ(Err,
-            "unknown victim policy 'partitioned' (expected affinity|random)");
+  // And the victim ordering: every thief draws a uniformly random
+  // victim, so a spec naming any ordering, "random" included, fails
+  // rather than silently running with another one.
+  for (const char *Victim : {"affinity", "random", "partitioned"}) {
+    EXPECT_FALSE(parseJobSpec(
+        std::string(R"({"problem": "fib", "victim": ")") + Victim + "\"}", S,
+        Err))
+        << Victim;
+    EXPECT_EQ(Err, "field 'victim' was removed: every thief picks a "
+                   "uniformly random victim");
+  }
   EXPECT_FALSE(parseJobSpec("not json at all", S, Err));
   EXPECT_FALSE(Err.empty());
 }

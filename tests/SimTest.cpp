@@ -265,57 +265,49 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===----------------------------------------------------------------------===//
-// Simulation: victim policy knobs
+// Simulation: policy runs
 //===----------------------------------------------------------------------===//
 
 SimReport runSimPolicies(const std::string &Preset, SchedulerKind Kind,
-                         int Workers, VictimPolicy VP) {
+                         int Workers) {
   SimTree Tree(SimTree::preset(Preset, TestScale));
   SimOptions Opts;
   Opts.Kind = Kind;
   Opts.NumWorkers = Workers;
-  Opts.Victim = VP;
   CostModel Costs;
   return simulate(Tree, Opts, Costs);
 }
 
 TEST(SimPolicies, EveryCombinationProcessesEveryNode) {
   for (SchedulerKind Kind : {SchedulerKind::Cilk, SchedulerKind::AdaptiveTC,
-                             SchedulerKind::Tascell})
-    for (VictimPolicy VP : {VictimPolicy::Random, VictimPolicy::Affinity}) {
-      SimReport R = runSimPolicies("tree2l", Kind, 8, VP);
-      EXPECT_EQ(R.NodesProcessed, TestScale)
-          << schedulerKindName(Kind) << "/" << victimPolicyName(VP);
-    }
-}
-
-TEST(SimPolicies, PolicyRunsAreDeterministic) {
-  for (VictimPolicy VP : {VictimPolicy::Affinity, VictimPolicy::Random}) {
-    SimReport A = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8, VP);
-    SimReport B = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8, VP);
-    EXPECT_DOUBLE_EQ(A.MakespanNs, B.MakespanNs);
-    EXPECT_EQ(A.Steals, B.Steals);
+                             SchedulerKind::Tascell}) {
+    SimReport R = runSimPolicies("tree2l", Kind, 8);
+    EXPECT_EQ(R.NodesProcessed, TestScale) << schedulerKindName(Kind);
   }
 }
 
+TEST(SimPolicies, PolicyRunsAreDeterministic) {
+  SimReport A = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8);
+  SimReport B = runSimPolicies("fig8", SchedulerKind::AdaptiveTC, 8);
+  EXPECT_DOUBLE_EQ(A.MakespanNs, B.MakespanNs);
+  EXPECT_EQ(A.Steals, B.Steals);
+}
+
 TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
-  // Pinned fig8 results at 8 workers. The simulator draws its victims
+  // Pinned fig8 results at 8 workers (the name predates the deleted
+  // victim and steal settings). The simulator draws its victims
   // through the kernel's own functions (core/kernel/StealDecisions.h),
   // so any change to those decisions — or to the cost model — moves
   // these numbers. Re-record them only for a deliberate model change.
   struct Golden {
     SchedulerKind Kind;
-    VictimPolicy VP;
     double MakespanNs;
-    std::uint64_t Steals, StealFails, AffinityHits;
+    std::uint64_t Steals, StealFails;
   };
   using SK = SchedulerKind;
-  using VP = VictimPolicy;
   const Golden Cases[] = {
-      {SK::AdaptiveTC, VP::Affinity, 0x1.7e8ba00000052p+20, 136, 3751, 34},
-      {SK::AdaptiveTC, VP::Random, 0x1.c6f80f5c28f86p+20, 122, 4505, 0},
-      {SK::Tascell, VP::Affinity, 0x1.f3034147ae148p+20, 32, 36, 15},
-      {SK::Tascell, VP::Random, 0x1.f8dc7851eb852p+20, 40, 32, 0},
+      {SK::AdaptiveTC, 0x1.c6f80f5c28f86p+20, 122, 4505},
+      {SK::Tascell, 0x1.f8dc7851eb852p+20, 40, 32},
   };
   SimTree Tree(SimTree::preset("fig8", TestScale));
   CostModel Costs;
@@ -323,18 +315,17 @@ TEST(SimPolicies, GoldenCountersAcrossVictimAndStealPolicies) {
     SimOptions Opts;
     Opts.Kind = G.Kind;
     Opts.NumWorkers = 8;
-    Opts.Victim = G.VP;
     MetricsRegistry Reg;
     SimReport R = simulate(Tree, Opts, Costs, nullptr, &Reg);
-    const std::string What =
-        std::string(schedulerKindName(G.Kind)) + "/" + victimPolicyName(G.VP);
+    const std::string What = schedulerKindName(G.Kind);
     EXPECT_EQ(R.MakespanNs, G.MakespanNs) << What;
     EXPECT_EQ(R.Steals, G.Steals) << What;
     EXPECT_EQ(R.StealFails, G.StealFails) << What;
-    // The per-worker affinity counter lives in the cells only.
+    // The per-worker cells carry the same totals as the report.
     MetricsSnapshot Snap =
         Reg.sample(static_cast<std::uint64_t>(R.MakespanNs));
-    EXPECT_EQ(Snap.total(StatField::AffinityHits), G.AffinityHits) << What;
+    EXPECT_EQ(Snap.total(StatField::Steals), G.Steals) << What;
+    EXPECT_EQ(Snap.total(StatField::StealFails), G.StealFails) << What;
   }
 }
 
