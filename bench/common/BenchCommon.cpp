@@ -6,171 +6,111 @@
 
 #include "bench/common/BenchCommon.h"
 
-#include "problems/FibComp.h"
-#include "problems/KnightsTour.h"
-#include "problems/NQueens.h"
-#include "problems/Pentomino.h"
-#include "problems/Strimko.h"
-#include "problems/Sudoku.h"
 #include "support/Error.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <cstdlib>
 
 using namespace atc;
 using namespace atc::bench;
 
 namespace {
 
-/// Builds the three closures of a Benchmark for problem \p Prob (held by
-/// shared_ptr so the closures share one instance) and root \p Root.
-template <typename P>
-Benchmark makeBenchmark(std::string Name, std::string PaperName,
-                        bool HasTaskprivate, std::shared_ptr<P> Prob,
-                        typename P::State Root) {
-  Benchmark B;
-  B.Name = std::move(Name);
-  B.PaperName = std::move(PaperName);
-  B.HasTaskprivate = HasTaskprivate;
+/// One row of Table 1: the registry kind it runs, its labels at the
+/// registry's scaled default and published sizes, and the paper's label.
+struct SuiteRow {
+  const char *Kind;
+  const char *ScaledName;
+  const char *PublishedName;
+  const char *PaperName;
+  bool HasTaskprivate;
+};
 
-  B.RunSequential = [Prob, Root]() {
-    RealRun R;
-    typename P::State S = Root;
-    R.Seconds = timeSeconds([&] { R.Value = runSequential(*Prob, S); });
-    return R;
-  };
-
-  B.Run = [Prob, Root](const SchedulerConfig &Cfg) {
-    RealRun R;
-    R.Seconds = timeSeconds([&] {
-      auto Out = runProblem(*Prob, Root, Cfg);
-      R.Value = Out.Value;
-      R.Stats = Out.Stats;
-    });
-    return R;
-  };
-
-  B.Profile = [Prob, Root]() {
-    WorkloadProfile W;
-    TreeProfile T;
-    typename P::State S = Root;
-    profileTree(*Prob, S, T);
-    // Per-node work from the plain sequential program. Small inputs run
-    // in well under a millisecond, so repeat until enough time has
-    // accumulated and take the fastest run (least interference).
-    double SeqSeconds;
-    {
-      double Best = 1e99;
-      double Accumulated = 0;
-      int Reps = 0;
-      while ((Accumulated < 0.05 || Reps < 3) && Reps < 1000) {
-        typename P::State S2 = Root;
-        double Sec = timeSeconds([&] { (void)runSequential(*Prob, S2); });
-        Best = std::min(Best, Sec);
-        Accumulated += Sec;
-        ++Reps;
-      }
-      SeqSeconds = Best;
-    }
-    W.Nodes = T.Nodes;
-    W.MaxDepth = T.MaxDepth;
-    long long Internal = T.Nodes - T.Leaves;
-    W.AvgFanout = Internal > 0 ? static_cast<double>(T.Nodes - 1) /
-                                     static_cast<double>(Internal)
-                               : 0.0;
-    W.NodeWorkNs = 1e9 * SeqSeconds / static_cast<double>(T.Nodes);
-    W.StateBytes = static_cast<int>(sizeof(typename P::State));
-    return W;
-  };
-
-  return B;
-}
+// Table 1's order. Sudoku runs the balanced instance (Figure 4e uses
+// input_balance); Fib and Comp have no taskprivate workspace.
+const SuiteRow Suite[] = {
+    {"nqueens-array", "Nqueen-array(11)", "Nqueen-array(16)",
+     "Nqueen-array(16)", true},
+    {"nqueens-compute", "Nqueen-compute(11)", "Nqueen-compute(16)",
+     "Nqueen-compute(16)", true},
+    {"strimko", "Strimko(5)", "Strimko(7)", "Strimko(7x7)", true},
+    {"knights", "Knights-Tour(5x5)", "Knights-Tour(6x6)", "Knights-Tour(6x6)",
+     true},
+    {"sudoku", "Sudoku(balance)", "Sudoku(balance-large)", "Sudoku(balance)",
+     true},
+    {"pentomino", "Pentomino(6)", "Pentomino(13)", "Pentomino(13)", true},
+    {"fib", "Fib(27)", "Fib(45)", "Fib(45)", false},
+    {"comp", "Comp(6000)", "Comp(60000)", "Comp(60000)", false},
+};
 
 } // namespace
 
+RealRun Benchmark::runSequential() const {
+  RealRun R;
+  R.Seconds = timeSeconds([&] { R.Value = Runner.RunSequential(); });
+  Oracle = R.Value;
+  return R;
+}
+
+RealRun Benchmark::run(const SchedulerConfig &Cfg) const {
+  RealRun R;
+  R.Seconds = timeSeconds([&] {
+    auto Out = Runner.Run(Cfg);
+    R.Value = Out.Value;
+    R.Stats = Out.Stats;
+  });
+  if (!Oracle)
+    Oracle = Runner.RunSequential();
+  if (R.Value != *Oracle) {
+    std::fprintf(stderr, "error: %s under %s returned %lld, expected %lld\n",
+                 Name.c_str(), schedulerKindName(Cfg.Kind), R.Value, *Oracle);
+    std::exit(1);
+  }
+  return R;
+}
+
+WorkloadProfile Benchmark::profile() const {
+  TreeProfile T = Runner.Profile();
+  // Per-node work from the plain sequential program. Small inputs run in
+  // well under a millisecond, so repeat until enough time has accumulated
+  // and take the fastest run (least interference).
+  double Best = 1e99;
+  double Accumulated = 0;
+  for (int Reps = 0; (Accumulated < 0.05 || Reps < 3) && Reps < 1000;
+       ++Reps) {
+    double Sec = runSequential().Seconds;
+    Best = std::min(Best, Sec);
+    Accumulated += Sec;
+  }
+  WorkloadProfile W;
+  W.Nodes = T.Nodes;
+  W.MaxDepth = T.MaxDepth;
+  long long Internal = T.Nodes - T.Leaves;
+  W.AvgFanout = Internal > 0 ? static_cast<double>(T.Nodes - 1) /
+                                   static_cast<double>(Internal)
+                             : 0.0;
+  W.NodeWorkNs = 1e9 * Best / static_cast<double>(T.Nodes);
+  W.StateBytes = Runner.StateBytes;
+  return W;
+}
+
 std::vector<Benchmark> atc::bench::benchmarkSuite(bool PaperScale) {
-  std::vector<Benchmark> Suite;
-
-  // Nqueen-array / Nqueen-compute. Paper: n = 16. Scaled: n = 11 keeps
-  // the run in tens of milliseconds with the same branching structure.
-  int QueensN = PaperScale ? 16 : 11;
-  {
-    auto Prob = std::make_shared<NQueensArray>();
-    Suite.push_back(makeBenchmark<NQueensArray>(
-        "Nqueen-array(" + std::to_string(QueensN) + ")", "Nqueen-array(16)",
-        /*HasTaskprivate=*/true, Prob, NQueensArray::makeRoot(QueensN)));
+  std::vector<Benchmark> Out;
+  for (const SuiteRow &Row : Suite) {
+    Benchmark B;
+    B.Name = PaperScale ? Row.PublishedName : Row.ScaledName;
+    B.PaperName = Row.PaperName;
+    B.HasTaskprivate = Row.HasTaskprivate;
+    std::string Err;
+    if (!makeProblemRunner(Row.Kind,
+                           PaperScale ? problemPublishedSize(Row.Kind) : 0,
+                           B.Runner, Err))
+      reportFatalError(Err);
+    Out.push_back(std::move(B));
   }
-  {
-    auto Prob = std::make_shared<NQueensCompute>();
-    Suite.push_back(makeBenchmark<NQueensCompute>(
-        "Nqueen-compute(" + std::to_string(QueensN) + ")",
-        "Nqueen-compute(16)", /*HasTaskprivate=*/true, Prob,
-        NQueensCompute::makeRoot(QueensN)));
-  }
-
-  // Strimko: the paper uses a 7x7 puzzle. Scaled: order 5 — broken-
-  // diagonal stream layouts only admit solutions when the order is
-  // coprime to 6, so 5 is the natural scaled sibling of 7.
-  {
-    int N = PaperScale ? 7 : 5;
-    auto Prob = std::make_shared<Strimko>();
-    Suite.push_back(makeBenchmark<Strimko>(
-        "Strimko(" + std::to_string(N) + ")", "Strimko(7x7)",
-        /*HasTaskprivate=*/true, Prob, Strimko::makeRoot(N)));
-  }
-
-  // Knight's Tour: paper 6x6; scaled 5x5 (the classic 304-tour corner
-  // instance).
-  {
-    int N = PaperScale ? 6 : 5;
-    auto Prob = std::make_shared<KnightsTour>();
-    Suite.push_back(makeBenchmark<KnightsTour>(
-        "Knights-Tour(" + std::to_string(N) + "x" + std::to_string(N) + ")",
-        "Knights-Tour(6x6)", /*HasTaskprivate=*/true, Prob,
-        KnightsTour::makeRoot(N, 0, 0)));
-  }
-
-  // Sudoku on the balanced instance (Figure 4e uses input_balance).
-  {
-    const char *Inst = PaperScale ? "balance-large" : "balance";
-    auto Prob = std::make_shared<Sudoku>();
-    Suite.push_back(makeBenchmark<Sudoku>(
-        std::string("Sudoku(") + Inst + ")", "Sudoku(balance)",
-        /*HasTaskprivate=*/true, Prob, Sudoku::makeInstance(Inst)));
-  }
-
-  // Pentomino: paper n = 13 (expanded board); scaled n = 6 on a 5x6
-  // board.
-  {
-    int N = PaperScale ? 13 : 6;
-    int Width = PaperScale ? 13 : 6;
-    auto Prob = std::make_shared<Pentomino>(Width, 5, N);
-    Suite.push_back(makeBenchmark<Pentomino>(
-        "Pentomino(" + std::to_string(N) + ")", "Pentomino(13)",
-        /*HasTaskprivate=*/true, Prob, Prob->makeRoot()));
-  }
-
-  // Fib: paper 45; scaled 27.
-  {
-    int N = PaperScale ? 45 : 27;
-    auto Prob = std::make_shared<FibProblem>();
-    Suite.push_back(makeBenchmark<FibProblem>(
-        "Fib(" + std::to_string(N) + ")", "Fib(45)",
-        /*HasTaskprivate=*/false, Prob, FibProblem::makeRoot(N)));
-  }
-
-  // Comp: paper 60000; scaled 6000.
-  {
-    int N = PaperScale ? 60000 : 6000;
-    auto Prob = std::make_shared<CompProblem>(N);
-    Suite.push_back(makeBenchmark<CompProblem>(
-        "Comp(" + std::to_string(N) + ")", "Comp(60000)",
-        /*HasTaskprivate=*/false, Prob, Prob->makeRoot()));
-  }
-
-  return Suite;
+  return Out;
 }
 
 SimWorkload atc::bench::makeSimWorkload(const WorkloadProfile &Profile,
@@ -236,10 +176,13 @@ void atc::bench::maybeWriteCsv(const std::string &Path,
     return;
   std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F) {
-    reportWarning("cannot write CSV to " + Path);
+    reportWarning("cannot write " + Path);
     return;
   }
-  std::fwrite(Csv.data(), 1, Csv.size(), F);
-  std::fclose(F);
+  bool Written = std::fwrite(Csv.data(), 1, Csv.size(), F) == Csv.size();
+  if (std::fclose(F) != 0 || !Written) {
+    reportWarning("cannot write " + Path);
+    return;
+  }
   std::printf("wrote %s\n", Path.c_str());
 }

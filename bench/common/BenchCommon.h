@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Shared infrastructure for the figure/table harnesses: the Table-1
-/// benchmark registry (scaled and paper-scale inputs), real-runtime
-/// runners, and workload profiles that feed the simulator for the
-/// multi-thread figures.
+/// benchmark suite (scaled and paper-scale inputs) over the problem
+/// registry, real-runtime runners, and workload profiles that feed the
+/// simulator for the multi-thread figures.
 ///
 /// Each harness binary prints the rows/series of one table or figure of
 /// the paper, as a text table and optionally CSV (--csv).
@@ -18,12 +18,11 @@
 #ifndef ATC_BENCH_COMMON_BENCHCOMMON_H
 #define ATC_BENCH_COMMON_BENCHCOMMON_H
 
-#include "core/Problem.h"
-#include "core/Runtime.h"
+#include "problems/ProblemRegistry.h"
 #include "sim/CostModel.h"
 #include "sim/SimEngine.h"
 
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,28 +44,36 @@ struct WorkloadProfile {
   double AvgFanout = 0;   ///< Children per internal node.
   double NodeWorkNs = 0;  ///< Sequential seconds / nodes.
   int StateBytes = 0;     ///< sizeof(State) — the taskprivate footprint.
-  bool HasTaskprivate = true;
 };
 
-/// One Table-1 benchmark with scaled / paper-scale inputs.
+/// One Table-1 benchmark: a registry problem at its scaled or published
+/// size, with the paper's labels.
 struct Benchmark {
-  std::string Name;       ///< e.g. "Nqueen-array(12)".
+  std::string Name;       ///< e.g. "Nqueen-array(11)".
   std::string PaperName;  ///< e.g. "Nqueen-array(16)".
   bool HasTaskprivate = true;
+  ProblemRunner Runner;
 
-  /// Runs the reference sequential program, returning value + seconds.
-  std::function<RealRun()> RunSequential;
+  /// Times the reference sequential program, returning value + seconds.
+  RealRun runSequential() const;
 
-  /// Runs under the given scheduler configuration (real threads).
-  std::function<RealRun(const SchedulerConfig &)> Run;
+  /// Times a run under \p Cfg on real threads. A value other than the
+  /// sequential oracle's prints an error and exits the process with
+  /// status 1, so no harness reports figures of a wrong run.
+  RealRun run(const SchedulerConfig &Cfg) const;
 
   /// Profiles the computation tree + per-node work (sequential).
-  std::function<WorkloadProfile()> Profile;
+  WorkloadProfile profile() const;
+
+private:
+  /// The oracle value, from the first sequential run.
+  mutable std::optional<long long> Oracle;
 };
 
 /// The Table-1 benchmark suite. \p PaperScale selects the published input
 /// sizes (16-queens, Fib(45), ... — minutes to hours of single-core
-/// time); the default uses scaled inputs that preserve tree shape.
+/// time); the default uses the registry's scaled inputs, which preserve
+/// tree shape.
 std::vector<Benchmark> benchmarkSuite(bool PaperScale);
 
 /// Builds a simulator tree spec + cost model matched to \p Profile.
@@ -92,7 +99,8 @@ SimReport simulateWorkload(const SimWorkload &Workload, SchedulerKind Kind,
 /// The four systems of Figures 4/5 (order matters for the tables).
 std::vector<SchedulerKind> figureSystems(bool HasTaskprivate);
 
-/// Writes \p Csv to \p Path (under the current directory) when non-empty.
+/// Writes \p Csv to \p Path (under the current directory) when non-empty;
+/// warns instead if the file cannot be written in full.
 void maybeWriteCsv(const std::string &Path, const std::string &Csv);
 
 } // namespace bench

@@ -50,7 +50,7 @@ int main(int argc, char **argv) {
   for (const Benchmark &B : benchmarkSuite(PaperScale)) {
     std::printf("=== Figure 4: %s (paper: %s) ===\n", B.Name.c_str(),
                 B.PaperName.c_str());
-    WorkloadProfile P = B.Profile();
+    WorkloadProfile P = B.profile();
     std::printf("workload: %lld nodes, depth %d, fanout %.2f, "
                 "%.1f ns/node, state %d B\n",
                 P.Nodes, P.MaxDepth, P.AvgFanout, P.NodeWorkNs,

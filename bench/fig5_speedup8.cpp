@@ -38,7 +38,7 @@ int main(int argc, char **argv) {
   Csv.setHeader({"benchmark", "system", "speedup_vs_cilk"});
 
   for (const Benchmark &B : benchmarkSuite(PaperScale)) {
-    SimWorkload W = makeSimWorkload(B.Profile());
+    SimWorkload W = makeSimWorkload(B.profile());
     double CilkNs =
         simulateWorkload(W, SchedulerKind::Cilk, Threads).MakespanNs;
 

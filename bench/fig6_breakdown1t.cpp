@@ -19,7 +19,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/common/BenchCommon.h"
-#include "support/Error.h"
 #include "support/Options.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -61,7 +60,7 @@ int main(int argc, char **argv) {
 
     std::vector<double> SeqTimes;
     for (int I = 0; I < Repeats; ++I)
-      SeqTimes.push_back(B.RunSequential().Seconds);
+      SeqTimes.push_back(B.runSequential().Seconds);
     double SeqSec = median(SeqTimes);
 
     std::printf("=== Figure 6: overhead breakdown of %s (1 thread) ===\n",
@@ -81,7 +80,7 @@ int main(int argc, char **argv) {
       std::vector<double> Times;
       SchedulerStats Stats;
       for (int I = 0; I < Repeats; ++I) {
-        RealRun R = B.Run(Cfg);
+        RealRun R = B.run(Cfg);
         Times.push_back(R.Seconds);
         Stats = R.Stats;
       }

@@ -45,7 +45,7 @@ int main(int argc, char **argv) {
     if (!Selected)
       continue;
 
-    SimWorkload W = makeSimWorkload(B.Profile());
+    SimWorkload W = makeSimWorkload(B.profile());
     std::printf("=== Figure 7: Tascell overhead breakdown of %s ===\n",
                 B.Name.c_str());
     TextTable Table;

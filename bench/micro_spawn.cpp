@@ -14,8 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
-#include "problems/FibComp.h"
-#include "problems/NQueens.h"
+#include "problems/ProblemRegistry.h"
 
 #include <benchmark/benchmark.h>
 

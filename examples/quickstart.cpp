@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
-#include "problems/NQueens.h"
+#include "problems/ProblemRegistry.h"
 #include "support/Error.h"
 #include "support/Options.h"
 #include "support/Table.h"
@@ -62,6 +62,7 @@ int main(int argc, char **argv) {
   TextTable Table;
   Table.setHeader({"scheduler", "ms", "ok", "tasks", "fake-tasks",
                    "specials", "steals", "copied-KiB"});
+  bool AllOk = true;
   for (SchedulerKind Kind :
        {SchedulerKind::Cilk, SchedulerKind::CilkSynched,
         SchedulerKind::Tascell, SchedulerKind::AdaptiveTC}) {
@@ -80,6 +81,7 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "quickstart: cannot write trace to '%s'\n",
                      TracePath.c_str());
     }
+    AllOk &= R.Value == Expected;
     Table.addRow({schedulerKindName(Kind), TextTable::fmt(Sec * 1e3, 1),
                   R.Value == Expected ? "yes" : "NO",
                   TextTable::fmt(static_cast<long long>(R.Stats.TasksCreated)),
@@ -95,5 +97,5 @@ int main(int argc, char **argv) {
       "\nAdaptiveTC runs the bulk of the tree as fake tasks (plain calls),\n"
       "creating tasks only near the root plus special-task transitions\n"
       "when a thread actually starves — that is the paper's whole idea.\n");
-  return 0;
+  return AllOk ? 0 : 1;
 }

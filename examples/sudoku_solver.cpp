@@ -17,7 +17,7 @@
 
 #include "core/Runtime.h"
 #include "metrics/MetricsCli.h"
-#include "problems/Sudoku.h"
+#include "problems/ProblemRegistry.h"
 #include "support/Error.h"
 #include "support/Options.h"
 #include "support/Timer.h"

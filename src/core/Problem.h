@@ -167,6 +167,7 @@ struct TreeProfile {
   long long Leaves = 0;   ///< Nodes where isLeaf was true.
   int MaxDepth = 0;       ///< Deepest node.
   long long Pruned = 0;   ///< Choices rejected by applyChoice.
+  long long RootChildren = 0; ///< Choices applied at depth 0.
 };
 
 /// Walks the full computation tree and gathers shape statistics. Used by
@@ -188,6 +189,8 @@ void profileTree(P &Prob, typename P::State &S, TreeProfile &Out,
       ++Out.Pruned;
       continue;
     }
+    if (Depth == 0)
+      ++Out.RootChildren;
     profileTree(Prob, S, Out, Depth + 1);
     Prob.undoChoice(S, Depth, K);
   }

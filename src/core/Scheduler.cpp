@@ -81,7 +81,7 @@ std::string atc::unknownSchedulerKindError(const std::string &Name) {
          "' (expected sequential|cilk|cilk-synched|cutoff|adaptivetc|tascell)";
 }
 
-int SchedulerConfig::effectiveCutoff() const {
+int atc::effectiveCutoff(int Cutoff, int NumWorkers) {
   if (Cutoff >= 0)
     return Cutoff;
   // ceil(log2(NumWorkers)).

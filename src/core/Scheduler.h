@@ -118,11 +118,12 @@ struct SchedulerConfig {
   /// outlive every run against this config, and NumWorkers must not
   /// exceed its capacity().
   WorkerExecutor *Executor = nullptr;
-
-  /// Resolves the effective cut-off depth: Cutoff if non-negative, else
-  /// ceil(log2(NumWorkers)).
-  int effectiveCutoff() const;
 };
+
+/// The cut-off depth a run with \p NumWorkers workers uses: \p Cutoff if
+/// non-negative, else ceil(log2(NumWorkers)). Shared by the runtime
+/// (SchedulerConfig) and the simulator (SimOptions).
+int effectiveCutoff(int Cutoff, int NumWorkers);
 
 } // namespace atc
 

@@ -116,7 +116,8 @@ public:
   using Runtime = WorkerRuntime<FramePolicy>;
 
   FramePolicy(P &Prob, const SchedulerConfig &Cfg, const State &Root)
-      : Prob(Prob), Cfg(Cfg), Root(Root), Tc(Cfg.effectiveCutoff()) {}
+      : Prob(Prob), Cfg(Cfg), Root(Root),
+        Tc(effectiveCutoff(Cfg.Cutoff, Cfg.NumWorkers)) {}
 
   //===--------------------------------------------------------------------===//
   // WorkerRuntime policy interface

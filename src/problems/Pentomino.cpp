@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "problems/Pentomino.h"
+#include "problems/ProblemRegistry.h"
 #include "support/Compiler.h"
 
 #include <algorithm>
@@ -168,3 +169,8 @@ const char *Pentomino::pieceName(int Piece) {
   assert(Piece >= 0 && Piece < NumBasePieces && "piece id out of range");
   return PieceNames[Piece];
 }
+
+// The Pentomino scheduler matrix (see problems/ProblemRegistry.h).
+namespace atc {
+ATC_RUN_PROBLEM_INSTANTIATION(Pentomino);
+} // namespace atc

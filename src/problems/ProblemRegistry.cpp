@@ -6,13 +6,6 @@
 
 #include "problems/ProblemRegistry.h"
 
-#include "problems/FibComp.h"
-#include "problems/KnightsTour.h"
-#include "problems/NQueens.h"
-#include "problems/Pentomino.h"
-#include "problems/Strimko.h"
-#include "problems/Sudoku.h"
-
 #include <cctype>
 #include <memory>
 
@@ -32,11 +25,12 @@ std::string canonicalKind(const std::string &Name) {
   return Out;
 }
 
-/// Fills the two closures of \p R from a shared problem object and a
-/// root state: the one type-erasure point for every kind below.
+/// Fills the closures of \p R from a shared problem object and a root
+/// state: the one type-erasure point for every kind below.
 template <typename ProbT>
 void bindRunner(ProblemRunner &R, std::shared_ptr<ProbT> Prob,
                 typename ProbT::State Root) {
+  R.StateBytes = static_cast<int>(sizeof(Root));
   R.Run = [Prob, Root](const SchedulerConfig &Cfg) {
     return runProblem(*Prob, Root, Cfg);
   };
@@ -44,61 +38,72 @@ void bindRunner(ProblemRunner &R, std::shared_ptr<ProbT> Prob,
     auto S = Root;
     return static_cast<long long>(runSequential(*Prob, S));
   };
+  R.Profile = [Prob, Root]() {
+    TreeProfile T;
+    auto S = Root;
+    profileTree(*Prob, S, T);
+    return T;
+  };
 }
 
 struct KindDef {
   const char *Name;
-  int DefaultSize;
+  int DefaultSize;   ///< Scaled: same tree shape, milliseconds to run.
+  int PublishedSize; ///< The paper's Table-1 input (minutes to hours).
   int MinSize;
   int MaxSize;
   void (*Build)(ProblemRunner &, int Size);
 };
 
-// Scaled defaults match bench/common/BenchCommon.cpp off paper scale, so
-// a default-size job stream exercises the same tree shapes CI already
-// times.
 const KindDef Kinds[] = {
-    {"nqueens-array", 11, 1, NQueensArray::MaxN,
+    // Paper: n = 16. Scaled: n = 11 keeps the run in tens of
+    // milliseconds with the same branching structure.
+    {"nqueens-array", 11, 16, 1, NQueensArray::MaxN,
      [](ProblemRunner &R, int Size) {
        bindRunner(R, std::make_shared<NQueensArray>(),
                   NQueensArray::makeRoot(Size));
      }},
-    {"nqueens-compute", 11, 1, NQueensCompute::MaxN,
+    {"nqueens-compute", 11, 16, 1, NQueensCompute::MaxN,
      [](ProblemRunner &R, int Size) {
        bindRunner(R, std::make_shared<NQueensCompute>(),
                   NQueensCompute::makeRoot(Size));
      }},
-    {"fib", 27, 1, 45,
+    {"fib", 27, 45, 1, 45,
      [](ProblemRunner &R, int Size) {
        bindRunner(R, std::make_shared<FibProblem>(),
                   FibProblem::makeRoot(Size));
      }},
-    {"comp", 6000, 1, 60000,
+    {"comp", 6000, 60000, 1, 60000,
      [](ProblemRunner &R, int Size) {
        auto Prob = std::make_shared<CompProblem>(Size);
        auto Root = Prob->makeRoot();
        bindRunner(R, std::move(Prob), Root);
      }},
-    {"knights", 5, 1, KnightsTour::MaxN,
+    // Paper: 6x6. Scaled: 5x5 from the corner (the classic 304 tours).
+    {"knights", 5, 6, 1, KnightsTour::MaxN,
      [](ProblemRunner &R, int Size) {
        bindRunner(R, std::make_shared<KnightsTour>(),
                   KnightsTour::makeRoot(Size, 0, 0));
      }},
-    {"strimko", 5, 1, Strimko::MaxN,
+    // Paper: a 7x7 puzzle. Broken-diagonal stream layouts only admit
+    // solutions when the order is coprime to 6, so 5 is the natural
+    // scaled sibling of 7.
+    {"strimko", 5, 7, 1, Strimko::MaxN,
      [](ProblemRunner &R, int Size) {
        bindRunner(R, std::make_shared<Strimko>(), Strimko::makeRoot(Size));
      }},
-    // Sudoku instances are named, not sized: 1 = input1, 2 = input2,
-    // anything else = the balanced paper instance.
-    {"sudoku", 0, 0, 2,
+    // Sudoku instances are named, not sized: 0 = balance, 1 = input1,
+    // 2 = input2, 3 = balance-large (the published Figure 4e input).
+    {"sudoku", 0, 3, 0, 3,
      [](ProblemRunner &R, int Size) {
-       const char *Inst =
-           Size == 1 ? "input1" : Size == 2 ? "input2" : "balance";
-       bindRunner(R, std::make_shared<Sudoku>(), Sudoku::makeInstance(Inst));
+       const char *const Inst[] = {"balance", "input1", "input2",
+                                   "balance-large"};
+       bindRunner(R, std::make_shared<Sudoku>(),
+                  Sudoku::makeInstance(Inst[Size]));
      }},
     // Size = piece count on a Size x 5 board (Width * Height == 5 *
     // Pieces holds by construction; 13 is the paper's expanded setup).
-    {"pentomino", 6, 3, 13,
+    {"pentomino", 6, 13, 3, 13,
      [](ProblemRunner &R, int Size) {
        auto Prob = std::make_shared<Pentomino>(Size, 5, Size);
        auto Root = Prob->makeRoot();
@@ -155,4 +160,9 @@ const std::vector<std::string> &atc::problemRegistryKinds() {
 int atc::problemDefaultSize(const std::string &Kind) {
   const KindDef *K = findKind(Kind);
   return K ? K->DefaultSize : -1;
+}
+
+int atc::problemPublishedSize(const std::string &Kind) {
+  const KindDef *K = findKind(Kind);
+  return K ? K->PublishedSize : -1;
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "problems/Sudoku.h"
+#include "problems/ProblemRegistry.h"
 #include "support/Error.h"
 
 using namespace atc;
@@ -103,3 +104,8 @@ const char *Sudoku::instanceGrid(const std::string &Name) {
 Sudoku::State Sudoku::makeInstance(const std::string &Name) {
   return makeRoot(instanceGrid(Name));
 }
+
+// The Sudoku scheduler matrix (see problems/ProblemRegistry.h).
+namespace atc {
+ATC_RUN_PROBLEM_INSTANTIATION(Sudoku);
+} // namespace atc

@@ -99,7 +99,8 @@ class Simulator {
 public:
   Simulator(const SimTree &Tree, const SimOptions &Opts,
             const CostModel &Costs, TraceLog *Log, MetricsRegistry *Metrics)
-      : Tree(Tree), Opts(Opts), C(Costs), CutoffDepth(Opts.effectiveCutoff()) {
+      : Tree(Tree), Opts(Opts), C(Costs),
+        CutoffDepth(effectiveCutoff(Opts.Cutoff, Opts.NumWorkers)) {
     for (int I = 0; I < Opts.NumWorkers; ++I)
       Workers.emplace_back(Opts.Seed + static_cast<std::uint64_t>(I));
     if (Log && Log->numWorkers() >= Opts.NumWorkers) {

@@ -76,15 +76,6 @@ struct SimOptions {
   bool CutoffCopiesEverywhere = false;
 
   std::uint64_t Seed = 0x51D;
-
-  int effectiveCutoff() const {
-    if (Cutoff >= 0)
-      return Cutoff;
-    int Log = 0;
-    while ((1 << Log) < NumWorkers)
-      ++Log;
-    return Log;
-  }
 };
 
 /// Per-worker virtual-time breakdown (the paper's Figures 6 and 7).

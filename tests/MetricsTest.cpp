@@ -19,7 +19,7 @@
 #include "metrics/Metrics.h"
 #include "metrics/MetricsRegistry.h"
 #include "metrics/Quantile.h"
-#include "problems/NQueens.h"
+#include "problems/ProblemRegistry.h"
 #include "sim/SimEngine.h"
 #include "trace/Json.h"
 

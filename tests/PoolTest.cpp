@@ -19,7 +19,7 @@
 #include "core/SchedulerPool.h"
 #include "metrics/Exposition.h"
 #include "metrics/MetricsRegistry.h"
-#include "problems/NQueens.h"
+#include "problems/ProblemRegistry.h"
 
 #include <gtest/gtest.h>
 

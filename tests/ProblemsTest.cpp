@@ -9,6 +9,7 @@
 #include "problems/KnightsTour.h"
 #include "problems/NQueens.h"
 #include "problems/Pentomino.h"
+#include "problems/ProblemRegistry.h"
 #include "problems/Strimko.h"
 #include "problems/Sudoku.h"
 
@@ -324,6 +325,13 @@ TEST(Sudoku, InstancesHaveExpectedFreeCellCounts) {
   EXPECT_EQ(Sudoku::makeInstance("balance-large").NumFree, 45);
   EXPECT_EQ(Sudoku::makeInstance("input1").NumFree, 32);
   EXPECT_EQ(Sudoku::makeInstance("input2").NumFree, 32);
+
+  // The registry names the instances by size, up to balance-large (3).
+  ProblemRunner Runner;
+  std::string Err;
+  EXPECT_TRUE(makeProblemRunner("sudoku", 3, Runner, Err)) << Err;
+  EXPECT_FALSE(makeProblemRunner("sudoku", 4, Runner, Err));
+  EXPECT_EQ(Err, "size 4 out of range [0, 3] for problem kind 'sudoku'");
 }
 
 TEST(Sudoku, UndoRestoresMasks) {
@@ -432,6 +440,23 @@ TEST(TreeProfile, CountsNodesOfTinyFib) {
   EXPECT_EQ(Profile.Nodes, 5);
   EXPECT_EQ(Profile.Leaves, 3);
   EXPECT_EQ(Profile.MaxDepth, 2);
+  EXPECT_EQ(Profile.RootChildren, 2);
+
+  // The registry's runner profiles the same tree, and every kind builds
+  // (constructed, not run) at its scaled default and its published size.
+  ProblemRunner Runner;
+  std::string Err;
+  ASSERT_TRUE(makeProblemRunner("fib", 3, Runner, Err)) << Err;
+  const TreeProfile R = Runner.Profile();
+  EXPECT_EQ(R.Nodes, Profile.Nodes);
+  EXPECT_EQ(R.Leaves, Profile.Leaves);
+  EXPECT_EQ(R.MaxDepth, Profile.MaxDepth);
+  EXPECT_EQ(R.RootChildren, Profile.RootChildren);
+  for (const std::string &Kind : problemRegistryKinds())
+    for (int Size : {problemDefaultSize(Kind), problemPublishedSize(Kind)}) {
+      ASSERT_TRUE(makeProblemRunner(Kind, Size, Runner, Err)) << Err;
+      EXPECT_EQ(Runner.Size, Size) << Kind;
+    }
 }
 
 TEST(TreeProfile, QueensPrunesCounted) {

@@ -20,12 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
-#include "problems/FibComp.h"
-#include "problems/KnightsTour.h"
-#include "problems/NQueens.h"
-#include "problems/Pentomino.h"
-#include "problems/Strimko.h"
-#include "problems/Sudoku.h"
+#include "problems/ProblemRegistry.h"
 #include "sim/SyntheticTreeProblem.h"
 #include "support/Prng.h"
 
@@ -483,9 +478,9 @@ TEST(Overflow, AdaptiveTCAvoidsOverflowWhereCilkOverflows) {
   const long long Expected = FibProblem::fibValue(22);
   SchedulerConfig Cfg;
   Cfg.NumWorkers = 4;
-  const int Bound =
-      AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes();
-  ASSERT_EQ(Bound, 6 * Cfg.effectiveCutoff() + 1);
+  const int C = effectiveCutoff(Cfg.Cutoff, Cfg.NumWorkers);
+  const int Bound = AdaptiveTCTaskPolicy(C).Fsm.maxOwnerPushes();
+  ASSERT_EQ(Bound, 6 * C + 1);
   Cfg.DequeCapacity = Bound;
 
   // One worker is deterministic: Cilk pushes a continuation per spawn

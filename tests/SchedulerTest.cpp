@@ -16,13 +16,7 @@
 #include "core/Backoff.h"
 #include "core/Runtime.h"
 #include "core/kernel/StealDecisions.h"
-#include "problems/FibComp.h"
-#include "problems/KnightsTour.h"
-#include "problems/NQueens.h"
-#include "problems/Pentomino.h"
 #include "problems/ProblemRegistry.h"
-#include "problems/Strimko.h"
-#include "problems/Sudoku.h"
 #include "sim/SyntheticTreeProblem.h"
 
 #include "ParamNames.h"
@@ -99,7 +93,8 @@ SchedulerConfig makeConfig(const MatrixCase &MC) {
   Cfg.NumWorkers = MC.Threads;
   if (MC.Deque == MatrixDeque::FsmBound)
     Cfg.DequeCapacity =
-        AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes();
+        AdaptiveTCTaskPolicy(effectiveCutoff(Cfg.Cutoff, Cfg.NumWorkers))
+            .Fsm.maxOwnerPushes();
   else if (MC.Deque == MatrixDeque::TwoSlots)
     Cfg.DequeCapacity = 2;
   if (MC.Seed == MatrixSeed::Alternate)
@@ -332,7 +327,7 @@ TEST(SchedulerBehaviour, AdaptiveTCCreatesFarFewerTasksThanCilk) {
   // interleaving; every other node runs as a fake task.
   Cfg.Kind = SchedulerKind::AdaptiveTC;
   Cfg.MaxStolenNum = INT_MAX;
-  const int C = Cfg.effectiveCutoff();
+  const int C = effectiveCutoff(Cfg.Cutoff, Cfg.NumWorkers);
   ASSERT_LT(static_cast<std::size_t>(C), ByDepth.size());
   long long UpToCutoff = 0;
   for (int D = 0; D <= C; ++D)
@@ -490,7 +485,8 @@ TEST(SpineStress, Tree3lMatchesOracleWithinTheOccupancyBound) {
     const std::string Where = std::to_string(Threads) + " workers";
     EXPECT_EQ(R.Value, Expected) << Where;
     EXPECT_LE(R.Stats.DequeHighWater,
-              AdaptiveTCTaskPolicy(Cfg.effectiveCutoff()).Fsm.maxOwnerPushes())
+              AdaptiveTCTaskPolicy(effectiveCutoff(Cfg.Cutoff, Cfg.NumWorkers))
+                  .Fsm.maxOwnerPushes())
         << Where;
   }
 }
@@ -641,65 +637,6 @@ TEST(PolicyMatrix, TaskAccountingPartitionsTheTree) {
   }
 }
 
-/// Tree size and the root's applied-children count of one problem
-/// instance: what the check version's exact accounting is checked against.
-struct CheckShape {
-  long long Nodes = 0;
-  long long RootChildren = 0;
-};
-
-template <typename ProbT>
-CheckShape checkShapeOf(ProbT &Prob, typename ProbT::State Root) {
-  CheckShape Shape;
-  TreeProfile Profile;
-  auto S = Root;
-  profileTree(Prob, S, Profile);
-  Shape.Nodes = Profile.Nodes;
-  if (!Prob.isLeaf(Root, 0))
-    for (int K = 0, N = Prob.numChoices(Root, 0); K < N; ++K)
-      if (Prob.applyChoice(Root, 0, K)) {
-        ++Shape.RootChildren;
-        Prob.undoChoice(Root, 0, K);
-      }
-  return Shape;
-}
-
-/// The same instance makeProblemRunner builds for \p Kind at \p Size,
-/// typed, so its tree can be profiled. Returns false for a kind this
-/// table does not know (a registry kind added without a row here).
-bool registryCheckShape(const std::string &Kind, int Size, CheckShape &Out) {
-  if (Kind == "nqueens-array") {
-    NQueensArray P;
-    Out = checkShapeOf(P, NQueensArray::makeRoot(Size));
-  } else if (Kind == "nqueens-compute") {
-    NQueensCompute P;
-    Out = checkShapeOf(P, NQueensCompute::makeRoot(Size));
-  } else if (Kind == "fib") {
-    FibProblem P;
-    Out = checkShapeOf(P, FibProblem::makeRoot(Size));
-  } else if (Kind == "comp") {
-    CompProblem P(Size);
-    Out = checkShapeOf(P, P.makeRoot());
-  } else if (Kind == "knights") {
-    KnightsTour P;
-    Out = checkShapeOf(P, KnightsTour::makeRoot(Size, 0, 0));
-  } else if (Kind == "strimko") {
-    Strimko P;
-    Out = checkShapeOf(P, Strimko::makeRoot(Size));
-  } else if (Kind == "sudoku") {
-    Sudoku P;
-    Out = checkShapeOf(P, Sudoku::makeInstance(Size == 1   ? "input1"
-                                               : Size == 2 ? "input2"
-                                                           : "balance"));
-  } else if (Kind == "pentomino") {
-    Pentomino P(Size, 5, Size);
-    Out = checkShapeOf(P, P.makeRoot());
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // The check version's counters are batched per fake-task subtree, so
 // their totals must stay exact, not merely positive. At one worker with
 // cut-off 0 need_task never fires and every child of the root enters a
@@ -708,13 +645,10 @@ bool registryCheckShape(const std::string &Kind, int Size, CheckShape &Out) {
 // every fake node but the subtree entries is one poll.
 TEST(CheckPath, ExactAccountingForEveryRegistryProblem) {
   for (const std::string &Kind : problemRegistryKinds()) {
-    const int Size = problemDefaultSize(Kind);
-    CheckShape Shape;
-    ASSERT_TRUE(registryCheckShape(Kind, Size, Shape))
-        << "registry kind '" << Kind << "' has no typed instance here";
     ProblemRunner Runner;
     std::string Err;
-    ASSERT_TRUE(makeProblemRunner(Kind, Size, Runner, Err)) << Err;
+    ASSERT_TRUE(makeProblemRunner(Kind, 0, Runner, Err)) << Err;
+    const TreeProfile Shape = Runner.Profile();
 
     SchedulerConfig Cfg;
     Cfg.Kind = SchedulerKind::AdaptiveTC;

@@ -14,7 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
-#include "problems/NQueens.h"
+#include "problems/ProblemRegistry.h"
 #include "sim/SimEngine.h"
 #include "sim/TreeGen.h"
 #include "trace/Json.h"
