@@ -92,6 +92,5 @@ int main(int argc, char **argv) {
     Table.print();
   }
 
-  atc::bench::maybeWriteCsv(CsvPath, Csv.renderCsv());
-  return 0;
+  return atc::bench::maybeWriteCsv(CsvPath, Csv.renderCsv()) ? 0 : 1;
 }

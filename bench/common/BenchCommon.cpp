@@ -170,19 +170,20 @@ atc::bench::figureSystems(bool HasTaskprivate) {
           SchedulerKind::Tascell, SchedulerKind::AdaptiveTC};
 }
 
-void atc::bench::maybeWriteCsv(const std::string &Path,
+bool atc::bench::maybeWriteCsv(const std::string &Path,
                                const std::string &Csv) {
   if (Path.empty())
-    return;
+    return true;
   std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F) {
     reportWarning("cannot write " + Path);
-    return;
+    return false;
   }
   bool Written = std::fwrite(Csv.data(), 1, Csv.size(), F) == Csv.size();
   if (std::fclose(F) != 0 || !Written) {
     reportWarning("cannot write " + Path);
-    return;
+    return false;
   }
   std::printf("wrote %s\n", Path.c_str());
+  return true;
 }

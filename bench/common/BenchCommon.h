@@ -99,9 +99,11 @@ SimReport simulateWorkload(const SimWorkload &Workload, SchedulerKind Kind,
 /// The four systems of Figures 4/5 (order matters for the tables).
 std::vector<SchedulerKind> figureSystems(bool HasTaskprivate);
 
-/// Writes \p Csv to \p Path (under the current directory) when non-empty;
-/// warns instead if the file cannot be written in full.
-void maybeWriteCsv(const std::string &Path, const std::string &Csv);
+/// Writes \p Csv to \p Path (under the current directory) when non-empty.
+/// Returns false, after a warning, if the file cannot be written in full;
+/// the harness then exits 1.
+[[nodiscard]] bool maybeWriteCsv(const std::string &Path,
+                                 const std::string &Csv);
 
 } // namespace bench
 } // namespace atc

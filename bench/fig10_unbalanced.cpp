@@ -167,6 +167,5 @@ int main(int argc, char **argv) {
                    TracePath.c_str());
   }
 
-  atc::bench::maybeWriteCsv(CsvPath, Csv.renderCsv());
-  return 0;
+  return atc::bench::maybeWriteCsv(CsvPath, Csv.renderCsv()) ? 0 : 1;
 }

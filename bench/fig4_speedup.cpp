@@ -78,6 +78,5 @@ int main(int argc, char **argv) {
     std::printf("\n");
   }
 
-  maybeWriteCsv(CsvPath, Csv.renderCsv());
-  return 0;
+  return maybeWriteCsv(CsvPath, Csv.renderCsv()) ? 0 : 1;
 }

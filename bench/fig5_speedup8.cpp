@@ -64,6 +64,5 @@ int main(int argc, char **argv) {
 
   std::printf("=== Figure 5: speedup with 8 threads, baseline Cilk ===\n");
   Table.print();
-  maybeWriteCsv(CsvPath, Csv.renderCsv());
-  return 0;
+  return maybeWriteCsv(CsvPath, Csv.renderCsv()) ? 0 : 1;
 }

@@ -91,6 +91,5 @@ int main(int argc, char **argv) {
 
   std::printf("=== Figure 9: speedup of Sudoku (input1) ===\n");
   Table.print();
-  atc::bench::maybeWriteCsv(CsvPath, Csv.renderCsv());
-  return 0;
+  return atc::bench::maybeWriteCsv(CsvPath, Csv.renderCsv()) ? 0 : 1;
 }

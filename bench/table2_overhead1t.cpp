@@ -111,8 +111,8 @@ int main(int argc, char **argv) {
   std::printf("=== Table 2: execution time in ms (and relative time to the "
               "sequential program) with one thread ===\n");
   Table.print();
-  maybeWriteCsv(CsvPath, Csv.renderCsv());
+  bool Written = maybeWriteCsv(CsvPath, Csv.renderCsv());
   if (!StatsJsonPath.empty())
-    maybeWriteCsv(StatsJsonPath, StatsJson + "\n]\n");
-  return 0;
+    Written = maybeWriteCsv(StatsJsonPath, StatsJson + "\n]\n") && Written;
+  return Written ? 0 : 1;
 }

@@ -22,8 +22,9 @@
 ///
 /// Mapping to the paper's five code versions (CodeVersion):
 ///
-///  * fast      -> taskBody(Cur = Fast): allocates a frame at entry,
-///                 pushes it per spawn, a failed pop returns a dummy value
+///  * fast      -> taskBody(Cur = Fast): allocates a frame at entry and
+///                 runs its children through spawnChildren, which pushes
+///                 the frame per spawn; a failed pop returns a dummy value
 ///                 ("if pop(sn) == FAILURE return 0"). Beyond the cut-off
 ///                 it calls checkBody, except that AdaptiveTC's Spine
 ///                 variant still spawns the first applied child while the
@@ -46,18 +47,26 @@
 ///  * sequence  -> seqBody: a plain recursive function.
 ///  * slow      -> runContinuation: executed by a thief on a stolen frame;
 ///                 restores the "PC" (choice index) and live state, then
-///                 continues spawning with the fast/check dispatch. Its
-///                 sync point checks the join counter and suspends the
-///                 task if children are outstanding.
+///                 continues the same spawnChildren loop from the next
+///                 choice with the fast/check dispatch. Its sync point
+///                 checks the join counter and suspends the task if
+///                 children are outstanding.
+///
+/// Each step of the deque protocol is written once. The three spawn sites
+/// (the fast/fast_2 and slow children of spawnChildren, the special task
+/// of publishSpecial) share copyThenPush: copy the child's workspace,
+/// then push, or on overflow free the copy and run the child as a plain
+/// call. The pop-failure deposit and unwind sits in spawnChildren alone,
+/// and depositTo is the one deposit step of the join protocol.
 ///
 /// Which edges exist is entirely the TcPol's business: the Cilk policies
 /// always spawn (checkBody/seqBody compile to dead branches), Cutoff
 /// degrades to sequence, AdaptiveTC runs the full FSM in its Spine
-/// variant. taskBody and runContinuation tell the policy which child is
-/// the first applied one (after a resume, for runContinuation); the
-/// check and sequence bodies never ask. One worker's own spawn chain so
-/// holds at most FiveVersionFsm::maxOwnerPushes() deque entries: 6C + 1
-/// under Spine, 3C + 1 under Figure 2 as published.
+/// variant. spawnChildren tells the policy which child is the first
+/// applied one (after a resume, for runContinuation); the check and
+/// sequence bodies never ask. One worker's own spawn chain so holds at
+/// most FiveVersionFsm::maxOwnerPushes() deque entries: 6C + 1 under
+/// Spine, 3C + 1 under Figure 2 as published.
 ///
 /// Join protocol (who assembles the result of a stolen task):
 ///  * At steal time the thief increments the stolen frame's JoinCount:
@@ -271,8 +280,27 @@ private:
     bool ChildStolen = false; ///< Some popSpecial failed: sync must wait.
   };
 
+  /// Spawn counters of one spawn site, batched in locals and flushed into
+  /// Stats at each exit (a steal or sync boundary) instead of dirtying
+  /// the Stats cache line on every spawned child.
+  struct SpawnCounts {
+    std::uint64_t Spawns = 0, Copies = 0, Bytes = 0;
+
+    void flush(SchedulerStats &Stats) const {
+      Stats.Spawns += Spawns;
+      Stats.WorkspaceCopies += Copies;
+      Stats.CopiedBytes += Bytes;
+    }
+  };
+
   ExecResult<Result> taskBody(Worker &W, State &S, int Depth, Frame *Parent,
                               int Dp, CodeVersion Cur, bool OwnsState);
+  ATC_ALWAYS_INLINE bool spawnChildren(Worker &W, Frame *F, State &S,
+                                       int Depth, int K0, CodeVersion Cur,
+                                       int Dp, Result &Acc);
+  ATC_ALWAYS_INLINE State *copyThenPush(Worker &W, State &S, int Depth,
+                                        Frame *F, bool Special,
+                                        SpawnCounts &N);
   Result checkBody(Worker &W, State &S, int Depth);
   ATC_LOOP_ALIGNED static Result checkBodyImpl(CheckWalk &C, State &S,
                                                int Depth);
@@ -283,8 +311,8 @@ private:
   Result seqBody(Worker &W, State &S, int Depth);
   void runContinuation(Worker &W, Frame *F);
 
-  void depositTo(Worker &W, Frame *F, Result Value);
-  void completeDetached(Worker &W, Frame *F, Result Total);
+  bool depositTo(Worker &W, Frame *F, Result Value);
+  void completeDetached(Worker &W, Frame *F);
 
   State *allocState(Worker &W);
   void freeState(Worker &W, State *S);
@@ -401,11 +429,11 @@ FramePolicy<P, TcPol>::taskBody(Worker &W, State &S, int Depth,
                                         CodeVersion Cur, bool OwnsState) {
   // Span attribution: everything below runs under Cur's mode; recursion
   // within the same version emits nothing (setMode de-dupes). The scope
-  // covers all four return paths, stolen unwinds included.
+  // covers all three return paths, stolen unwinds included.
   TraceModeScope TraceSpan(W.Trace, traceModeFor(Cur));
   MetricsModeScope MetricsSpan(W.Metrics, traceModeFor(Cur));
+  ++W.Stats.TasksCreated;
   if (Prob.isLeaf(S, Depth)) {
-    ++W.Stats.TasksCreated;
     Result R = Prob.leafResult(S, Depth);
     if (OwnsState)
       freeState(W, &S);
@@ -419,50 +447,60 @@ FramePolicy<P, TcPol>::taskBody(Worker &W, State &S, int Depth,
   F->Parent = Parent;
   F->OwnsState = OwnsState;
 
-  // Hot counters are batched into locals and flushed once per exit path
-  // (each return is a steal/sync boundary) instead of dirtying the Stats
-  // cache line on every loop iteration.
-  std::uint64_t NSpawns = 0, NCopies = 0, NBytes = 0;
-  auto FlushStats = [&] {
-    ++W.Stats.TasksCreated;
-    W.Stats.Spawns += NSpawns;
-    W.Stats.WorkspaceCopies += NCopies;
-    W.Stats.CopiedBytes += NBytes;
-  };
-
   Result Acc{};
+  if (spawnChildren(W, F, S, Depth, /*K0=*/0, Cur, Dp, Acc))
+    return {Result{}, true};
+
+  // Sync point. Owner-path invariant: a frame whose every pop succeeded
+  // was never stolen, so all children completed synchronously ("all sync
+  // statements [in the fast version] are translated to no-ops").
+  assert(F->JoinCount.load(std::memory_order_acquire) == 0 &&
+         "owner-path frame has outstanding children");
+  assert(!F->Detached && "owner-path frame was stolen");
+  freeFrame(W, F);
+  if (OwnsState)
+    freeState(W, &S);
+  return {Acc, false};
+}
+
+/// The spawn loop of a task frame, shared by the fast and fast_2 versions
+/// (taskBody, from K0 = 0) and the slow one (runContinuation, from the
+/// choice after the stolen one): runs children K0..N-1 of \p F, whose
+/// workspace \p S sits at \p Depth, from version \p Cur at spawn depth
+/// \p Dp, adding their values to \p Acc. Returns true when F was stolen
+/// meanwhile: F then belongs to the thief and the caller unwinds.
+template <SearchProblem P, TaskCreationPolicy TcPol>
+bool FramePolicy<P, TcPol>::spawnChildren(Worker &W, Frame *F, State &S,
+                                          int Depth, int K0,
+                                          CodeVersion Cur, int Dp,
+                                          Result &Acc) {
+  SpawnCounts Counts;
+  // The first child after a resume counts as the first one: a stolen
+  // spine frame keeps exposing its remaining siblings.
   bool FirstChild = true;
   const int N = Prob.numChoices(S, Depth);
-  for (int K = 0; K < N; ++K) {
+  for (int K = K0; K < N; ++K) {
     if (!Prob.applyChoice(S, Depth, K))
       continue;
 
     // Figure 2 dispatch: the task-creation policy decides how this child
     // executes (need_task is consulted only by the check version, i.e.
-    // inside checkBody — never here).
+    // inside checkBody — never here). Per the paper, the slow version
+    // dispatches through the fast/check rule regardless of which version
+    // originally spawned it (CodeVersion::Slow mirrors Fast in every
+    // policy).
     const FsmTransition T = Tc.child(Cur, Dp, /*NeedTask=*/false, FirstChild);
     FirstChild = false;
     if (T.SpawnTask) {
-      // Spawn as a real task: give the child a private workspace copy
-      // (the taskprivate copy), then expose our continuation. The copy
-      // MUST precede the push — once the frame is stealable, a thief may
-      // start mutating S (undo/redo of our remaining choices). Only the
-      // prefix live at the child's depth is copied (Problem.h liveBytes).
       [[maybe_unused]] std::uint64_t SpawnT0 = ATC_METRIC_NOW(W.Metrics);
-      State *CB = allocState(W);
-      const std::size_t Live = copyLiveState(Prob, CB, S, Depth + 1);
-      ++NCopies;
-      NBytes += Live;
       F->LastChoice = K;
       F->PartialAcc = Acc;
-      if (ATC_UNLIKELY(!W.Deque.tryPush(F))) {
-        // Deque overflow: degrade to a plain call (counted by the deque).
-        freeState(W, CB);
+      State *CB = copyThenPush(W, S, Depth, F, /*Special=*/false, Counts);
+      if (ATC_UNLIKELY(CB == nullptr)) {
         Acc += seqBody(W, S, Depth + 1);
         Prob.undoChoice(S, Depth, K);
         continue;
       }
-      ++NSpawns;
       // Spawn cost (alloc + live-copy + push) and post-push occupancy.
       ATC_METRIC(W.Metrics, SpawnCostNs.record(nowNanos() - SpawnT0));
       ATC_METRIC(W.Metrics, DequeDepth.record(static_cast<std::uint64_t>(
@@ -477,19 +515,17 @@ FramePolicy<P, TcPol>::taskBody(Worker &W, State &S, int Depth,
 
       ExecResult<Result> R = taskBody(W, *CB, Depth + 1, F, T.ChildDp,
                                       T.Child, /*OwnsState=*/true);
-      if (R.Stolen) {
-        // The child's own frame was stolen, which (head-first stealing)
-        // implies ours was too: its result reaches F via the frame chain.
-        // Unwind without popping or freeing anything we no longer own.
-        FlushStats();
-        return {Result{}, true};
-      }
-      if (W.Deque.pop() == PopResult::Failure) {
-        // Our continuation was stolen: deposit the child's value into the
-        // (now thief-owned) frame and unwind ("return a dummy value").
-        FlushStats();
-        depositTo(W, F, R.Value);
-        return {Result{}, true};
+      if (R.Stolen || W.Deque.pop() == PopResult::Failure) {
+        // F was stolen. Either the child's own frame was stolen too
+        // (head-first stealing took F first) and its result reaches F
+        // via the frame chain, or the pop failed: deposit the child's
+        // value into the (now thief-owned) F, completing F if it is
+        // suspended and this was its last child. Unwind without popping
+        // or freeing anything we no longer own ("return a dummy value").
+        Counts.flush(W.Stats);
+        if (!R.Stolen && depositTo(W, F, R.Value))
+          completeDetached(W, F);
+        return true;
       }
       Acc += R.Value;
     } else if (T.Child == CodeVersion::Check) {
@@ -499,18 +535,32 @@ FramePolicy<P, TcPol>::taskBody(Worker &W, State &S, int Depth,
     }
     Prob.undoChoice(S, Depth, K);
   }
-  FlushStats();
+  Counts.flush(W.Stats);
+  return false;
+}
 
-  // Sync point. Owner-path invariant: a frame whose every pop succeeded
-  // was never stolen, so all children completed synchronously ("all sync
-  // statements [in the fast version] are translated to no-ops").
-  assert(F->JoinCount.load(std::memory_order_acquire) == 0 &&
-         "owner-path frame has outstanding children");
-  assert(!F->Detached && "owner-path frame was stolen");
-  freeFrame(W, F);
-  if (OwnsState)
-    freeState(W, &S);
-  return {Acc, false};
+/// The spawn step of all three spawn sites (the normal frame pushes of
+/// spawnChildren and the special-task push of publishSpecial): gives the
+/// child a private copy of the workspace prefix live at its depth (the
+/// taskprivate copy, Problem.h liveBytes), then pushes \p F, as a special
+/// task when \p Special. The copy MUST precede the push: once F is
+/// stealable, a thief may start mutating \p S (undo/redo of the remaining
+/// choices). Returns the child's workspace, or null on deque overflow
+/// (counted by the deque): the copy is freed and the caller runs the
+/// child as a plain call (seqBody).
+template <SearchProblem P, TaskCreationPolicy TcPol>
+typename P::State *
+FramePolicy<P, TcPol>::copyThenPush(Worker &W, State &S, int Depth,
+                                    Frame *F, bool Special, SpawnCounts &N) {
+  State *CB = allocState(W);
+  N.Bytes += copyLiveState(Prob, CB, S, Depth + 1);
+  ++N.Copies;
+  if (ATC_UNLIKELY(!W.Deque.tryPush(F, Special))) {
+    freeState(W, CB);
+    return nullptr;
+  }
+  ++N.Spawns;
+  return CB;
 }
 
 template <SearchProblem P, TaskCreationPolicy TcPol>
@@ -606,15 +656,11 @@ typename P::Result FramePolicy<P, TcPol>::publishSpecial(
     ++W.Stats.SpecialTasks;
   }
   Frame *SF = ST.SF;
-  State *CB = allocState(W);
-  const std::size_t Live = copyLiveState(Prob, CB, S, Depth + 1);
-  ++W.Stats.WorkspaceCopies;
-  W.Stats.CopiedBytes += Live;
-  if (ATC_UNLIKELY(!W.Deque.tryPush(SF, /*Special=*/true))) {
-    freeState(W, CB);
+  SpawnCounts Counts;
+  State *CB = copyThenPush(W, S, Depth, SF, /*Special=*/true, Counts);
+  Counts.flush(W.Stats);
+  if (ATC_UNLIKELY(CB == nullptr))
     return seqBody(W, S, Depth + 1);
-  }
-  ++W.Stats.Spawns;
   // Hand the subtree's batched counters to Stats so the mirror flush
   // below is as fresh as the rest of the worker's counters.
   C.flush();
@@ -724,103 +770,51 @@ void FramePolicy<P, TcPol>::runContinuation(Worker &W, Frame *F) {
   MetricsModeScope MetricsSpan(W.Metrics, TraceMode::Slow);
   State &S = *F->StatePtr;
   const int Depth = F->Depth;
-  const int Dp = F->SpawnDepth;
   Prob.undoChoice(S, Depth, F->LastChoice);
   Result Acc = F->PartialAcc;
-  // The first child after the resume counts as the first one: a stolen
-  // spine frame keeps exposing its remaining siblings.
-  bool FirstChild = true;
-  const int N = Prob.numChoices(S, Depth);
-
-  for (int K = F->LastChoice + 1; K < N; ++K) {
-    if (!Prob.applyChoice(S, Depth, K))
-      continue;
-
-    // Per the paper, the slow version dispatches children through the
-    // fast/check rule regardless of which version originally spawned it
-    // (CodeVersion::Slow mirrors Fast in every policy).
-    const FsmTransition T =
-        Tc.child(CodeVersion::Slow, Dp, /*NeedTask=*/false, FirstChild);
-    FirstChild = false;
-    if (T.SpawnTask) {
-      // As in taskBody: copy the child workspace (live prefix only)
-      // before the push makes our continuation (and S) stealable.
-      [[maybe_unused]] std::uint64_t SpawnT0 = ATC_METRIC_NOW(W.Metrics);
-      State *CB = allocState(W);
-      const std::size_t Live = copyLiveState(Prob, CB, S, Depth + 1);
-      ++W.Stats.WorkspaceCopies;
-      W.Stats.CopiedBytes += Live;
-      F->LastChoice = K;
-      F->PartialAcc = Acc;
-      if (ATC_UNLIKELY(!W.Deque.tryPush(F))) {
-        freeState(W, CB);
-        Acc += seqBody(W, S, Depth + 1);
-        Prob.undoChoice(S, Depth, K);
-        continue;
-      }
-      ++W.Stats.Spawns;
-      ATC_METRIC(W.Metrics, SpawnCostNs.record(nowNanos() - SpawnT0));
-      ATC_METRIC(W.Metrics, DequeDepth.record(static_cast<std::uint64_t>(
-                                W.Deque.size())));
-      ATC_TRACE_EVENT(W.Trace, TraceEventKind::SpawnReal,
-                      static_cast<std::uint32_t>(T.Child),
-                      static_cast<std::uint16_t>(Depth + 1));
-
-      ExecResult<Result> R = taskBody(W, *CB, Depth + 1, F, T.ChildDp,
-                                      T.Child, /*OwnsState=*/true);
-      if (R.Stolen)
-        return; // stolen again; back to the steal loop
-      if (W.Deque.pop() == PopResult::Failure) {
-        depositTo(W, F, R.Value);
-        return;
-      }
-      Acc += R.Value;
-    } else if (T.Child == CodeVersion::Check) {
-      Acc += checkBody(W, S, Depth + 1);
-    } else {
-      Acc += seqBody(W, S, Depth + 1);
-    }
-    Prob.undoChoice(S, Depth, K);
-  }
+  if (spawnChildren(W, F, S, Depth, F->LastChoice + 1, CodeVersion::Slow,
+                    F->SpawnDepth, Acc))
+    return; // stolen again; back to the steal loop
 
   // Sync point of a stolen task: children may still be outstanding.
   F->Lock.lock();
+  F->SyncAcc = Acc;
   if (F->JoinCount.load(std::memory_order_acquire) != 0) {
     // Suspend the task and go steal other work; the last depositor
     // resumes (completes) it.
-    F->SyncAcc = Acc;
     F->Suspended = true;
     ++W.Stats.Suspensions;
     F->Lock.unlock();
     return;
   }
-  Result Total = Acc;
-  Total += F->Deposits;
   F->Lock.unlock();
-  completeDetached(W, F, Total);
+  completeDetached(W, F);
 }
 
+/// The deposit step of the join protocol: adds the value of one finished
+/// child chain into \p F and drops F's JoinCount. Returns true when F is
+/// suspended and that was its last outstanding child: the caller is then
+/// F's sole owner and completes it.
 template <SearchProblem P, TaskCreationPolicy TcPol>
-void FramePolicy<P, TcPol>::depositTo(Worker &W, Frame *F,
-                                              Result Value) {
+bool FramePolicy<P, TcPol>::depositTo(Worker &W, Frame *F, Result Value) {
   ++W.Stats.Deposits;
   F->Lock.lock();
   F->Deposits += Value;
-  int JC = F->JoinCount.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  bool Resume = (JC == 0 && F->Suspended);
+  const int JC = F->JoinCount.fetch_sub(1, std::memory_order_acq_rel) - 1;
+  const bool Resume = JC == 0 && F->Suspended;
   F->Lock.unlock();
-  if (Resume) {
-    // Sole owner now: assemble the total and complete.
-    Result Total = F->SyncAcc;
-    Total += F->Deposits;
-    completeDetached(W, F, Total);
-  }
+  return Resume;
 }
 
+/// Completes the detached frame \p F, whose children have all deposited
+/// and whose sole owner the caller is: frees F and deposits its total
+/// (SyncAcc + Deposits) into its parent, completing each suspended parent
+/// in turn whose last child this was; the root publishes the result.
 template <SearchProblem P, TaskCreationPolicy TcPol>
-void FramePolicy<P, TcPol>::completeDetached(Worker &W, Frame *F,
-                                                     Result Total) {
+void FramePolicy<P, TcPol>::completeDetached(Worker &W, Frame *F) {
   for (;;) {
+    Result Total = F->SyncAcc;
+    Total += F->Deposits;
     Frame *Parent = F->Parent;
     // May run on a thief: both frees route back to the carving worker's
     // arena (F->AllocWorker) rather than W's.
@@ -831,16 +825,8 @@ void FramePolicy<P, TcPol>::completeDetached(Worker &W, Frame *F,
       Rt->publishFinal(Total);
       return;
     }
-    ++W.Stats.Deposits;
-    Parent->Lock.lock();
-    Parent->Deposits += Total;
-    int JC = Parent->JoinCount.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    bool Resume = (JC == 0 && Parent->Suspended);
-    Parent->Lock.unlock();
-    if (!Resume)
+    if (!depositTo(W, Parent, Total))
       return;
-    Total = Parent->SyncAcc;
-    Total += Parent->Deposits;
     F = Parent;
   }
 }

@@ -232,6 +232,14 @@ public:
     return {StealResult::Status::Success, Frame};
   }
 
+  /// Owner: the frame of the tail entry, the one the next pop reclaims;
+  /// null when the deque is empty.
+  void *top() const {
+    int T = Tail.load(std::memory_order_relaxed);
+    return T > Head.load(std::memory_order_relaxed) ? Slots[T - 1].Frame
+                                                    : nullptr;
+  }
+
   /// True when no entry is present (approximate under concurrency).
   bool empty() const { return Head.load(std::memory_order_relaxed) >=
                               Tail.load(std::memory_order_relaxed); }

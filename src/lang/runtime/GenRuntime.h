@@ -13,11 +13,16 @@
 ///
 /// This header implements the hooks for a *single-worker* executor with
 /// full protocol fidelity: every push/pop/special operation runs against
-/// a real deque and is counted, but pops never fail (there are no
-/// thieves), so the slow-version resume paths are compiled yet not
-/// exercised. The parallel execution of the AdaptiveTC strategy is the
-/// core library's job (atc::FramePolicy over the scheduler kernel); the compiler exists to
-/// demonstrate the paper's translation scheme end-to-end (see DESIGN.md).
+/// the scheduler's own THE deque (deque/TheDeque.h) and is counted, but
+/// pops never fail (there are no thieves), so the slow-version resume
+/// paths are compiled yet not exercised. The deque holds exactly
+/// FiveVersionFsm::maxOwnerPushes() entries (3C + 1 for Figure 2 as
+/// published), the most one worker's spawn chain can push, so every run
+/// checks that bound: a push past it aborts. Each pop asserts that it
+/// reclaims the frame the generated code names. The parallel execution
+/// of the AdaptiveTC strategy is the core library's job (atc::FramePolicy
+/// over the scheduler kernel); the compiler exists to demonstrate the
+/// paper's translation scheme end-to-end (see DESIGN.md).
 ///
 /// Testing knob: setting forceNeedTaskEvery(N) makes needTask() report
 /// true on every Nth poll, driving the check version through its
@@ -28,21 +33,9 @@
 /// the whole process (one worker track; spawn, special-task, FSM and
 /// need_task events) and writes a Chrome/Perfetto trace.json to <path>
 /// when the Worker is destroyed. ATCGEN_TRACE_CAP overrides the ring
-/// capacity (events; default 1M); like ATCGEN_DEQUE_CAP below it must be
-/// a decimal integer in [1, INT_MAX], and anything else exits with
-/// status 2.
-///
-/// Deque knob: ATCGEN_DEQUE=the mirrors every protocol operation (push,
-/// pop, pushSpecial, popSpecial) into a real scheduler THE deque, running
-/// alongside the shadow vector and asserted to agree after every step —
-/// the single-worker executor becomes a protocol-conformance harness for
-/// the deque layer, driving the exact operation sequences atcc emits
-/// (including the special-task pushes the forced-need_task mode provokes)
-/// through the same header-only deque the core runtime schedules with.
-/// Any other kind exits with status 2. ATCGEN_DEQUE_CAP overrides the
-/// array's capacity (a push past it aborts); it must be a decimal integer
-/// in [1, INT_MAX], and anything else exits with status 2 too. Unset
-/// means shadow-only, unchanged behaviour.
+/// capacity (events; default 1M); it must be a decimal integer in
+/// [1, INT_MAX], and anything else exits with status 2. The removed
+/// ATCGEN_DEQUE and ATCGEN_DEQUE_CAP knobs exit with status 2 too.
 ///
 /// Metrics knob: ATCGEN_METRICS=<path> writes a Prometheus text
 /// exposition (0.0.4) of the run's protocol counters to <path> when the
@@ -65,9 +58,10 @@
 // write their own trace.json — see the ATCGEN_TRACE knob below).
 #include "trace/TraceJson.h"
 // The scheduler deque (header-only so generated code, which links
-// nothing, can instantiate it — see the ATCGEN_DEQUE knob).
+// nothing, can instantiate it).
 #include "deque/TheDeque.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <cerrno>
@@ -115,8 +109,8 @@ struct GenStats {
   std::uint64_t WorkspaceReuses = 0;      ///< Allocs served by the freelist.
 };
 
-/// Parses the value \p Str of the count variable \p Var (ATCGEN_DEQUE_CAP,
-/// ATCGEN_TRACE_CAP): a decimal integer in [1, INT_MAX]. Anything else is
+/// Parses the value \p Str of the count variable \p Var
+/// (ATCGEN_TRACE_CAP): a decimal integer in [1, INT_MAX]. Anything else is
 /// a usage error and exits with status 2.
 inline int parseCountEnv(const char *Var, const char *Str) {
   char *End = nullptr;
@@ -138,7 +132,16 @@ struct Worker {
   // Figure 2 as published (FsmVariant::Paper): the generated spawn sites
   // do not track which child is the first applied one.
   explicit Worker(int CutoffDepth = 0)
-      : Fsm(CutoffDepth, atc::FsmVariant::Paper) {
+      : Fsm(CutoffDepth, atc::FsmVariant::Paper),
+        Deque(std::max(1, Fsm.maxOwnerPushes())) {
+    for (const char *Removed : {"ATCGEN_DEQUE", "ATCGEN_DEQUE_CAP"})
+      if (std::getenv(Removed)) {
+        std::fprintf(stderr,
+                     "atcgen: %s was removed: every run uses a THE deque "
+                     "of the FSM's bound\n",
+                     Removed);
+        std::exit(2);
+      }
     if (const char *Path = std::getenv("ATCGEN_TRACE")) {
       std::size_t Cap = 1u << 20;
       if (const char *CapStr = std::getenv("ATCGEN_TRACE_CAP"))
@@ -152,19 +155,6 @@ struct Worker {
     }
     if (const char *Path = std::getenv("ATCGEN_METRICS"))
       MetricsPath = Path;
-    if (const char *Kind = std::getenv("ATCGEN_DEQUE")) {
-      int Cap = 8192;
-      if (const char *CapStr = std::getenv("ATCGEN_DEQUE_CAP"))
-        Cap = parseCountEnv("ATCGEN_DEQUE_CAP", CapStr);
-      if (std::string(Kind) != "the") {
-        std::fprintf(stderr,
-                     "atcgen: unknown ATCGEN_DEQUE kind '%s' "
-                     "(expected the)\n",
-                     Kind);
-        std::exit(2);
-      }
-      Mirror = std::make_unique<atc::TheDeque>(Cap);
-    }
   }
 
   int cutoff() const { return Fsm.cutoff(); }
@@ -233,9 +223,7 @@ struct Worker {
     ++Stats.Pushes;
     ATC_TRACE_EVENT(TB, atc::TraceEventKind::SpawnReal, 0,
                     static_cast<std::uint16_t>(F->Dp));
-    Deque.push_back(F);
-    if (Mirror)
-      mirrorPush(F, /*Special=*/false);
+    pushFrame(F, /*Special=*/false);
   }
 
   /// Owner pop after a spawned child returns. \p ChildResult and
@@ -246,15 +234,9 @@ struct Worker {
     (void)ChildResult;
     (void)ReceiverOffset;
     ++Stats.Pops;
-    assert(!Deque.empty() && Deque.back() == F && "unbalanced THE pop");
-    Deque.pop_back();
-    if (Mirror) {
-      atc::PopResult R = Mirror->pop();
-      (void)R;
-      assert(R == atc::PopResult::Success &&
-             "mirror deque pop failed with no thieves");
-      assertMirrorAgrees();
-    }
+    assert(Deque.top() == F && "unbalanced THE pop");
+    [[maybe_unused]] atc::PopResult R = Deque.pop();
+    assert(R == atc::PopResult::Success && "THE pop failed with no thieves");
     return true;
   }
 
@@ -263,25 +245,18 @@ struct Worker {
     assert(F->Special && "pushSpecial of a non-special frame");
     ATC_TRACE_EVENT(TB, atc::TraceEventKind::SpecialPush, 0,
                     static_cast<std::uint16_t>(F->Dp));
-    Deque.push_back(F);
-    if (Mirror)
-      mirrorPush(F, /*Special=*/true);
+    pushFrame(F, /*Special=*/true);
   }
 
   /// pop_specialtask: true when the special's child was not stolen.
   bool popSpecial(TaskInfoBase *F) {
     ++Stats.SpecialPops;
-    assert(!Deque.empty() && Deque.back() == F && "unbalanced special pop");
+    assert(Deque.top() == F && "unbalanced special pop");
     ATC_TRACE_EVENT(TB, atc::TraceEventKind::SpecialPop, 0,
                     static_cast<std::uint16_t>(F->Dp));
-    Deque.pop_back();
-    if (Mirror) {
-      atc::PopResult R = Mirror->popSpecial();
-      (void)R;
-      assert(R == atc::PopResult::Success &&
-             "mirror pop_specialtask failed with no thieves");
-      assertMirrorAgrees();
-    }
+    [[maybe_unused]] atc::PopResult R = Deque.popSpecial();
+    assert(R == atc::PopResult::Success &&
+           "pop_specialtask failed with no thieves");
     return true;
   }
 
@@ -385,13 +360,6 @@ struct Worker {
   }
 
   ~Worker() {
-    if (Mirror)
-      std::fprintf(stderr,
-                   "atcgen: deque mirror 'the' verified %llu pushes / %llu "
-                   "pops / %llu special pairs\n",
-                   static_cast<unsigned long long>(Stats.Pushes),
-                   static_cast<unsigned long long>(Stats.Pops),
-                   static_cast<unsigned long long>(Stats.SpecialPops));
     // Both stay unset unless ATCGEN_TRACE / ATCGEN_METRICS asked for them.
     if (Trace && !atc::writeChromeTraceFile(*Trace, TracePath))
       std::fprintf(stderr, "atcgen: cannot write trace to %s\n",
@@ -417,29 +385,22 @@ private:
     std::vector<void *> Free;
   };
 
-  /// Mirrors one push into the ATCGEN_DEQUE deque.
-  void mirrorPush(TaskInfoBase *F, bool Special) {
-    bool Ok = Mirror->tryPush(F, Special);
-    (void)Ok;
-    assert(Ok && "ATCGEN_DEQUE mirror overflow: raise ATCGEN_DEQUE_CAP");
-    assertMirrorAgrees();
-  }
-
-  /// Shadow-vs-mirror agreement check (the mirror deque must hold exactly
-  /// the shadow's entries after every protocol step; size is the strongest
-  /// property observable without breaking the deque's encapsulation).
-  void assertMirrorAgrees() const {
-    assert(Mirror->size() == static_cast<int>(Deque.size()) &&
-           "mirror deque diverged from the protocol shadow");
+  /// Pushes \p F; the deque holds the FSM's bound, so a full one means
+  /// the generated spawn chain broke it.
+  void pushFrame(TaskInfoBase *F, bool Special) {
+    if (!Deque.tryPush(F, Special)) {
+      std::fprintf(stderr,
+                   "atcgen: deque overflow: a spawn chain passed the FSM "
+                   "bound of %d entries\n",
+                   Deque.capacity());
+      std::abort();
+    }
   }
 
   atc::FiveVersionFsm Fsm;
+  atc::TheDeque Deque; ///< Sized from Fsm, so declared after it.
   int ForceEvery = 0;
-  std::vector<TaskInfoBase *> Deque;
   std::vector<WsBucket> WsBuckets;
-
-  /// ATCGEN_DEQUE support; null when the knob is unset (shadow-only).
-  std::unique_ptr<atc::TheDeque> Mirror;
 
   /// ATCGEN_TRACE support; see the file comment. TB stays null when the
   /// knob is unset, so each emission site costs one predictable branch.

@@ -148,69 +148,63 @@ TEST(LangEndToEnd, NQueensCorrectAcrossCutoffs) {
 }
 
 TEST(LangEndToEnd, NQueensCorrectWithDequeMirror) {
-  // ATCGEN_DEQUE mirrors every protocol operation into a real scheduler
-  // deque with step-by-step agreement asserts; an abort (protocol
-  // divergence) fails the exit-status check inside compileAndRun.
-  EXPECT_EQ(compileAndRun(NQueensSrc, "ATCGEN_DEQUE=the"), "92\n");
+  // Every protocol operation runs on a real scheduler THE deque of
+  // exactly the FSM's bound, with a popped-frame identity assert per pop;
+  // an abort (overflow or protocol divergence) fails the exit-status
+  // check inside compileAndRun.
+  EXPECT_EQ(compileAndRun(NQueensSrc), "92\n");
 }
 
 TEST(LangEndToEnd, DequeMirrorComposesWithForcedSpecialTasks) {
-  // Forced need_task drives pushSpecial/popSpecial through the mirror,
-  // at the default capacity and in an array of exactly the FSM's bound
-  // (Figure 2 as published: 3C + 1 = 10 at the generated main's default
-  // cut-off of 3), where a push past the end would abort.
-  EXPECT_EQ(compileAndRun(NQueensSrc,
-                          "ATCGEN_DEQUE=the ATCGEN_FORCE_NEEDTASK=3"),
-            "92\n");
-  EXPECT_EQ(compileAndRun(NQueensSrc, "ATCGEN_DEQUE=the "
-                                      "ATCGEN_DEQUE_CAP=10 "
-                                      "ATCGEN_FORCE_NEEDTASK=3"),
-            "92\n");
+  // Forced need_task drives pushSpecial/popSpecial through the deque,
+  // whose array holds exactly the FSM's bound (Figure 2 as published:
+  // 3C + 1), across cut-offs: a push past the end would abort.
+  std::string BinPath = buildBinary(NQueensSrc);
+  ASSERT_FALSE(BinPath.empty());
+  for (int Cutoff : {0, 1, 3, 30}) {
+    std::string Env = "ATCGEN_FORCE_NEEDTASK=3 ATCGEN_CUTOFF=" +
+                      std::to_string(Cutoff);
+    int Status = 0;
+    EXPECT_EQ(runBinary(BinPath, Env, Status), "92\n") << Env;
+    EXPECT_EQ(Status, 0) << Env;
+  }
+  std::remove(BinPath.c_str());
 }
 
 TEST(LangEndToEnd, BadDequeCapIsRejected) {
-  // ATCGEN_DEQUE_CAP and ATCGEN_TRACE_CAP take a decimal integer in
-  // [1, INT_MAX]. A value that would wrap, go negative, or is no number
-  // at all is a usage error (exit 2, like an unknown ATCGEN_DEQUE kind),
-  // never a silently truncated or ignored capacity.
+  // ATCGEN_TRACE_CAP takes a decimal integer in [1, INT_MAX]. A value
+  // that would wrap, go negative, or is no number at all is a usage error
+  // (exit 2), never a silently truncated or ignored capacity.
   std::string BinPath = buildBinary(NQueensSrc);
   ASSERT_FALSE(BinPath.empty());
   const std::string TracePath = ::testing::TempDir() + "atcgen_badcap.json";
-  const struct {
-    const char *Var;
-    std::string Env;
-  } Vars[] = {{"ATCGEN_DEQUE_CAP", "ATCGEN_DEQUE=the"},
-              {"ATCGEN_TRACE_CAP", "ATCGEN_TRACE='" + TracePath + "'"}};
-  for (const auto &V : Vars)
-    for (const char *Cap : {"4294967297", "99999999999999999999",
-                            "2147483648", "abc", "0", "-4", "12x", " 8",
-                            ""}) {
+  const std::string TraceEnv = "ATCGEN_TRACE='" + TracePath + "'";
+  for (const char *Cap : {"4294967297", "99999999999999999999", "2147483648",
+                          "abc", "0", "-4", "12x", " 8", ""}) {
+    int Status = 0;
+    std::string Out =
+        runBinary(BinPath, TraceEnv + " ATCGEN_TRACE_CAP='" + Cap + "'",
+                  Status, /*WithStderr=*/true);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
+        << "ATCGEN_TRACE_CAP '" << Cap << "' status " << Status;
+    EXPECT_NE(Out.find("bad ATCGEN_TRACE_CAP"), std::string::npos)
+        << "ATCGEN_TRACE_CAP '" << Cap << "': " << Out;
+  }
+  // The deque's size is the FSM's bound, not a setting: the removed
+  // ATCGEN_DEQUE and ATCGEN_DEQUE_CAP are usage errors whatever their
+  // value, never silently ignored.
+  for (const char *Var : {"ATCGEN_DEQUE", "ATCGEN_DEQUE_CAP"})
+    for (const char *Value : {"the", "64"}) {
       int Status = 0;
       std::string Out =
-          runBinary(BinPath, V.Env + " " + V.Var + "='" + Cap + "'", Status,
+          runBinary(BinPath, std::string(Var) + "=" + Value, Status,
                     /*WithStderr=*/true);
       EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
-          << V.Var << " '" << Cap << "' status " << Status;
-      EXPECT_NE(Out.find(std::string("bad ") + V.Var), std::string::npos)
-          << V.Var << " '" << Cap << "': " << Out;
+          << Var << "=" << Value << ": status " << Status;
+      EXPECT_NE(Out.find(std::string("atcgen: ") + Var + " was removed"),
+                std::string::npos)
+          << Var << "=" << Value << ": " << Out;
     }
-  int Status = 0;
-  EXPECT_EQ(runBinary(BinPath, "ATCGEN_DEQUE=the ATCGEN_DEQUE_CAP=64",
-                      Status),
-            "92\n");
-  EXPECT_EQ(Status, 0);
-  // An unknown kind is the same usage error; the deleted "atomic" and
-  // "chaselev" kinds are unknown rather than remapped to "the".
-  for (const char *Kind : {"atomic", "chaselev"}) {
-    std::string Out = runBinary(BinPath, std::string("ATCGEN_DEQUE=") + Kind,
-                                Status, /*WithStderr=*/true);
-    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 2)
-        << Kind << ": status " << Status;
-    EXPECT_NE(Out.find(std::string("unknown ATCGEN_DEQUE kind '") + Kind +
-                       "' (expected the)"),
-              std::string::npos)
-        << Out;
-  }
   std::remove(BinPath.c_str());
   std::remove(TracePath.c_str());
 }

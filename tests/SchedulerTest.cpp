@@ -154,14 +154,22 @@ const MatrixCase AllCases[] = {
 class SchedulerMatrix : public ::testing::TestWithParam<MatrixCase> {
 protected:
   /// Runs \p Prob from \p Root under the row's setup and checks the
-  /// value. On the FSM-bound array an AdaptiveTC run must also never
-  /// overflow.
+  /// value. Every deque-based run copies one workspace per spawn site
+  /// visit, which then either pushes or overflows (the 2-slot rows drive
+  /// the overflow fallback at all three sites). On the FSM-bound array an
+  /// AdaptiveTC run must also never overflow.
   template <SearchProblem P>
   void expectRun(P &Prob, const typename P::State &Root,
                  long long Expected) {
     const MatrixCase &MC = GetParam();
     auto R = runProblem(Prob, Root, makeConfig(MC));
     EXPECT_EQ(R.Value, Expected);
+    if (MC.Kind != SchedulerKind::Tascell) {
+      EXPECT_EQ(R.Stats.WorkspaceCopies,
+                R.Stats.Spawns + R.Stats.DequeOverflows)
+          << "spawns " << R.Stats.Spawns << ", overflows "
+          << R.Stats.DequeOverflows;
+    }
     if (MC.Kind == SchedulerKind::AdaptiveTC &&
         MC.Deque == MatrixDeque::FsmBound) {
       EXPECT_EQ(R.Stats.DequeOverflows, 0u)
